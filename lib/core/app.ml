@@ -30,11 +30,16 @@ let make ~tasks ~edges =
       if m < 0 then invalid_arg "App.make: negative message size")
     edges;
   let graph = Dag.create ~n ~edges in
+  (* Collect each name once, so the sort is over the distinct names. *)
+  let seen = Hashtbl.create 16 in
+  Array.iter
+    (fun (task : Task.t) ->
+      Hashtbl.replace seen task.Task.proc ();
+      List.iter (fun r -> Hashtbl.replace seen r ()) task.Task.resources)
+    tasks;
   let resource_set =
-    Array.fold_left
-      (fun acc task -> List.rev_append (Task.needs task) acc)
-      [] tasks
-    |> List.sort_uniq String.compare
+    Hashtbl.fold (fun r () acc -> r :: acc) seen []
+    |> List.sort String.compare
   in
   { tasks; graph; resource_set }
 

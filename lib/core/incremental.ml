@@ -68,6 +68,15 @@ type t = {
 let base t = t.i_base
 let cached_blocks t = Hashtbl.length t.i_cache
 
+(* [string_of_int i] appended to [buf]; the quantities of an instance
+   are non-negative, and those skip the intermediate string. *)
+let rec add_digits buf i =
+  if i >= 10 then add_digits buf (i / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (i mod 10)))
+
+let add_int buf i =
+  if i >= 0 then add_digits buf i else Buffer.add_string buf (string_of_int i)
+
 (* Stable digest over everything the analysis result depends on: the
    full per-task tuple (not just the release/compute/deadline triple),
    the graph with weights, and the system model.  Checkpoint files are
@@ -75,31 +84,61 @@ let cached_blocks t = Hashtbl.length t.i_cache
    stale rather than silently splicing in samples of a different
    problem. *)
 let instance_fingerprint system app =
-  let buf = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let buf = Buffer.create (64 * (App.n_tasks app + 1)) in
+  let str = Buffer.add_string buf and chr = Buffer.add_char buf in
+  let int i = add_int buf i in
+  (* "<sep><name>=<count>" *)
+  let pair sep (r, c) =
+    chr sep;
+    str r;
+    chr '=';
+    int c
+  in
   (match system with
   | System.Shared costs ->
-      add "shared";
-      List.iter (fun (r, c) -> add "|%s=%d" r c) costs
+      str "shared";
+      List.iter (pair '|') costs
   | System.Dedicated nts ->
-      add "dedicated";
+      str "dedicated";
       List.iter
         (fun nt ->
-          add "|%s:%s:%d" nt.System.nt_name nt.System.nt_proc
-            nt.System.nt_cost;
-          List.iter (fun (r, c) -> add ",%s=%d" r c) nt.System.nt_provides)
+          chr '|';
+          str nt.System.nt_name;
+          chr ':';
+          str nt.System.nt_proc;
+          chr ':';
+          int nt.System.nt_cost;
+          List.iter (pair ',') nt.System.nt_provides)
         nts);
   for i = 0 to App.n_tasks app - 1 do
     let t = App.task app i in
-    add "\nT%d|%s|%d|%d|%d|%s|%b" t.Task.id t.Task.name t.Task.compute
-      t.Task.release t.Task.deadline t.Task.proc t.Task.preemptive;
-    List.iter (fun (r, u) -> add "|%s=%d" r u) t.Task.demands
+    (* "\nT<id>|<name>|<compute>|<release>|<deadline>|<proc>|<preemptive>" *)
+    str "\nT";
+    int t.Task.id;
+    chr '|';
+    str t.Task.name;
+    chr '|';
+    int t.Task.compute;
+    chr '|';
+    int t.Task.release;
+    chr '|';
+    int t.Task.deadline;
+    chr '|';
+    str t.Task.proc;
+    chr '|';
+    str (string_of_bool t.Task.preemptive);
+    List.iter (pair '|') t.Task.demands
   done;
-  Buffer.add_string buf "\nE";
-  Dag.fold_edges (App.graph app) ~init:[] ~f:(fun acc ~src ~dst w ->
-      (src, dst, w) :: acc)
-  |> List.sort compare
-  |> List.iter (fun (s, d, w) -> add "|%d>%d:%d" s d w);
+  (* Dag keeps each successor list sorted, so its edge walk is already
+     in (src, dst) order. *)
+  str "\nE";
+  Dag.fold_edges (App.graph app) ~init:() ~f:(fun () ~src ~dst w ->
+      chr '|';
+      int src;
+      chr '>';
+      int dst;
+      chr ':';
+      int w);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let fingerprint app ~est ~lct tasks =
@@ -389,13 +428,20 @@ let diff base app =
       end
       else compatible := false
     done;
-    let edges g =
-      Dag.fold_edges g ~init:[] ~f:(fun acc ~src ~dst w ->
-          (src, dst, w) :: acc)
-      |> List.sort compare
+    (* [apply] edits through [App.map_tasks], which keeps the graph, so
+       edge lists are compared only for distinct graphs; [Dag]'s edge
+       walk runs in (src, dst) order, so equal graphs give equal lists. *)
+    let same_graph () =
+      let g = App.graph base and g' = App.graph app in
+      g == g'
+      ||
+      let edges g =
+        Dag.fold_edges g ~init:[] ~f:(fun acc ~src ~dst w ->
+            (src, dst, w) :: acc)
+      in
+      edges g = edges g'
     in
-    if (not !compatible) || edges (App.graph base) <> edges (App.graph app)
-    then Reshaped
+    if (not !compatible) || not (same_graph ()) then Reshaped
     else Same_shape { d_rel; d_dl; d_comp }
   end
 

@@ -118,18 +118,51 @@ end
 
 type point_policy = [ `Endpoints | `Enriched ]
 
+(* The candidate points of [tasks], clipped to [lo, hi] with both ends
+   included, sorted and deduplicated in one array: O(p log p) in the
+   block's own points, whatever the size of the application. *)
+let points ~policy ~est ~lct ~compute tasks ~lo ~hi =
+  let per_task = match policy with `Endpoints -> 2 | `Enriched -> 4 in
+  let buf = Array.make (2 + (per_task * List.length tasks)) lo in
+  buf.(1) <- hi;
+  let k = ref 2 in
+  let add p =
+    if p >= lo && p <= hi then begin
+      buf.(!k) <- p;
+      incr k
+    end
+  in
+  List.iter
+    (fun i ->
+      add est.(i);
+      add lct.(i);
+      match policy with
+      | `Endpoints -> ()
+      | `Enriched ->
+          let c = compute i in
+          add (est.(i) + c);
+          add (lct.(i) - c))
+    tasks;
+  let pts = Array.sub buf 0 !k in
+  Array.sort Int.compare pts;
+  let used = ref 1 in
+  for j = 1 to Array.length pts - 1 do
+    if pts.(j) <> pts.(!used - 1) then begin
+      pts.(!used) <- pts.(j);
+      incr used
+    end
+  done;
+  Array.sub pts 0 !used
+
 let candidate_points ?(policy = `Endpoints) ~est ~lct ?compute tasks ~lo ~hi =
-  let per_task i =
+  let compute =
     match (policy, compute) with
-    | `Endpoints, _ -> [ est.(i); lct.(i) ]
-    | `Enriched, Some c -> [ est.(i); lct.(i); est.(i) + c.(i); lct.(i) - c.(i) ]
     | `Enriched, None ->
         invalid_arg "Lower_bound.candidate_points: `Enriched needs ~compute"
+    | _, Some c -> fun i -> c.(i)
+    | `Endpoints, None -> fun _ -> 0
   in
-  let pts =
-    List.concat_map per_task tasks |> List.filter (fun p -> p >= lo && p <= hi)
-  in
-  List.sort_uniq compare (lo :: hi :: pts)
+  Array.to_list (points ~policy ~est ~lct ~compute tasks ~lo ~hi)
 
 (* ceil(a/b) for a >= 0, b > 0 *)
 let ceil_div a b = (a + b - 1) / b
@@ -140,12 +173,12 @@ let ceil_div a b = (a + b - 1) / b
    resource without changing the winning witness. *)
 let merge_scans (lb, wit) (b, w) = if b > lb then (b, w) else (lb, wit)
 
-(* The candidate points of one block, as the scan array. *)
-let block_points ?policy ~est ~lct app tasks ~lo ~hi =
-  let compute =
-    Array.init (App.n_tasks app) (fun i -> (App.task app i).Task.compute)
-  in
-  Array.of_list (candidate_points ?policy ~est ~lct ~compute tasks ~lo ~hi)
+(* The candidate points of one block, as the scan array.  The compute
+   times the `Enriched policy needs are read from the task records. *)
+let block_points ?(policy = `Endpoints) ~est ~lct app tasks ~lo ~hi =
+  points ~policy ~est ~lct
+    ~compute:(fun i -> (App.task app i).Task.compute)
+    tasks ~lo ~hi
 
 (* The densest interval starting at pts.(a): one prefix-sum kernel for
    the fixed left endpoint, then an O(log n) evaluation per right

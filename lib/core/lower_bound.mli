@@ -96,7 +96,9 @@ val block_points :
   est:int array -> lct:int array -> App.t -> int list -> lo:int -> hi:int ->
   int array
 (** The candidate points of one partition block, as the sorted scan
-    array ({!candidate_points} with the app's compute vector). *)
+    array ({!candidate_points} with compute times read from the task
+    records).  Costs [O(p log p)] in the block's own points [p],
+    independent of the application's size. *)
 
 val scan_from :
   ?resource:string ->

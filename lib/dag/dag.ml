@@ -58,7 +58,6 @@ let topological_sort n succ pred =
 let create ~n ~edges =
   if n < 0 then invalid_arg "Dag.create: negative size";
   let succ = Array.make n [] and pred = Array.make n [] in
-  let seen = Hashtbl.create (List.length edges) in
   List.iter
     (fun (src, dst, w) ->
       if src < 0 || src >= n || dst < 0 || dst >= n then
@@ -66,16 +65,28 @@ let create ~n ~edges =
           (Printf.sprintf "Dag.create: edge (%d,%d) out of range" src dst);
       if src = dst then
         invalid_arg (Printf.sprintf "Dag.create: self loop on %d" src);
-      if Hashtbl.mem seen (src, dst) then
-        invalid_arg
-          (Printf.sprintf "Dag.create: duplicate edge (%d,%d)" src dst);
-      Hashtbl.add seen (src, dst) ();
       succ.(src) <- (dst, w) :: succ.(src);
       pred.(dst) <- (src, w) :: pred.(dst))
     edges;
-  let by_fst (a, _) (b, _) = compare a b in
-  Array.iteri (fun i l -> succ.(i) <- List.sort by_fst l) succ;
-  Array.iteri (fun i l -> pred.(i) <- List.sort by_fst l) pred;
+  let by_fst (a, _) (b, _) = Int.compare a b in
+  let sort = function ([] | [ _ ]) as l -> l | l -> List.sort by_fst l in
+  (* A duplicated edge leaves two equal neighbours side by side in its
+     source's sorted successor list. *)
+  let rec check_distinct src = function
+    | (a, _) :: ((b, _) :: _ as rest) ->
+        if a = b then
+          invalid_arg
+            (Printf.sprintf "Dag.create: duplicate edge (%d,%d)" src a);
+        check_distinct src rest
+    | _ -> ()
+  in
+  Array.iteri
+    (fun i l ->
+      let l = sort l in
+      check_distinct i l;
+      succ.(i) <- l)
+    succ;
+  Array.iteri (fun i l -> pred.(i) <- sort l) pred;
   let topo = topological_sort n succ pred in
   { n; succ; pred; n_edges = List.length edges; topo }
 

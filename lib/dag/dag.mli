@@ -17,8 +17,9 @@ exception Cycle of int list
 val create : n:int -> edges:(int * int * int) list -> t
 (** [create ~n ~edges] builds a DAG with vertices [0..n-1] and edges
     [(src, dst, weight)].
-    @raise Invalid_argument on an out-of-range endpoint, a self loop, or a
-      duplicated edge.
+    @raise Invalid_argument on an out-of-range endpoint or a self loop
+      (the first in list order), else on a duplicated edge (the one with
+      the smallest [(src, dst)]).
     @raise Cycle if the edges are cyclic. *)
 
 val n_vertices : t -> int

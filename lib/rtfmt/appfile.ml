@@ -16,25 +16,82 @@ type pending_task = {
   pt_line : int;
 }
 
-let split_words s =
-  String.split_on_char ' ' s |> List.filter (fun w -> w <> "")
+(* ---------------- tokenizer ---------------- *)
 
-let strip_comment s =
-  match String.index_opt s '#' with
-  | Some i -> String.sub s 0 i
-  | None -> s
+(* One pass over the text by index.  A line ends at '\n' and its content
+   at the first '#'; its words are the maximal runs of bytes other than
+   space, tab and carriage return.  A word stays a (start, stop) span of
+   the text, and only the pieces a declaration keeps become strings. *)
 
-let key_value line word =
-  match String.index_opt word '=' with
-  | Some i ->
-      Some
-        ( String.sub word 0 i,
-          String.sub word (i + 1) (String.length word - i - 1) )
-  | None ->
-      if word = "preemptive" then None
-      else fail line "expected key=value, got %S" word
+type words = {
+  text : string;
+  mutable starts : int array;
+  mutable stops : int array;
+  mutable count : int;
+}
 
-let int_of line what s =
+let is_blank c = c = ' ' || c = '\t' || c = '\r'
+let ends_content c = c = '\n' || c = '#'
+
+(* Read the words of the line starting at [start] into [w]; returns the
+   index of the line's '\n', or the length of the text. *)
+let split_line w start =
+  let text = w.text and len = String.length w.text in
+  w.count <- 0;
+  let i = ref start in
+  while !i < len && not (ends_content (String.unsafe_get text !i)) do
+    if is_blank (String.unsafe_get text !i) then incr i
+    else begin
+      let first = !i in
+      while
+        !i < len
+        &&
+        let c = String.unsafe_get text !i in
+        not (is_blank c || ends_content c)
+      do
+        incr i
+      done;
+      if w.count = Array.length w.starts then begin
+        let grow a = Array.append a (Array.make (Array.length a) 0) in
+        w.starts <- grow w.starts;
+        w.stops <- grow w.stops
+      end;
+      w.starts.(w.count) <- first;
+      w.stops.(w.count) <- !i;
+      w.count <- w.count + 1
+    end
+  done;
+  (* skip the comment, if any *)
+  while !i < len && String.unsafe_get text !i <> '\n' do
+    incr i
+  done;
+  !i
+
+let word w k = String.sub w.text w.starts.(k) (w.stops.(k) - w.starts.(k))
+
+(* The hot helpers below recurse at top level: a local recursive
+   function that captures variables is a closure allocated per call. *)
+
+let rec same_from text start lit j =
+  j = String.length lit
+  || String.unsafe_get text (start + j) = String.unsafe_get lit j
+     && same_from text start lit (j + 1)
+
+(* Whether text.[start, stop) spells [lit]. *)
+let spells text start stop lit =
+  stop - start = String.length lit && same_from text start lit 0
+
+(* The first index of [c] in text.[start, stop), or [stop]. *)
+let index_in text start stop c =
+  let i = ref start in
+  while !i < stop && String.unsafe_get text !i <> c do
+    incr i
+  done;
+  !i
+
+(* The integer text.[start, stop) spells. *)
+let int_span line what text start stop =
+  let s = String.sub text start (stop - start) in
   match int_of_string_opt s with
   | Some v -> v
   | None -> fail line "%s: not an integer: %S" what s
@@ -49,6 +106,9 @@ let parse_counted r =
        int_of_string (String.sub r 0 i))
   | _ -> (r, 1)
 
+let counted_list v =
+  String.split_on_char ',' v |> List.filter (( <> ) "") |> List.map parse_counted
+
 (* Group repeated names, first-occurrence order: "r1,r1,2xr2" ->
    [(r1, 2); (r2, 2)]. *)
 let group_demands pairs =
@@ -59,90 +119,119 @@ let group_demands pairs =
       | None -> acc @ [ (r, k) ])
     [] pairs
 
-let parse_task line words =
-  match words with
-  | name :: rest ->
-      let preemptive = List.mem "preemptive" rest in
-      let kvs = List.filter_map (key_value line) rest in
-      let get k = List.assoc_opt k kvs in
-      let compute =
-        match get "compute" with
-        | Some v -> int_of line "compute" v
-        | None -> fail line "task %s: missing compute=" name
-      in
-      let period_opt = Option.map (int_of line "period") (get "period") in
-      let deadline =
-        match (get "deadline", period_opt) with
-        | Some v, _ -> int_of line "deadline" v
-        | None, Some p -> p
-        | None, None -> fail line "task %s: missing deadline=" name
-      in
-      let proc =
-        match get "proc" with
-        | Some v -> v
-        | None -> fail line "task %s: missing proc=" name
-      in
-      let release =
-        match get "release" with Some v -> int_of line "release" v | None -> 0
-      in
-      let demands =
-        match get "res" with
-        | Some v ->
-            String.split_on_char ',' v
-            |> List.filter (( <> ) "")
-            |> List.map parse_counted |> group_demands
-        | None -> []
-      in
-      {
-        pt_name = name;
-        pt_compute = compute;
-        pt_release = release;
-        pt_deadline = deadline;
-        pt_proc = proc;
-        pt_demands = demands;
-        pt_preemptive = preemptive;
-        pt_period = period_opt;
-        pt_line = line;
-      }
-  | [] -> fail line "task: missing name"
+(* The index of the key text.[start, stop) spells, from [j] on, or the
+   number of keys. *)
+let rec key_index keys text start stop j =
+  if j = Array.length keys || spells text start stop keys.(j) then j
+  else key_index keys text start stop (j + 1)
 
-let parse_shared line words =
-  let costs =
-    List.map
-      (fun w ->
-        match key_value line w with
-        | Some (r, c) -> (r, int_of line "cost" c)
-        | None -> fail line "shared: expected RESOURCE=COST")
-      words
+type fields = {
+  f_start : int array;
+  f_stop : int array;
+  mutable f_preemptive : bool;
+}
+
+(* The key=value words of a declaration, from word [first] on, read
+   against the [keys] it knows: the value span of each key's first
+   occurrence (start -1 when absent) and whether the bare word
+   "preemptive" appears.  Other keys are ignored; any other bare word is
+   an error. *)
+let fields line w ~first keys =
+  let nk = Array.length keys in
+  let f =
+    { f_start = Array.make nk (-1); f_stop = Array.make nk 0;
+      f_preemptive = false }
   in
-  try Rtlb.System.shared ~costs
+  for k = first to w.count - 1 do
+    let start = w.starts.(k) and stop = w.stops.(k) in
+    let eq = index_in w.text start stop '=' in
+    if eq < stop then begin
+      let j = key_index keys w.text start eq 0 in
+      if j < nk && f.f_start.(j) < 0 then begin
+        f.f_start.(j) <- eq + 1;
+        f.f_stop.(j) <- stop
+      end
+    end
+    else if spells w.text start stop "preemptive" then f.f_preemptive <- true
+    else fail line "expected key=value, got %S" (word w k)
+  done;
+  f
+
+let has f j = f.f_start.(j) >= 0
+let field_string w f j = String.sub w.text f.f_start.(j) (f.f_stop.(j) - f.f_start.(j))
+let field_int line what w f j = int_span line what w.text f.f_start.(j) f.f_stop.(j)
+
+let task_keys = [| "compute"; "period"; "deadline"; "proc"; "release"; "res" |]
+
+let parse_task line w =
+  if w.count < 2 then fail line "task: missing name";
+  let name = word w 1 in
+  let f = fields line w ~first:2 task_keys in
+  let compute =
+    if has f 0 then field_int line "compute" w f 0
+    else fail line "task %s: missing compute=" name
+  in
+  let period_opt =
+    if has f 1 then Some (field_int line "period" w f 1) else None
+  in
+  let deadline =
+    if has f 2 then field_int line "deadline" w f 2
+    else
+      match period_opt with
+      | Some p -> p
+      | None -> fail line "task %s: missing deadline=" name
+  in
+  let proc =
+    if has f 3 then field_string w f 3
+    else fail line "task %s: missing proc=" name
+  in
+  let release = if has f 4 then field_int line "release" w f 4 else 0 in
+  let demands =
+    if has f 5 then group_demands (counted_list (field_string w f 5)) else []
+  in
+  {
+    pt_name = name;
+    pt_compute = compute;
+    pt_release = release;
+    pt_deadline = deadline;
+    pt_proc = proc;
+    pt_demands = demands;
+    pt_preemptive = f.f_preemptive;
+    pt_period = period_opt;
+    pt_line = line;
+  }
+
+let parse_shared line w =
+  let costs = ref [] in
+  for k = 1 to w.count - 1 do
+    let start = w.starts.(k) and stop = w.stops.(k) in
+    let eq = index_in w.text start stop '=' in
+    if eq < stop then
+      costs :=
+        ( String.sub w.text start (eq - start),
+          int_span line "cost" w.text (eq + 1) stop )
+        :: !costs
+    else if spells w.text start stop "preemptive" then
+      fail line "shared: expected RESOURCE=COST"
+    else fail line "expected key=value, got %S" (word w k)
+  done;
+  try Rtlb.System.shared ~costs:(List.rev !costs)
   with Invalid_argument m -> fail line "shared: %s" m
 
-let parse_node line words =
-  match words with
-  | name :: rest ->
-      let kvs = List.filter_map (key_value line) rest in
-      let proc =
-        match List.assoc_opt "proc" kvs with
-        | Some p -> p
-        | None -> fail line "node %s: missing proc=" name
-      in
-      let cost =
-        match List.assoc_opt "cost" kvs with
-        | Some c -> int_of line "cost" c
-        | None -> 1
-      in
-      let provides =
-        match List.assoc_opt "res" kvs with
-        | Some v ->
-            String.split_on_char ',' v
-            |> List.filter (( <> ) "")
-            |> List.map parse_counted
-        | None -> []
-      in
-      (try Rtlb.System.node_type ~name ~proc ~provides ~cost ()
-       with Invalid_argument m -> fail line "node %s: %s" name m)
-  | [] -> fail line "node: missing name"
+let node_keys = [| "proc"; "cost"; "res" |]
+
+let parse_node line w =
+  if w.count < 2 then fail line "node: missing name";
+  let name = word w 1 in
+  let f = fields line w ~first:2 node_keys in
+  let proc =
+    if has f 0 then field_string w f 0
+    else fail line "node %s: missing proc=" name
+  in
+  let cost = if has f 1 then field_int line "cost" w f 1 else 1 in
+  let provides = if has f 2 then counted_list (field_string w f 2) else [] in
+  try Rtlb.System.node_type ~name ~proc ~provides ~cost ()
+  with Invalid_argument m -> fail line "node %s: %s" name m
 
 (* Tokenize the whole file into declarations.  Only syntax-level problems
    raise here; semantic ones (duplicates, cycles, bad quantities, dangling
@@ -151,23 +240,27 @@ let parse_node line words =
 let scan text =
   let tasks = ref [] and edges = ref [] in
   let shared = ref None and nodes = ref [] in
-  let lines = String.split_on_char '\n' text in
-  List.iteri
-    (fun idx raw ->
-      let line = idx + 1 in
-      let words = split_words (strip_comment raw) in
-      match words with
-      | [] -> ()
-      | "task" :: rest -> tasks := parse_task line rest :: !tasks
-      | [ "edge"; src; dst; m ] ->
-          edges := (line, src, dst, int_of line "message" m) :: !edges
-      | "edge" :: _ -> fail line "edge: expected 'edge SRC DST SIZE'"
-      | "shared" :: rest ->
-          if !shared <> None then fail line "duplicate shared line";
-          shared := Some (parse_shared line rest)
-      | "node" :: rest -> nodes := (line, parse_node line rest) :: !nodes
-      | w :: _ -> fail line "unknown directive %S" w)
-    lines;
+  let w = { text; starts = Array.make 16 0; stops = Array.make 16 0; count = 0 } in
+  let len = String.length text in
+  let directive line =
+    match word w 0 with
+    | "task" -> tasks := parse_task line w :: !tasks
+    | "edge" ->
+        if w.count <> 4 then fail line "edge: expected 'edge SRC DST SIZE'";
+        let m = int_span line "message" text w.starts.(3) w.stops.(3) in
+        edges := (line, word w 1, word w 2, m) :: !edges
+    | "shared" ->
+        if Option.is_some !shared then fail line "duplicate shared line";
+        shared := Some (parse_shared line w)
+    | "node" -> nodes := (line, parse_node line w) :: !nodes
+    | d -> fail line "unknown directive %S" d
+  in
+  let rec lines start line =
+    let stop = split_line w start in
+    if w.count > 0 then directive line;
+    if stop < len then lines (stop + 1) (line + 1)
+  in
+  lines 0 1;
   (List.rev !tasks, List.rev !edges, !shared, List.rev !nodes)
 
 let system_of line_of_conflict shared nodes =
@@ -188,39 +281,46 @@ let expand_demands pt =
       List.init k (fun _ -> r))
     pt.pt_demands
 
+module Names = Hashtbl.Make (String)
+module Ints = Hashtbl.Make (Int)
+
 let parse text =
   let tasks, edge_decls, shared, nodes = scan text in
-  let index = Hashtbl.create 16 in
-  List.iteri
+  let decls = Array.of_list tasks in
+  let n = Array.length decls in
+  let name i = decls.(i).pt_name in
+  let index = Names.create n in
+  Array.iteri
     (fun i pt ->
-      if Hashtbl.mem index pt.pt_name then
+      if Names.mem index pt.pt_name then
         fail pt.pt_line "duplicate task name %s" pt.pt_name;
-      Hashtbl.add index pt.pt_name i)
-    tasks;
+      Names.add index pt.pt_name i)
+    decls;
   (* Reject dangling endpoints, self-loops and duplicate edges here, where
      the source line is still known — Dag.create would only raise an
      unlocated Invalid_argument. *)
-  let seen_edges = Hashtbl.create 16 in
+  let seen_edges = Ints.create (List.length edge_decls) in
   let edges =
     List.map
       (fun (line, src, dst, m) ->
-        let find n =
-          match Hashtbl.find_opt index n with
+        let find name =
+          match Names.find_opt index name with
           | Some i -> i
-          | None -> fail line "edge: unknown task %s" n
+          | None -> fail line "edge: unknown task %s" name
         in
-        let s = find src and d = find dst in
+        let s = find src in
+        let d = find dst in
         if s = d then fail line "edge: self loop on task %s" src;
-        if Hashtbl.mem seen_edges (s, d) then
+        let key = (s * n) + d in
+        if Ints.mem seen_edges key then
           fail line "duplicate edge %s -> %s" src dst;
-        Hashtbl.add seen_edges (s, d) ();
-        (line, s, d, m))
+        Ints.add seen_edges key ();
+        (s, d, m))
       edge_decls
   in
   let cycle_error ids =
     (* Map the Dag.Cycle payload back to names and the earliest source
        line of an edge on the cycle. *)
-    let name i = (List.nth tasks i).pt_name in
     let names = List.map name ids in
     let pairs =
       match ids with
@@ -235,9 +335,11 @@ let parse text =
     in
     let line =
       List.fold_left
-        (fun acc (l, s, d, _) ->
-          if List.mem (s, d) pairs then min acc l else acc)
-        max_int edges
+        (fun acc (l, src, dst, _) ->
+          if List.mem (Names.find index src, Names.find index dst) pairs then
+            min acc l
+          else acc)
+        max_int edge_decls
     in
     let line = if line = max_int then 0 else line in
     fail line "precedence cycle: %s"
@@ -264,8 +366,7 @@ let parse text =
             with Invalid_argument m -> fail pt.pt_line "task %s: %s" pt.pt_name m)
           tasks
       in
-      let name i = (List.nth tasks i).pt_name in
-      let pedges = List.map (fun (_, s, d, m) -> (name s, name d, m)) edges in
+      let pedges = List.map (fun (_, src, dst, m) -> (src, dst, m)) edge_decls in
       match Rtlb.Periodic.unroll ~tasks:ptasks ~edges:pedges () with
       | app -> app
       | exception Invalid_argument m -> fail 0 "%s" m
@@ -282,8 +383,7 @@ let parse text =
             with Invalid_argument m -> fail pt.pt_line "task %s: %s" pt.pt_name m)
           tasks
       in
-      let edge_list = List.map (fun (_, s, d, m) -> (s, d, m)) edges in
-      match Rtlb.App.make ~tasks:task_list ~edges:edge_list with
+      match Rtlb.App.make ~tasks:task_list ~edges with
       | app -> app
       | exception Invalid_argument m -> fail 0 "%s" m
       | exception Dag.Cycle ids -> cycle_error ids

@@ -12,7 +12,10 @@
     v}
 
     A file may declare either one [shared] line or one or more [node]
-    lines (not both).  Task ids are assigned in declaration order. *)
+    lines (not both).  Task ids are assigned in declaration order.
+    Lines end at ['\n']; spaces, tabs and carriage returns all separate
+    words, so CRLF and tab-separated files read like LF, space-separated
+    ones. *)
 
 type t = { app : Rtlb.App.t; system : Rtlb.System.t option }
 

@@ -71,6 +71,10 @@ let string_contains ~needle haystack =
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
   n = 0 || go 0
 
+(* A path relative to the repository root: dune runtest runs in test/,
+   dune exec in the workspace root. *)
+let repo_path rel = List.find Sys.file_exists [ "../" ^ rel; rel ]
+
 (* Alcotest checkers *)
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)

@@ -24,7 +24,19 @@ let invalid_inputs () =
       ignore (Dag.create ~n:2 ~edges:[ (0, 1, 1); (0, 1, 2) ]));
   Alcotest.check_raises "out of range"
     (Invalid_argument "Dag.create: edge (0,5) out of range") (fun () ->
-      ignore (Dag.create ~n:2 ~edges:[ (0, 5, 1) ]))
+      ignore (Dag.create ~n:2 ~edges:[ (0, 5, 1) ]));
+  (* duplicates are found in the sorted adjacency lists, wherever they
+     sit in the input, and after every range and self-loop check *)
+  Alcotest.check_raises "scattered duplicate"
+    (Invalid_argument "Dag.create: duplicate edge (1,2)") (fun () ->
+      ignore (Dag.create ~n:3 ~edges:[ (1, 2, 0); (0, 1, 0); (1, 2, 5) ]));
+  Alcotest.check_raises "smallest duplicate first"
+    (Invalid_argument "Dag.create: duplicate edge (0,2)") (fun () ->
+      ignore
+        (Dag.create ~n:3 ~edges:[ (1, 2, 0); (1, 2, 0); (0, 2, 0); (0, 2, 0) ]));
+  Alcotest.check_raises "range checked before duplicates"
+    (Invalid_argument "Dag.create: edge (0,5) out of range") (fun () ->
+      ignore (Dag.create ~n:2 ~edges:[ (0, 1, 0); (0, 1, 0); (0, 5, 0) ]))
 
 let cycle_detection () =
   match Dag.create ~n:3 ~edges:[ (0, 1, 0); (1, 2, 0); (2, 0, 0) ] with

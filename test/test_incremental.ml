@@ -220,6 +220,60 @@ let reshape_falls_back () =
        (Rtlb.Incremental.query handle reshaped)
        (Rtlb.Analysis.run system reshaped))
 
+(* The instance digest keys checkpoints and the serve cache, so its
+   bytes must not drift: these hex digests were taken from the
+   Printf-built text it replaced. *)
+let fingerprint_pinned () =
+  let digest system app = Rtlb.Incremental.instance_fingerprint system app in
+  let { Rtfmt.Appfile.app; system } =
+    Rtfmt.Appfile.parse_file (repo_path "examples/paper_example.app")
+  in
+  check_string "paper_example.app" "ac3bea97c2394b81d224cd2f009f908b"
+    (digest (Option.get system) app);
+  check_string "layered_frames seed 7, 3 frames"
+    "84c6602d5fcbcc2b12e6cdd478b6b383"
+    (digest (Workload.Gen.frame_system ())
+       (Workload.Gen.layered_frames ~seed:7 ~frames:3 ()));
+  check_string "preemptive paper example, dedicated nodes"
+    "0b3d31d74153bdf4a050eaaac6950b52"
+    (digest Rtlb.Paper_example.dedicated
+       (Rtlb.App.map_tasks Rtlb.Paper_example.app ~f:(fun t ->
+            Rtlb.Task.with_preemptive t true)))
+
+(* A query app with its own but equal graph (here: re-read from text)
+   stays on the incremental path; one edge weight changed sends it to a
+   cold run.  Only the incremental path counts cone tasks. *)
+let equal_graphs_stay_incremental () =
+  let app = chain_app () in
+  let system =
+    Rtlb.System.shared_uniform ~resources:(Rtlb.App.resource_set app)
+  in
+  let handle = Rtlb.Incremental.create system app in
+  let cone app' =
+    let tracer = Rtlb_obs.Tracer.make () in
+    let q = Rtlb.Incremental.query ~tracer handle app' in
+    check_bool "query = cold run" true
+      (analyses_identical q (Rtlb.Analysis.run system app'));
+    Rtlb_obs.Tracer.counter tracer Rtlb_obs.Tracer.Cone_tasks
+  in
+  let reread =
+    (Rtfmt.Appfile.parse (Rtfmt.Appfile.to_string app)).Rtfmt.Appfile.app
+  in
+  let deadline = (Rtlb.App.task reread 3).Rtlb.Task.deadline + 1 in
+  let reread =
+    Rtlb.Incremental.apply reread
+      [ Rtlb.Incremental.Set_deadline { task = 3; deadline } ]
+  in
+  check_bool "distinct equal graph: incremental" true (cone reread > 0);
+  let reweighted =
+    Rtlb.App.make
+      ~tasks:(Array.to_list (Rtlb.App.tasks reread))
+      ~edges:
+        (Dag.fold_edges (Rtlb.App.graph app) ~init:[]
+           ~f:(fun acc ~src ~dst w -> (src, dst, w + 1) :: acc))
+  in
+  check_int "changed edge weight: cold run" 0 (cone reweighted)
+
 let suite =
   [
     ( "incremental",
@@ -235,5 +289,9 @@ let suite =
         Alcotest.test_case "apply validates edits" `Quick apply_validates;
         Alcotest.test_case "reshaped query falls back to cold run" `Quick
           reshape_falls_back;
+        Alcotest.test_case "instance fingerprint pinned" `Quick
+          fingerprint_pinned;
+        Alcotest.test_case "equal graphs stay incremental" `Quick
+          equal_graphs_stay_incremental;
       ] );
   ]

@@ -54,6 +54,23 @@ let candidate_points () =
   (* task 5: E 6, L 15 -> 15 clipped away, boundaries kept *)
   check_int_list "clipping" [ 0; 6; 10 ] clipped
 
+(* Planning must cost O(points) per partition block, not O(tasks): a
+   frame DAG four times larger has about four times the blocks and
+   points, so the scan's allocation may grow by little more than 4x.  A
+   per-block vector over every task of the application made it 5.6x. *)
+let planning_allocation_is_linear () =
+  let allocated frames =
+    let app = Workload.Gen.layered_frames ~frames () in
+    let w = Rtlb.Est_lct.compute (Workload.Gen.frame_system ()) app in
+    let before = Gc.allocated_bytes () in
+    ignore
+      (Rtlb.Lower_bound.all ~est:w.Rtlb.Est_lct.est ~lct:w.Rtlb.Est_lct.lct app);
+    Gc.allocated_bytes () -. before
+  in
+  let ratio = allocated 400 /. allocated 100 in
+  if ratio > 4.6 then
+    Alcotest.failf "scan allocation grew %.2fx for 4x the frames" ratio
+
 let unused_resource () =
   let b = Rtlb.Lower_bound.for_resource ~est ~lct paper "bogus" in
   check_int "unused resource LB = 0" 0 b.Rtlb.Lower_bound.lb;
@@ -181,6 +198,8 @@ let suite =
           witness_is_consistent;
         Alcotest.test_case "candidate points" `Quick candidate_points;
         Alcotest.test_case "unused resource" `Quick unused_resource;
+        Alcotest.test_case "planning allocation is linear" `Quick
+          planning_allocation_is_linear;
         Alcotest.test_case "RES ordering" `Quick all_in_res_order;
       ]
       @ prop_tests );
