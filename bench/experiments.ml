@@ -1248,14 +1248,25 @@ let incremental_sweep () =
    full trajectory. *)
 let soa_sizes = ref [ 1_000; 10_000; 100_000; 1_000_000 ]
 
+(* The record composition — Est_lct merge search, exhaustive
+   Lower_bound scan, Cost — E14's independent reference for the packed
+   engine. *)
+let record_analysis system app =
+  let w = Rtlb.Est_lct.compute system app in
+  let bounds =
+    Rtlb.Lower_bound.all ~est:w.Rtlb.Est_lct.est ~lct:w.Rtlb.Est_lct.lct app
+  in
+  (w, bounds, Rtlb.Cost.compute system app bounds)
+
 let soa_scaling () =
   Bench_util.section "E14: SoA scaling - packed engine on frame workloads";
   Printf.printf
     "Frame-structured layered DAGs (100-task frames) analysed by the\n\
-     packed (Soa) engine on 1 and 4 domains; p50 of 5 repetitions.\n\
-     Counters come from one single-domain traced run (deterministic);\n\
-     at sizes up to 10^4 the result is checked against the record\n\
-     engine.  Results land in BENCH_soa.json for the CI perf gate.\n";
+     packed engine on 1 and 4 domains; p50 of 5 repetitions of sweep +\n\
+     scan over the packed arrays.  Counters come from one single-domain\n\
+     traced Analysis.run (deterministic); at sizes up to 10^4 its result\n\
+     is checked against the record composition.  Results land in\n\
+     BENCH_soa.json for the CI perf gate.\n";
   let median_of k f =
     let samples = List.init k (fun _ -> snd (Bench_util.time_ms f)) in
     List.nth (List.sort compare samples) (k / 2)
@@ -1270,6 +1281,7 @@ let soa_scaling () =
       (fun n ->
         let frames = max 1 (n / 100) in
         let app = Workload.Gen.layered_frames ~seed:7 ~frames () in
+        (* the timed region the committed baseline was measured on *)
         let soa = Rtlb.Soa.pack system app in
         let run ?pool () =
           Rtlb.Soa.compute_windows soa;
@@ -1281,25 +1293,20 @@ let soa_scaling () =
               median_of 5 (fun () -> run ~pool ()))
         in
         let tracer = Rtlb_obs.Tracer.make () in
-        let _ =
-          Rtlb.Soa.compute_windows soa;
-          Rtlb.Soa.bounds ~tracer soa
-        in
+        let _ = Rtlb.Analysis.run ~tracer system app in
         let c name = Rtlb_obs.Tracer.counter tracer name in
         let record_ms, identical =
           if n <= 10_000 then begin
-            let soa_res = Rtlb.Soa.analyze system app in
-            let reference, ms =
-              Bench_util.time_ms (fun () -> Rtlb.Analysis.run system app)
+            let a = Rtlb.Analysis.run system app in
+            let (w, bounds, cost), ms =
+              Bench_util.time_ms (fun () -> record_analysis system app)
             in
             ( Some ms,
               Some
-                (soa_res.Rtlb.Analysis.windows.Rtlb.Est_lct.est
-                 = reference.Rtlb.Analysis.windows.Rtlb.Est_lct.est
-                && soa_res.Rtlb.Analysis.windows.Rtlb.Est_lct.lct
-                   = reference.Rtlb.Analysis.windows.Rtlb.Est_lct.lct
-                && soa_res.Rtlb.Analysis.bounds = reference.Rtlb.Analysis.bounds
-                && soa_res.Rtlb.Analysis.cost = reference.Rtlb.Analysis.cost) )
+                (a.Rtlb.Analysis.windows.Rtlb.Est_lct.est = w.Rtlb.Est_lct.est
+                && a.Rtlb.Analysis.windows.Rtlb.Est_lct.lct = w.Rtlb.Est_lct.lct
+                && a.Rtlb.Analysis.bounds = bounds
+                && a.Rtlb.Analysis.cost = cost) )
           end
           else (None, None)
         in
@@ -1316,7 +1323,8 @@ let soa_scaling () =
           ];
         (match identical with
         | Some false ->
-            prerr_endline "e14: SoA result diverged from the record engine";
+            prerr_endline
+              "e14: Analysis.run diverged from the record composition";
             exit 1
         | _ -> ());
         Rtfmt.Json.Obj

@@ -83,6 +83,15 @@ let resolve_system file_system override app =
       Error (Printf.sprintf "unknown system override %S" other)
   | Some _, Some _ -> Error "file declares a system; drop --system"
 
+(* [resolve_system], then every task must find a host: a model that
+   cannot run some task is an input error (E103 in [check]), reported
+   like a parse error rather than raised by the analysis. *)
+let hosting_system path file_system override app =
+  Result.bind (resolve_system file_system override app) (fun system ->
+      Result.map_error
+        (fun e -> path ^ ": " ^ e)
+        (Result.map (fun () -> system) (Rtlb.System.validate_for system app)))
+
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
 
@@ -155,35 +164,18 @@ let analyze_cmd =
       & info [ "full" ]
           ~doc:"Full tabular report with criticality and demand profiles.")
   in
-  let engine_arg =
-    let doc =
-      "Analysis engine: $(b,record) walks the per-task records and keeps \
-       merge traces; $(b,soa) packs the instance into flat arrays with \
-       dominance pruning — value-identical results (merge traces empty) \
-       and much faster on large DAGs.  Set RTLB_SOA_NO_PRUNE to disable \
-       pruning within the soa engine."
-    in
-    Arg.(
-      value
-      & opt (enum [ ("record", `Record); ("soa", `Soa) ]) `Record
-      & info [ "engine" ] ~docv:"ENGINE" ~doc)
-  in
-  let run path override json full jobs timeout trace stats engine =
+  let run path override json full jobs timeout trace stats =
     match read_appfile path with
     | Error e -> `Error (false, e)
     | Ok { Rtfmt.Appfile.app; system } -> (
-        match resolve_system system override app with
+        match hosting_system path system override app with
         | Error e -> `Error (false, e)
         | Ok system ->
             let deadline_ns = deadline_of timeout in
             let tracer = tracer_for ~trace ~stats in
             let analysis =
               with_jobs jobs (fun pool ->
-                  match engine with
-                  | `Record ->
-                      Rtlb.Analysis.run ?pool ?deadline_ns ?tracer system app
-                  | `Soa ->
-                      Rtlb.Soa.analyze ?pool ?deadline_ns ?tracer system app)
+                  Rtlb.Analysis.run ?pool ?deadline_ns ?tracer system app)
             in
             let summary = Option.map Rtlb_obs.Stats.of_tracer tracer in
             if json then
@@ -223,7 +215,7 @@ let analyze_cmd =
     Term.(
       ret
         (const run $ file_arg $ system_arg $ json_arg $ full_arg $ jobs_arg
-       $ timeout_arg $ trace_arg $ stats_arg $ engine_arg))
+       $ timeout_arg $ trace_arg $ stats_arg))
 
 (* ---- check ------------------------------------------------------ *)
 

@@ -7,20 +7,23 @@ type t = {
   completeness : Lower_bound.completeness;
 }
 
-let run ?pool ?deadline_ns ?tracer system app =
+let run ?prune ?pool ?deadline_ns ?tracer system app =
   let tr = Option.value tracer ~default:Rtlb_obs.Tracer.null in
   Rtlb_obs.Tracer.with_span tr "analyze" (fun () ->
       (match System.validate_for system app with
       | Ok () -> ()
       | Error e -> invalid_arg ("Analysis.run: " ^ e));
+      let packed =
+        Rtlb_obs.Tracer.with_span tr "pack" (fun () -> Soa.pack system app)
+      in
       let windows =
         Rtlb_obs.Tracer.with_span tr "est_lct" (fun () ->
-            Est_lct.compute system app)
+            Soa.compute_windows packed;
+            Soa.windows packed)
       in
-      let est = windows.Est_lct.est and lct = windows.Est_lct.lct in
       let bounds, completeness =
         Rtlb_obs.Tracer.with_span tr "lower_bounds" (fun () ->
-            Lower_bound.all_within ?pool ?deadline_ns ?tracer ~est ~lct app)
+            Soa.bounds ?prune ?pool ?deadline_ns ~tracer:tr packed)
       in
       let cost =
         Rtlb_obs.Tracer.with_span tr "cost" (fun () ->

@@ -3,7 +3,10 @@
 type t = {
   app : App.t;
   system : System.t;
-  windows : Est_lct.t;  (** Step 1: EST/LCT. *)
+  windows : Est_lct.t;
+      (** Step 1: EST/LCT values.  Merge sets and merge traces are left
+          empty (each trace carries its task's bound and no steps); run
+          {!Est_lct.compute} for the traces. *)
   bounds : Lower_bound.bound list;
       (** Steps 2 and 3: per-resource partitions and bounds, in [RES]
           order. *)
@@ -16,24 +19,34 @@ type t = {
 }
 
 val run :
+  ?prune:bool ->
   ?pool:Rtlb_par.Pool.t ->
   ?deadline_ns:int64 ->
   ?tracer:Rtlb_obs.Tracer.t ->
   System.t -> App.t -> t
-(** Runs all four steps.  With [?pool], the Step 3 bound scans are
-    distributed across the pool's domains ({!Lower_bound.all}); the
-    result is bit-identical to the sequential run.  With [?deadline_ns]
-    ({!Rtlb_par.Pool.now_ns} base) the Step 3 scans stop claiming work
-    at the deadline and the result is tagged [`Partial] with its
-    coverage fraction — bit-identical to the full result whenever the
-    budget is not hit.
+(** Runs all four steps on the packed engine ({!Soa}): the instance is
+    packed once, then the EST/LCT sweep, the Section 5 partition, the
+    dominance-pruned interval scan ({!Soa.bounds}) and {!Cost.compute}.
+    Windows, bounds, witnesses, partitions and cost are bit-identical to
+    the record composition ({!Est_lct.compute}, {!Lower_bound.all_within},
+    {!Cost.compute}).  [prune] defaults to {!Soa.default_prune}; pruning
+    never changes the result, only the number of Theta evaluations.
+
+    With [?pool], the Step 3 scans are distributed across the pool's
+    domains; the result is bit-identical to the sequential run.  With
+    [?deadline_ns] ({!Rtlb_par.Pool.now_ns} base) the Step 3 scans stop
+    claiming work at the deadline and the result is tagged [`Partial]
+    with its coverage fraction — bit-identical to the full result
+    whenever the budget is not hit.
 
     With [?tracer] ({!Rtlb_obs.Tracer}) the run is instrumented: an
-    ["analyze"] root span with ["est_lct"] / ["lower_bounds"] / ["cost"]
-    phase children, the scan-level spans and counters of
-    {!Lower_bound.all_within}, and per-worker chunk accounting from the
-    pool.  The default is the zero-cost no-op tracer, and a traced run
-    returns bit-identical results — tracing is observation only.
+    ["analyze"] root span with ["pack"] / ["est_lct"] / ["lower_bounds"]
+    (["plan"], ["reduce"]) / ["cost"] phase children, the
+    [Tasks_scanned] / [Candidate_intervals] / [Theta_evals] counters of
+    {!Soa.bounds} (pruned intervals are counted as candidates but not as
+    evaluations), and per-worker chunk accounting from the pool.  The
+    default is the zero-cost no-op tracer, and a traced run returns
+    bit-identical results — tracing is observation only.
     @raise Invalid_argument when the system model cannot host some task
       (see {!System.validate_for}); run {!Validate.check} first to get
       diagnostics instead of an exception. *)

@@ -18,7 +18,7 @@
      sound cache key; a whole resource whose members' tuples are all
      unchanged can reuse its base bound (partition included) wholesale.
 
-   [create] runs the same plan/scan/reduce as [Analysis.run] — one global
+   [create] runs the plan/scan/reduce of [Lower_bound.all_within] — one global
    work array in RES/block/left-endpoint order through the same budgeted
    pool map — so its result is bit-identical by construction, while the
    per-block folds feed the cache.  Blocks whose scans were cut short by
@@ -473,7 +473,11 @@ let count dirty = Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 di
 
 let query ?pool ?deadline_ns ?tracer t app =
   match diff t.i_app app with
-  | Reshaped -> Analysis.run ?pool ?deadline_ns ?tracer t.i_system app
+  | Reshaped ->
+      (* a cold run on the handle's own engine: record handles keep
+         their merge traces *)
+      let engine = if Option.is_some t.i_soa then `Soa else `Record in
+      (create ~engine ?pool ?deadline_ns ?tracer t.i_system app).i_base
   | Same_shape { d_rel; d_dl; d_comp } ->
       let tr = Option.value tracer ~default:Rtlb_obs.Tracer.null in
       Rtlb_obs.Tracer.with_span tr "analyze" (fun () ->

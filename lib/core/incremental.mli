@@ -16,9 +16,11 @@
     - Within a rebuilt resource, blocks whose member tuples are unchanged
       reuse their cached [(lb, witness)] via a {!Lower_bound.merge_scans}
       fold, which is associative with an earlier-wins tie-break — so
-      query results are bit-identical to a cold {!Analysis.run} on the
-      perturbed application (property-tested across random instances and
-      edit sequences).
+      query results are bit-identical to a cold run of the record
+      composition ({!Est_lct.compute}, {!Lower_bound.all_within},
+      {!Cost.compute}) on the perturbed application, merge traces
+      included, and value-identical to {!Analysis.run}
+      (property-tested across random instances and edit sequences).
 
     Queries on applications that differ in anything beyond the
     release/compute/deadline triples (names, processors, demands,
@@ -40,8 +42,9 @@ val create :
   ?deadline_ns:int64 ->
   ?tracer:Rtlb_obs.Tracer.t ->
   System.t -> App.t -> t
-(** One full analysis (same plan, same work order, same spans and
-    counters as {!Analysis.run} — the {!base} result is bit-identical to
+(** One full analysis (the plan, work order, spans and counters of
+    the record composition's exhaustive scan,
+    {!Lower_bound.all_within} — the {!base} result is bit-identical to
     it), capturing per-block scan results for later reuse.
 
     [~engine:`Soa] runs the sweeps and block scans over a {!Soa} packed
@@ -51,7 +54,8 @@ val create :
     completeness — except that merge sets and traces are empty, the one
     documented {!Soa} divergence; block cache entries are
     engine-independent.  Queries that fall back to a cold run (shape
-    changes) always use the record engine.
+    changes) run it on the handle's own engine, so a record handle always
+    answers with merge traces.
     @raise Invalid_argument when the system cannot host some task. *)
 
 val base : t -> Analysis.t
@@ -74,8 +78,9 @@ val query :
   ?tracer:Rtlb_obs.Tracer.t ->
   t -> App.t -> Analysis.t
 (** Analysis of a perturbed application, reusing everything outside the
-    edit's cone.  Bit-identical to [Analysis.run system app] whenever no
-    budget expires (and still a valid partial result when one does —
+    edit's cone.  Bit-identical to the {!base} of a fresh handle on
+    [app] with the same engine, and value-identical to
+    [Analysis.run system app], whenever no budget expires (and still a valid partial result when one does —
     cached items count as executed in the coverage fraction). *)
 
 type edit =

@@ -42,7 +42,10 @@ type t = {
   compute : ia;
   preempt : ia;  (* 0/1 *)
   proc : ia;  (* index into [procs] *)
-  host : ia;  (* dedicated: bitmask over node-type indices; shared: 0 *)
+  host_words : int;  (* mask words per task in [host] *)
+  host : ia;
+      (* dedicated: task i can run on node type k iff bit [k mod mask_bits]
+         of word [i * host_words + k / mask_bits] is set; shared: 0 *)
   (* CSR adjacency, message weight parallel to the target *)
   succ_off : ia;
   succ_tgt : ia;
@@ -73,21 +76,20 @@ let app t = t.app
 (* Packing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let max_node_types = Sys.int_size - 2
+let mask_bits = Sys.int_size - 2
 
 let pack system app =
   let n = App.n_tasks app in
   let g = App.graph app in
   let nts = Array.of_list (System.node_types system) in
-  if Array.length nts > max_node_types then
-    invalid_arg
-      (Printf.sprintf "Soa.pack: more than %d node types" max_node_types);
+  let host_words = max 1 ((Array.length nts + mask_bits - 1) / mask_bits) in
   let release = ia n
   and deadline = ia n
   and compute = ia n
   and preempt = ia n
   and proc = ia n
-  and host = ia n in
+  and host = ia (n * host_words) in
+  Array1.fill host 0;
   let proc_code = Hashtbl.create 16 in
   let procs = ref [] and n_procs = ref 0 in
   let names = Array.make n "" in
@@ -107,11 +109,13 @@ let pack system app =
            Hashtbl.add proc_code task.Task.proc c;
            procs := task.Task.proc :: !procs;
            c));
-    let mask = ref 0 in
     Array.iteri
-      (fun k nt -> if System.node_can_host nt task then mask := !mask lor (1 lsl k))
-      nts;
-    host.{i} <- !mask
+      (fun k nt ->
+        if System.node_can_host nt task then begin
+          let w = (i * host_words) + (k / mask_bits) in
+          host.{w} <- host.{w} lor (1 lsl (k mod mask_bits))
+        end)
+      nts
   done;
   let procs = Array.of_list (List.rev !procs) in
   (* CSR adjacency from the Dag lists *)
@@ -183,6 +187,7 @@ let pack system app =
     compute;
     preempt;
     proc;
+    host_words;
     host;
     succ_off;
     succ_tgt;
@@ -397,11 +402,12 @@ let sweep_task t ws ~is_est i =
     (match t.system with
     | System.Shared _ -> scan_pool (fun p -> t.proc.{tgt.{p}} = pc)
     | System.Dedicated _ ->
-        let hm = t.host.{i} in
+        let hw = t.host_words in
         Array.iteri
           (fun k _ ->
-            if hm land (1 lsl k) <> 0 then
-              scan_pool (fun p -> t.host.{tgt.{p}} land (1 lsl k) <> 0))
+            let w = k / mask_bits and bit = 1 lsl (k mod mask_bits) in
+            if t.host.{(i * hw) + w} land bit <> 0 then
+              scan_pool (fun p -> t.host.{(tgt.{p} * hw) + w} land bit <> 0))
           t.nts);
     !best
   end
@@ -635,11 +641,22 @@ type blk = {
 
 (* theta_max(t1) for every candidate point of a block, by an event sweep
    over t1: a member contributes the constant w*C up to its EST, then a
-   ramp of slope -w, and nothing once t1 reaches min(E + C, L). *)
+   ramp of slope -w, and nothing once t1 reaches min(E + C, L).  An
+   event at threshold thr applies from the first point >= thr on, so
+   the events are bucketed by that point (a binary search) and summed
+   in point order — no sort. *)
 let block_theta_max t ids w nb pts =
   let np = Array.length pts in
-  let tmax = Array.make np 0 in
-  let events = ref [] in
+  let dslope = Array.make (np + 1) 0 and dicept = Array.make (np + 1) 0 in
+  let event thr ds di =
+    let lo = ref 0 and hi = ref np in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if pts.(mid) < thr then lo := mid + 1 else hi := mid
+    done;
+    dslope.(!lo) <- dslope.(!lo) + ds;
+    dicept.(!lo) <- dicept.(!lo) + di
+  in
   let base = ref 0 in
   for x = 0 to nb - 1 do
     let i = ids.(x) in
@@ -649,31 +666,18 @@ let block_theta_max t ids w nb pts =
       let e = t.est.{i} in
       let stop = min (e + c) t.lct.{i} in
       base := !base + (wi * c);
-      if stop <= e then events := (stop, 0, -wi * c) :: !events
+      if stop <= e then event stop 0 (-wi * c)
       else begin
-        events := (e + 1, -wi, wi * e) :: !events;
-        events := (stop, wi, -wi * (c + e)) :: !events
+        event (e + 1) (-wi) (wi * e);
+        event stop wi (-wi * (c + e))
       end
     end
   done;
-  let events =
-    List.sort (fun (a, _, _) (b, _, _) -> compare a b) !events
-  in
   let slope = ref 0 and icept = ref !base in
-  let rec sweep a evs =
-    if a < np then begin
-      match evs with
-      | (thr, ds, di) :: rest when thr <= pts.(a) ->
-          slope := !slope + ds;
-          icept := !icept + di;
-          sweep a rest
-      | _ ->
-          tmax.(a) <- (!slope * pts.(a)) + !icept;
-          sweep (a + 1) evs
-    end
-  in
-  sweep 0 events;
-  tmax
+  Array.init np (fun a ->
+      slope := !slope + dslope.(a);
+      icept := !icept + dicept.(a);
+      (!slope * pts.(a)) + !icept)
 
 let rec atomic_max a v =
   let cur = Atomic.get a in
@@ -735,7 +739,8 @@ let plan_resource t ~prune r_idx =
   let m0 = t.res_off.{r_idx} and m1 = t.res_off.{r_idx + 1} in
   let nm = m1 - m0 in
   let ord = Array.init nm (fun x -> m0 + x) in
-  Array.sort
+  (* a total order, so the (faster) merge sort gives the same result *)
+  Array.stable_sort
     (fun pa pb ->
       let a = t.res_task.{pa} and b = t.res_task.{pb} in
       let c = compare t.est.{a} t.est.{b} in
@@ -798,17 +803,16 @@ let plan_resource t ~prune r_idx =
               end
             done;
             let raw = Array.sub raw 0 !np in
-            Array.sort compare raw;
-            let pts = Array.make !np 0 in
+            Array.stable_sort Int.compare raw;
             let u = ref 0 in
             Array.iter
               (fun p ->
-                if !u = 0 || pts.(!u - 1) <> p then begin
-                  pts.(!u) <- p;
+                if !u = 0 || raw.(!u - 1) <> p then begin
+                  raw.(!u) <- p;
                   incr u
                 end)
               raw;
-            let pts = Array.sub pts 0 !u in
+            let pts = Array.sub raw 0 !u in
             let tmax =
               if prune then block_theta_max t ids w nb pts else [||]
             in
@@ -955,30 +959,3 @@ let scan_from t ~resource ids pts a =
     in
     scan_item t ~prune:false ~tr:Rtlb_obs.Tracer.null blk a
   end
-
-let analyze ?prune ?pool ?deadline_ns ?tracer system app =
-  let tr = Option.value tracer ~default:Rtlb_obs.Tracer.null in
-  Rtlb_obs.Tracer.with_span tr "analyze" (fun () ->
-      (match System.validate_for system app with
-      | Ok () -> ()
-      | Error e -> invalid_arg ("Soa.analyze: " ^ e));
-      let t =
-        Rtlb_obs.Tracer.with_span tr "pack" (fun () -> pack system app)
-      in
-      Rtlb_obs.Tracer.with_span tr "est_lct" (fun () -> compute_windows t);
-      let bounds, completeness =
-        Rtlb_obs.Tracer.with_span tr "lower_bounds" (fun () ->
-            bounds ?prune ?pool ?deadline_ns ~tracer:tr t)
-      in
-      let cost =
-        Rtlb_obs.Tracer.with_span tr "cost" (fun () ->
-            Cost.compute system app bounds)
-      in
-      {
-        Analysis.app;
-        system;
-        windows = windows t;
-        bounds;
-        cost;
-        completeness;
-      })

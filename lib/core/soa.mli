@@ -5,14 +5,14 @@
     message weights, and a per-resource member table — and the EST/LCT
     merge-search sweep, the Section-5 partition and the Theta prefix-sum
     interval scan all iterate over those arrays with no per-task
-    allocation.  Results (windows, bounds, witnesses, partitions, cost)
-    are bit-identical to the record path ({!Est_lct} / {!Lower_bound} /
-    {!Analysis}); the only divergence is that merge {e traces} — the
-    [explain] artifact — are left empty, so [rtlb explain] always uses
-    the record engine.
+    allocation.  This is the engine behind {!Analysis.run}.  Results
+    (windows, bounds, witnesses, partitions) are bit-identical to the
+    record path ({!Est_lct} / {!Lower_bound}); the only divergence is
+    that merge sets and {e traces} are left empty — {!Est_lct.compute}
+    records them.
 
     The interval scan adds {e candidate-interval dominance pruning}: an
-    O(n log n) precomputation bounds the kernel total for every left
+    O(n log p) precomputation bounds the kernel total for every left
     endpoint, and intervals whose ceiling density upper bound falls
     strictly below the block's incumbent are skipped.  Pruning is
     strict-inequality only and incumbents are per partition block, so
@@ -27,9 +27,10 @@ type t
 
 val pack : System.t -> App.t -> t
 (** Compile an instance into packed arrays.  Window arrays start
-    uninitialised; call {!compute_windows}.  Raises [Invalid_argument]
-    for dedicated systems with more node types than host-mask bits
-    (62 on 64-bit). *)
+    uninitialised; call {!compute_windows}.  Dedicated systems with any
+    number of node types are supported: hostability takes one mask word
+    per task for up to 61 node types (on 64-bit), one more word per
+    further 61. *)
 
 val unpack : t -> App.t
 (** Rebuild the application from the packed arrays alone (names, task
@@ -105,15 +106,3 @@ val scan_from :
 
 val default_prune : unit -> bool
 (** [true] unless [RTLB_SOA_NO_PRUNE] is set in the environment. *)
-
-val analyze :
-  ?prune:bool ->
-  ?pool:Rtlb_par.Pool.t ->
-  ?deadline_ns:int64 ->
-  ?tracer:Rtlb_obs.Tracer.t ->
-  System.t ->
-  App.t ->
-  Analysis.t
-(** Pack, sweep, scan, cost: the drop-in packed equivalent of
-    [Analysis.run].  All result fields except the merge traces are
-    bit-identical to the record engine. *)

@@ -8,25 +8,42 @@ type t =
 
 (* ---------------- printing ---------------- *)
 
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* Most strings (task and resource names, field keys) need no escape:
+   those are returned as they are, without a copy. *)
 let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  if not (String.exists needs_escape s) then s
+  else begin
+    let buf = Buffer.create (String.length s + 2) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+  end
+
+(* Indentation is sliced from one shared string of spaces. *)
+let spaces = String.make 64 ' '
+
+let rec add_spaces buf n =
+  if n > 0 then begin
+    let k = min n (String.length spaces) in
+    Buffer.add_substring buf spaces 0 k;
+    add_spaces buf (n - k)
+  end
 
 let to_string ?(indent = true) t =
   let buf = Buffer.create 256 in
-  let pad depth = if indent then Buffer.add_string buf (String.make (2 * depth) ' ') in
+  let pad depth = if indent then add_spaces buf (2 * depth) in
   let nl () = if indent then Buffer.add_char buf '\n' in
   let rec go depth = function
     | Null -> Buffer.add_string buf "null"

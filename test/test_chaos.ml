@@ -569,25 +569,28 @@ let seeded_plans_deterministic () =
 (* Chaos x the packed (SoA) engine                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The chaos suite historically only drove the record engine; the
-   packed engine shares the pool path, so the same faults must heal to
-   the same bit-identical answers (satellite of the serve work — the
-   daemon supervises SoA requests exactly like this). *)
+(* Analysis.run runs the packed engine on the pool path, so the same
+   faults must heal to answers bit-identical to the fault-free record
+   oracle's (the serve daemon supervises requests exactly like this). *)
 
 let soa_instance () =
   let app = Workload.Gen.layered_frames ~seed:5 ~frames:2 ~tasks_per_frame:20 () in
   (Workload.Gen.frame_system (), app)
 
+let matches_oracle reference = function
+  | Some a -> Oracle.values_identical a reference
+  | None -> false
+
 let chaos_soa_transient_retry () =
   let system, app = soa_instance () in
-  let reference = Rtlb.Soa.analyze system app in
+  let reference = Oracle.run system app in
   with_chaos
     { Chaos.seed = 0; faults = [ Chaos.Raise_at { index = 0; times = 2 } ] }
     (fun () ->
       Pool.with_pool ~jobs:test_jobs (fun pool ->
           let results, o =
             Supervisor.supervise ~policy:fast_policy ~pool
-              (fun () -> Rtlb.Soa.analyze ~pool system app)
+              (fun () -> Rtlb.Analysis.run ~pool system app)
               [| () |]
           in
           check_int "both transient shots fired" 2 (Chaos.fired_transient ());
@@ -595,11 +598,11 @@ let chaos_soa_transient_retry () =
             (o.Supervisor.o_status = `Complete);
           check_bool "fault-surviving SoA run bit-identical to fault-free"
             true
-            (results.(0) = Some reference)))
+            (matches_oracle reference results.(0))))
 
 let chaos_soa_worker_kill_heals () =
   let system, app = soa_instance () in
-  let reference = Rtlb.Soa.analyze system app in
+  let reference = Oracle.run system app in
   (* the serve daemon's killreq path: the request body's worker dies at
      the start of the computation, the pool heals, the retry answers *)
   with_chaos
@@ -610,7 +613,7 @@ let chaos_soa_worker_kill_heals () =
             Supervisor.supervise ~policy:fast_policy ~pool
               (fun () ->
                 Chaos.on_request 0;
-                Rtlb.Soa.analyze ~pool system app)
+                Rtlb.Analysis.run ~pool system app)
               [| () |]
           in
           check_int "the kill fired" 1 (Chaos.fired_request_kills ());
@@ -618,11 +621,11 @@ let chaos_soa_worker_kill_heals () =
             (o.Supervisor.o_status = `Complete);
           check_int "no dead workers left" 0 (Pool.dead_workers pool);
           check_bool "healed SoA run bit-identical to fault-free" true
-            (results.(0) = Some reference)))
+            (matches_oracle reference results.(0))))
 
 let chaos_soa_degrades_exactly () =
   let system, app = soa_instance () in
-  let reference = Rtlb.Soa.analyze system app in
+  let reference = Oracle.run system app in
   (* no respawn budget: the ladder steps down instead of healing, and
      the answer must still be exact *)
   let policy = { fast_policy with Supervisor.max_restarts = 0 } in
@@ -634,7 +637,7 @@ let chaos_soa_degrades_exactly () =
             Supervisor.supervise ~policy ~pool
               (fun () ->
                 Chaos.on_request 0;
-                Rtlb.Soa.analyze ~pool system app)
+                Rtlb.Analysis.run ~pool system app)
               [| () |]
           in
           check_int "the kill fired" 1 (Chaos.fired_request_kills ());
@@ -642,7 +645,7 @@ let chaos_soa_degrades_exactly () =
             (o.Supervisor.o_level <> Supervisor.Full);
           check_bool "no slots dropped" true (none_count results = 0);
           check_bool "degraded SoA run bit-identical to fault-free" true
-            (results.(0) = Some reference)))
+            (matches_oracle reference results.(0))))
 
 let suite =
   [

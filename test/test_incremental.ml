@@ -1,19 +1,15 @@
 (* The incremental engine's contract is bit-identity: a query against a
-   cached handle must equal a cold Analysis.run on the perturbed
-   application in every observable field — windows (values, merge sets,
-   traces), bounds (values, witnesses, partitions), cost and
-   completeness.  The properties below drive random instances through
-   random edit sequences, the sweep through random factor lists, and the
-   budgeted path through an expired deadline, all against the cold
-   reference; units pin the dirty-cone and cache counters. *)
+   cached (record) handle must equal a cold run of the record oracle
+   (test/oracle.ml) on the perturbed application in every observable
+   field — windows (values, merge sets, traces), bounds (values,
+   witnesses, partitions), cost and completeness — and so match
+   Analysis.run value for value.  The properties below drive random
+   instances through random edit sequences, the sweep through random
+   factor lists, and the budgeted path through an expired deadline, all
+   against the cold reference; units pin the dirty-cone and cache
+   counters. *)
 
 open Helpers
-
-let bound_equal (a : Rtlb.Lower_bound.bound) (b : Rtlb.Lower_bound.bound) =
-  a.Rtlb.Lower_bound.resource = b.Rtlb.Lower_bound.resource
-  && a.Rtlb.Lower_bound.lb = b.Rtlb.Lower_bound.lb
-  && a.Rtlb.Lower_bound.witness = b.Rtlb.Lower_bound.witness
-  && a.Rtlb.Lower_bound.partition = b.Rtlb.Lower_bound.partition
 
 let windows_identical (a : Rtlb.Est_lct.t) (b : Rtlb.Est_lct.t) =
   a.Rtlb.Est_lct.est = b.Rtlb.Est_lct.est
@@ -25,7 +21,8 @@ let windows_identical (a : Rtlb.Est_lct.t) (b : Rtlb.Est_lct.t) =
 
 let analyses_identical (a : Rtlb.Analysis.t) (b : Rtlb.Analysis.t) =
   List.length a.Rtlb.Analysis.bounds = List.length b.Rtlb.Analysis.bounds
-  && List.for_all2 bound_equal a.Rtlb.Analysis.bounds b.Rtlb.Analysis.bounds
+  && List.for_all2 Oracle.bound_equal a.Rtlb.Analysis.bounds
+       b.Rtlb.Analysis.bounds
   && windows_identical a.Rtlb.Analysis.windows b.Rtlb.Analysis.windows
   && a.Rtlb.Analysis.cost = b.Rtlb.Analysis.cost
   && a.Rtlb.Analysis.completeness = b.Rtlb.Analysis.completeness
@@ -63,14 +60,15 @@ let edits_equal_cold =
       assert (
         analyses_identical
           (Rtlb.Incremental.base handle)
-          (Rtlb.Analysis.run system i.app));
+          (Oracle.run system i.app));
       let rec go k edits =
         k = 0
         ||
         let edits = edits @ [ gen_edit st (Rtlb.Incremental.apply i.app edits) ] in
         let app' = Rtlb.Incremental.apply i.app edits in
         let q = Rtlb.Incremental.query handle app' in
-        analyses_identical q (Rtlb.Analysis.run system app')
+        analyses_identical q (Oracle.run system app')
+        && Oracle.values_identical q (Rtlb.Analysis.run system app')
         && go (k - 1) edits
       in
       go (1 + (salt mod 4)) [])
@@ -123,7 +121,7 @@ let partial_base_never_poisons () =
   check_bool "budgeted query is partial" true (Rtlb.Analysis.is_partial q1);
   let q2 = Rtlb.Incremental.query handle app' in
   check_bool "unbudgeted query = cold run" true
-    (analyses_identical q2 (Rtlb.Analysis.run system app'))
+    (analyses_identical q2 (Oracle.run system app'))
 
 (* A chain 0 -> 1 -> 2 -> 3.  Editing the source's deadline dirties only
    the LCT of the source itself (its ancestor cone is a singleton), so
@@ -148,7 +146,7 @@ let cone_counter_pins_est_reuse () =
     let analysis = Rtlb.Incremental.edit ~tracer handle edits in
     check_bool "edit = cold run" true
       (analyses_identical analysis
-         (Rtlb.Analysis.run system
+         (Oracle.run system
             (Rtlb.Incremental.apply app edits)));
     Rtlb_obs.Tracer.counter tracer Rtlb_obs.Tracer.Cone_tasks
   in
@@ -186,7 +184,7 @@ let repeat_query_hits_cache () =
   check_bool "repeat query reuses blocks" true
     (Rtlb_obs.Tracer.counter tracer Rtlb_obs.Tracer.Cache_hits > 0);
   check_bool "repeat query still = cold run" true
-    (analyses_identical q (Rtlb.Analysis.run system app'))
+    (analyses_identical q (Oracle.run system app'))
 
 let apply_validates () =
   let app = chain_app () in
@@ -218,7 +216,12 @@ let reshape_falls_back () =
   check_bool "preemptability change answered via cold path" true
     (analyses_identical
        (Rtlb.Incremental.query handle reshaped)
-       (Rtlb.Analysis.run system reshaped))
+       (Oracle.run system reshaped));
+  let packed = Rtlb.Incremental.create ~engine:`Soa system app in
+  check_bool "packed handle: cold path on its own engine" true
+    (Oracle.values_identical
+       (Rtlb.Incremental.query packed reshaped)
+       (Oracle.run system reshaped))
 
 (* The instance digest keys checkpoints and the serve cache, so its
    bytes must not drift: these hex digests were taken from the
@@ -253,7 +256,7 @@ let equal_graphs_stay_incremental () =
     let tracer = Rtlb_obs.Tracer.make () in
     let q = Rtlb.Incremental.query ~tracer handle app' in
     check_bool "query = cold run" true
-      (analyses_identical q (Rtlb.Analysis.run system app'));
+      (analyses_identical q (Oracle.run system app'));
     Rtlb_obs.Tracer.counter tracer Rtlb_obs.Tracer.Cone_tasks
   in
   let reread =

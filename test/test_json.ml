@@ -138,6 +138,61 @@ let schedule_encoding () =
             entries
       | _ -> Alcotest.fail "expected list")
 
+(* Random trees for the printer differential: strings mix plain
+   letters with quotes, backslashes, control characters and high bytes,
+   and a tree may sit under up to 40 singleton wrappers so indentation
+   runs past the shared 64-space string. *)
+let tree_gen =
+  let open QCheck2.Gen in
+  let char_gen =
+    frequency
+      [
+        (6, char_range 'a' 'z');
+        (1, oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; ' ' ]);
+        (1, map Char.chr (int_range 0 31));
+        (1, map Char.chr (int_range 127 255));
+      ]
+  in
+  let str = string_size ~gen:char_gen (int_range 0 10) in
+  let tree =
+    fix
+      (fun self depth ->
+        let leaf =
+          oneof
+            [
+              return Rtfmt.Json.Null;
+              map (fun b -> Rtfmt.Json.Bool b) bool;
+              map (fun i -> Rtfmt.Json.Int i) int;
+              map (fun x -> Rtfmt.Json.Str x) str;
+            ]
+        in
+        if depth = 0 then leaf
+        else
+          frequency
+            [
+              (2, leaf);
+              ( 1,
+                map
+                  (fun l -> Rtfmt.Json.List l)
+                  (list_size (int_range 0 4) (self (depth - 1))) );
+              ( 1,
+                map
+                  (fun l -> Rtfmt.Json.Obj l)
+                  (list_size (int_range 0 4) (pair str (self (depth - 1)))) );
+            ])
+      4
+  in
+  let* wrappers = int_range 0 40 in
+  let* key = str in
+  let+ t = tree in
+  let rec wrap k t =
+    if k = 0 then t
+    else
+      wrap (k - 1)
+        (if k mod 2 = 0 then Rtfmt.Json.List [ t ] else Rtfmt.Json.Obj [ (key, t) ])
+  in
+  wrap wrappers t
+
 let prop_tests =
   [
     qtest ~count:200 "print/parse roundtrips analysis JSON"
@@ -145,6 +200,13 @@ let prop_tests =
         let a = Rtlb.Analysis.run (shared_of i) i.app in
         let v = Rtfmt.Json.of_analysis a in
         s v = s (j (s v)));
+    qtest ~count:500 "printer = reference printer on random trees"
+      (QCheck.make
+         ~print:(fun v -> Json_ref.to_string ~indent:false v)
+         (fun st -> QCheck2.Gen.generate1 ~rand:st tree_gen))
+      (fun v ->
+        s v = Json_ref.to_string v
+        && s ~indent:false v = Json_ref.to_string ~indent:false v);
   ]
 
 let stencil_shape () =

@@ -4,10 +4,12 @@
 
    The two headline properties, checked on random instances:
 
-   - counters are consistent: a complete traced analysis reports
-     exactly the counts the paper's scan structure predicts
-     (candidate_intervals = theta_evals = sum over partition blocks of
-     n(n-1)/2 candidate points, tasks_scanned = sum of |block|*(n-1));
+   - counters are consistent: a complete traced analysis on the
+     exhaustive scan (~prune:false) reports exactly the counts the
+     paper's scan structure predicts (candidate_intervals = theta_evals
+     = sum over partition blocks of n(n-1)/2 candidate points,
+     tasks_scanned = sum of |block|*(n-1)); the pruned scan plans the
+     same candidates and work items but evaluates at most as many;
 
    - tracing is write-only: a traced run's Analysis.result is
      bit-identical to the untraced run's. *)
@@ -53,20 +55,30 @@ let expected_counts system app =
     { e_intervals = 0; e_scanned = 0; e_items = 0 }
     (Rtlb.App.resource_set app)
 
-let traced_run ?pool system app =
+let traced_run ?pool ?prune system app =
   let tracer = Rtlb_obs.Tracer.make ~clock:(Rtlb_obs.Clock.fake ()) () in
-  let analysis = Rtlb.Analysis.run ?pool ~tracer system app in
+  let analysis = Rtlb.Analysis.run ?pool ?prune ~tracer system app in
   (tracer, analysis)
 
 let counter = Rtlb_obs.Tracer.counter
 
-let check_counters label tracer expected =
+(* [pruned]: dominance pruning may skip evaluations and whole kernels,
+   so theta_evals and tasks_scanned are only bounded by the plan. *)
+let check_counters ?(pruned = false) label tracer expected =
   check_int (label ^ ": candidate_intervals") expected.e_intervals
     (counter tracer Rtlb_obs.Tracer.Candidate_intervals);
-  check_int (label ^ ": theta_evals") expected.e_intervals
-    (counter tracer Rtlb_obs.Tracer.Theta_evals);
-  check_int (label ^ ": tasks_scanned") expected.e_scanned
-    (counter tracer Rtlb_obs.Tracer.Tasks_scanned);
+  if pruned then begin
+    check_bool (label ^ ": theta_evals <= candidate_intervals") true
+      (counter tracer Rtlb_obs.Tracer.Theta_evals <= expected.e_intervals);
+    check_bool (label ^ ": tasks_scanned <= planned") true
+      (counter tracer Rtlb_obs.Tracer.Tasks_scanned <= expected.e_scanned)
+  end
+  else begin
+    check_int (label ^ ": theta_evals") expected.e_intervals
+      (counter tracer Rtlb_obs.Tracer.Theta_evals);
+    check_int (label ^ ": tasks_scanned") expected.e_scanned
+      (counter tracer Rtlb_obs.Tracer.Tasks_scanned)
+  end;
   check_int (label ^ ": no deadline cancellations") 0
     (counter tracer Rtlb_obs.Tracer.Deadline_cancels);
   let workers = Rtlb_obs.Tracer.worker_stats tracer in
@@ -88,26 +100,42 @@ let paper = Rtlb.Paper_example.app
 
 let counters_on_paper_example () =
   let expected = expected_counts Rtlb.Paper_example.shared paper in
-  let tracer, _ = traced_run Rtlb.Paper_example.shared paper in
+  let tracer, _ = traced_run ~prune:false Rtlb.Paper_example.shared paper in
   check_counters "sequential" tracer expected;
+  let tracer, _ = traced_run ~prune:true Rtlb.Paper_example.shared paper in
+  check_counters ~pruned:true "sequential, pruned" tracer expected;
   Rtlb_par.Pool.with_pool ~jobs:Test_par.test_jobs (fun pool ->
-      let tracer, _ = traced_run ~pool Rtlb.Paper_example.shared paper in
-      check_counters "pooled" tracer expected)
+      let tracer, _ =
+        traced_run ~pool ~prune:false Rtlb.Paper_example.shared paper
+      in
+      check_counters "pooled" tracer expected;
+      let tracer, _ =
+        traced_run ~pool ~prune:true Rtlb.Paper_example.shared paper
+      in
+      check_counters ~pruned:true "pooled, pruned" tracer expected)
 
 let counters_prop =
   qtest ~count:100 "traced counters match the scan plan (random instances)"
     (arb_instance ~max_tasks:14 ()) (fun i ->
       let system = shared_of i in
       let expected = expected_counts system i.app in
-      let tracer, _ = traced_run system i.app in
+      let items tracer =
+        List.fold_left
+          (fun a (_, _, items) -> a + items)
+          0
+          (Rtlb_obs.Tracer.worker_stats tracer)
+      in
+      let tracer, _ = traced_run ~prune:false system i.app in
+      let pruned, _ = traced_run ~prune:true system i.app in
       counter tracer Rtlb_obs.Tracer.Candidate_intervals = expected.e_intervals
       && counter tracer Rtlb_obs.Tracer.Theta_evals = expected.e_intervals
       && counter tracer Rtlb_obs.Tracer.Tasks_scanned = expected.e_scanned
-      && List.fold_left
-           (fun a (_, _, items) -> a + items)
-           0
-           (Rtlb_obs.Tracer.worker_stats tracer)
-         = expected.e_items)
+      && items tracer = expected.e_items
+      && counter pruned Rtlb_obs.Tracer.Candidate_intervals
+         = expected.e_intervals
+      && counter pruned Rtlb_obs.Tracer.Theta_evals
+         <= counter pruned Rtlb_obs.Tracer.Candidate_intervals
+      && items pruned = expected.e_items)
 
 (* ------------------------------------------------------------------ *)
 (* Tracing is write-only telemetry                                     *)

@@ -254,7 +254,8 @@ let parallel_equals_sequential_all_shapes () =
                  (Workload.Gen.shape_name shape)
                  seed)
               true
-              (analyses_identical seq par)
+              (analyses_identical seq par
+              && Oracle.values_identical par (Oracle.run system app))
           done)
         all_shapes)
 
@@ -264,7 +265,8 @@ let parallel_prop =
       Rtlb_par.Pool.with_pool ~jobs:test_jobs (fun pool ->
           let seq = Rtlb.Analysis.run (shared_of i) i.app in
           let par = Rtlb.Analysis.run ~pool (shared_of i) i.app in
-          analyses_identical seq par))
+          analyses_identical seq par
+          && Oracle.values_identical par (Oracle.run (shared_of i) i.app)))
 
 let parallel_sensitivity () =
   Rtlb_par.Pool.with_pool ~jobs:test_jobs (fun pool ->

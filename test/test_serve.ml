@@ -262,11 +262,11 @@ let storm_requests () =
     (fun app ->
       let text = Rtfmt.Appfile.to_string app in
       let system = uniform app in
-      let record = Rtlb.Analysis.run system app in
-      let soa = Rtlb.Soa.analyze system app in
+      let record = Oracle.run system app in
+      let soa = Rtlb.Analysis.run system app in
       let d0 = (Rtlb.App.task app 0).Rtlb.Task.deadline in
       let edits = [ Rtlb.Incremental.Set_deadline { task = 0; deadline = d0 + 7 } ] in
-      let edited = Rtlb.Analysis.run system (Rtlb.Incremental.apply app edits) in
+      let edited = Oracle.run system (Rtlb.Incremental.apply app edits) in
       [
         {
           e_label = "analyze/record";

@@ -1,32 +1,17 @@
-(* The packed (structure-of-arrays) engine's contract is value-level
-   bit-identity with the record path: windows (est/lct values), bounds
-   (values, witnesses, partitions), cost and completeness must all match
-   Analysis.run exactly — merge sets and traces are the one documented
-   divergence (Soa leaves them empty).  The properties below assert that
-   identity over random instances on both system models, round-trip the
-   packed representation back to the application, and pin the pruned
-   interval scan to the unpruned reference.  Units cover the paper
-   example, the examples/ file, the frame-structured scaling workload
-   and the domain-pool path. *)
+(* Analysis.run runs the packed (structure-of-arrays) engine, whose
+   contract is value-level bit-identity with the record oracle
+   (test/oracle.ml): windows (est/lct values), bounds (values,
+   witnesses, partitions), cost and completeness must all match exactly
+   — merge sets and traces are the one documented divergence (the
+   packed engine leaves them empty).  The properties below assert that
+   identity over every generator family on both system models, with and
+   without a pool and with and without dominance pruning, and
+   round-trip the packed representation back to the application.  Units
+   cover the paper example (also under a catalogue wider than one
+   host-mask word), the examples/ file, the frame-structured scaling
+   workload and the domain-pool path. *)
 
 open Helpers
-
-let bound_equal (a : Rtlb.Lower_bound.bound) (b : Rtlb.Lower_bound.bound) =
-  a.Rtlb.Lower_bound.resource = b.Rtlb.Lower_bound.resource
-  && a.Rtlb.Lower_bound.lb = b.Rtlb.Lower_bound.lb
-  && a.Rtlb.Lower_bound.witness = b.Rtlb.Lower_bound.witness
-  && a.Rtlb.Lower_bound.partition = b.Rtlb.Lower_bound.partition
-
-(* Everything except merge sets and traces. *)
-let values_identical (a : Rtlb.Analysis.t) (b : Rtlb.Analysis.t) =
-  a.Rtlb.Analysis.windows.Rtlb.Est_lct.est
-  = b.Rtlb.Analysis.windows.Rtlb.Est_lct.est
-  && a.Rtlb.Analysis.windows.Rtlb.Est_lct.lct
-     = b.Rtlb.Analysis.windows.Rtlb.Est_lct.lct
-  && List.length a.Rtlb.Analysis.bounds = List.length b.Rtlb.Analysis.bounds
-  && List.for_all2 bound_equal a.Rtlb.Analysis.bounds b.Rtlb.Analysis.bounds
-  && a.Rtlb.Analysis.cost = b.Rtlb.Analysis.cost
-  && a.Rtlb.Analysis.completeness = b.Rtlb.Analysis.completeness
 
 let roundtrips system app =
   let packed = Rtlb.Soa.pack system app in
@@ -56,26 +41,133 @@ let roundtrip_examples () =
 (* --- engine identity ----------------------------------------------- *)
 
 let analyze_identical =
-  qtest "Soa.analyze = Analysis.run on random instances" (arb_instance ())
+  qtest "Analysis.run = record oracle on random instances" (arb_instance ())
     (fun i ->
-      values_identical
-        (Rtlb.Soa.analyze (shared_of i) i.app)
+      Oracle.values_identical
         (Rtlb.Analysis.run (shared_of i) i.app)
-      && values_identical
-           (Rtlb.Soa.analyze (dedicated_of i) i.app)
-           (Rtlb.Analysis.run (dedicated_of i) i.app))
+        (Oracle.run (shared_of i) i.app)
+      && Oracle.values_identical
+           (Rtlb.Analysis.run (dedicated_of i) i.app)
+           (Oracle.run (dedicated_of i) i.app))
+
+(* Every Workload.Gen family — the random shapes, the three fixed
+   kernels and the frame workload — on both system models, sequential
+   and pooled, pruned and exhaustive: eight packed runs per instance,
+   each against the one oracle run of its system. *)
+type family_instance = {
+  label : string;
+  f_app : Rtlb.App.t;
+  f_shared : Rtlb.System.t;
+  f_dedicated : Rtlb.System.t;
+}
+
+let family_gen =
+  let open QCheck2.Gen in
+  let shapes =
+    Helpers.shapes
+    @ [
+        Workload.Gen.Gauss { size = 4 };
+        Workload.Gen.Fft { points = 8 };
+        Workload.Gen.Stencil { rows = 3; cols = 4 };
+      ]
+  in
+  let* k = int_bound (List.length shapes) in
+  let* config = config_gen ~max_tasks:12 in
+  if k < List.length shapes then
+    let config = { config with Workload.Gen.shape = List.nth shapes k } in
+    return
+      {
+        label = Workload.Gen.shape_name config.Workload.Gen.shape;
+        f_app = Workload.Gen.generate config;
+        f_shared = Workload.Gen.shared_system config;
+        f_dedicated = Workload.Gen.dedicated_system config;
+      }
+  else
+    let* frames = int_range 1 3 in
+    let* tasks_per_frame = int_range 4 12 in
+    let* resource_every = int_range 0 3 in
+    let config =
+      {
+        config with
+        Workload.Gen.proc_types = [ ("P", 1.0) ];
+        resource_types = [ ("R", 0.5) ];
+      }
+    in
+    return
+      {
+        label = "layered_frames";
+        f_app =
+          Workload.Gen.layered_frames ~seed:config.Workload.Gen.seed ~frames
+            ~tasks_per_frame ~layers:3 ~resource_every ();
+        f_shared = Workload.Gen.frame_system ();
+        f_dedicated = Workload.Gen.dedicated_system config;
+      }
+
+let arb_family =
+  QCheck.make
+    ~print:(fun f -> f.label ^ "\n" ^ Rtfmt.Appfile.to_string f.f_app)
+    (fun st -> QCheck2.Gen.generate1 ~rand:st family_gen)
+
+let families_identical =
+  qtest ~count:100
+    "families x systems x pool x pruning = record oracle" arb_family
+    (fun f ->
+      Rtlb_par.Pool.with_pool ~jobs:Test_par.test_jobs (fun pool ->
+          List.for_all
+            (fun system ->
+              let reference = Oracle.run system f.f_app in
+              List.for_all
+                (fun (pool, prune) ->
+                  Oracle.values_identical
+                    (Rtlb.Analysis.run ?pool ~prune system f.f_app)
+                    reference)
+                [ (None, true); (None, false); (Some pool, true);
+                  (Some pool, false) ])
+            [ f.f_shared; f.f_dedicated ]))
+
+(* A dedicated catalogue wider than one host-mask word (61 node types
+   on 64-bit): 70 decoy nodes first, so the paper's own three node
+   types sit in the second word.  Analysis.run once refused this with
+   "Soa.pack: more than 61 node types". *)
+let many_node_types () =
+  let decoys =
+    List.init 70 (fun k ->
+        Rtlb.System.node_type
+          ~name:(Printf.sprintf "X%d" k)
+          ~proc:(if k mod 2 = 0 then "P1" else "P2")
+          ~cost:(20 + k) ())
+  in
+  let system =
+    Rtlb.System.dedicated
+      (decoys @ Rtlb.System.node_types Rtlb.Paper_example.dedicated)
+  in
+  check_int "catalogue size" 73
+    (List.length (Rtlb.System.node_types system));
+  let app = Rtlb.Paper_example.app in
+  let reference = Oracle.run system app in
+  let a = Rtlb.Analysis.run system app in
+  check_bool "73 node types: Analysis.run = record oracle" true
+    (Oracle.values_identical a reference);
+  Rtlb_par.Pool.with_pool ~jobs:Test_par.test_jobs (fun pool ->
+      check_bool "73 node types, pooled: Analysis.run = record oracle" true
+        (Oracle.values_identical
+           (Rtlb.Analysis.run ~pool system app)
+           reference));
+  Alcotest.(check (array int))
+    "paper example est" Rtlb.Paper_example.expected_est
+    a.Rtlb.Analysis.windows.Rtlb.Est_lct.est
 
 let paper_example_windows () =
-  let a = Rtlb.Soa.analyze Rtlb.Paper_example.shared Rtlb.Paper_example.app in
+  let a = Rtlb.Analysis.run Rtlb.Paper_example.shared Rtlb.Paper_example.app in
   Alcotest.(check (array int))
     "paper example est" Rtlb.Paper_example.expected_est
     a.Rtlb.Analysis.windows.Rtlb.Est_lct.est;
   Alcotest.(check (array int))
     "paper example lct" Rtlb.Paper_example.expected_lct_repaired
     a.Rtlb.Analysis.windows.Rtlb.Est_lct.lct;
-  check_bool "paper example = record engine" true
-    (values_identical a
-       (Rtlb.Analysis.run Rtlb.Paper_example.shared Rtlb.Paper_example.app))
+  check_bool "paper example = record oracle" true
+    (Oracle.values_identical a
+       (Oracle.run Rtlb.Paper_example.shared Rtlb.Paper_example.app))
 
 (* --- dominance pruning ---------------------------------------------- *)
 
@@ -83,9 +175,13 @@ let pruned_equals_unpruned =
   qtest "pruned interval scan = unpruned reference" (arb_instance ())
     (fun i ->
       let system = shared_of i in
-      values_identical
-        (Rtlb.Soa.analyze ~prune:true system i.app)
-        (Rtlb.Soa.analyze ~prune:false system i.app))
+      let reference = Oracle.run system i.app in
+      Oracle.values_identical
+        (Rtlb.Analysis.run ~prune:true system i.app)
+        reference
+      && Oracle.values_identical
+           (Rtlb.Analysis.run ~prune:false system i.app)
+           reference)
 
 (* --- scaling workload ----------------------------------------------- *)
 
@@ -95,8 +191,10 @@ let frames_identical () =
   in
   let system = Workload.Gen.frame_system () in
   check_int "frame workload size" 1000 (Rtlb.App.n_tasks app);
-  check_bool "frame workload: soa = record" true
-    (values_identical (Rtlb.Soa.analyze system app) (Rtlb.Analysis.run system app))
+  check_bool "frame workload: Analysis.run = record oracle" true
+    (Oracle.values_identical
+       (Rtlb.Analysis.run system app)
+       (Oracle.run system app))
 
 let frames_deterministic () =
   let a = Workload.Gen.layered_frames ~seed:3 ~frames:2 ~tasks_per_frame:40 () in
@@ -132,9 +230,9 @@ let incremental_soa_equals_cold =
       let st = Random.State.make [| i.config.Workload.Gen.seed; salt |] in
       let handle = Rtlb.Incremental.create ~engine:`Soa system i.app in
       assert (
-        values_identical
+        Oracle.values_identical
           (Rtlb.Incremental.base handle)
-          (Rtlb.Analysis.run system i.app));
+          (Oracle.run system i.app));
       let rec go k edits =
         k = 0
         ||
@@ -143,7 +241,7 @@ let incremental_soa_equals_cold =
         in
         let app' = Rtlb.Incremental.apply i.app edits in
         let q = Rtlb.Incremental.query handle app' in
-        values_identical q (Rtlb.Analysis.run system app') && go (k - 1) edits
+        Oracle.values_identical q (Oracle.run system app') && go (k - 1) edits
       in
       go (1 + (salt mod 4)) [])
 
@@ -154,14 +252,18 @@ let pool_identical () =
     Workload.Gen.layered_frames ~seed:11 ~frames:6 ~tasks_per_frame:50 ()
   in
   let system = Workload.Gen.frame_system () in
-  let seq = Rtlb.Soa.analyze system app in
+  let reference = Oracle.run system app in
+  check_bool "sequential (pruned) = record oracle" true
+    (Oracle.values_identical (Rtlb.Analysis.run system app) reference);
   Rtlb_par.Pool.with_pool ~jobs:4 (fun pool ->
-      check_bool "pool = sequential (pruned)" true
-        (values_identical (Rtlb.Soa.analyze ~pool system app) seq);
-      check_bool "pool = record engine" true
-        (values_identical
-           (Rtlb.Soa.analyze ~pool system app)
-           (Rtlb.Analysis.run system app)))
+      check_bool "pool (pruned) = record oracle" true
+        (Oracle.values_identical
+           (Rtlb.Analysis.run ~pool system app)
+           reference);
+      check_bool "pool = pooled record oracle" true
+        (Oracle.values_identical
+           (Rtlb.Analysis.run ~pool system app)
+           (Oracle.run ~pool system app)))
 
 let suite =
   [
@@ -171,6 +273,9 @@ let suite =
         Alcotest.test_case "round-trip: examples" `Quick roundtrip_examples;
         analyze_identical;
         Alcotest.test_case "paper example windows" `Quick paper_example_windows;
+        Alcotest.test_case "paper example, 73 node types" `Quick
+          many_node_types;
+        families_identical;
         pruned_equals_unpruned;
         incremental_soa_equals_cold;
         Alcotest.test_case "frame workload identity" `Quick frames_identical;
