@@ -36,6 +36,11 @@ let install_signal_handlers () =
 let exit_if_interrupted () =
   match !interrupted with Some code -> exit code | None -> ()
 
+(* JSON output streams to stdout instead of being built as one string. *)
+let print_json j =
+  Rtfmt.Json.output stdout j;
+  print_newline ()
+
 let read_appfile path =
   try Ok (Rtfmt.Appfile.parse_file path) with
   | Rtfmt.Appfile.Parse_error (line, msg) ->
@@ -179,11 +184,10 @@ let analyze_cmd =
             in
             let summary = Option.map Rtlb_obs.Stats.of_tracer tracer in
             if json then
-              print_endline
-                (Rtfmt.Json.to_string
-                   (Rtfmt.Json.of_analysis
-                      ?stats:(if stats then summary else None)
-                      analysis))
+              print_json
+                (Rtfmt.Json.of_analysis
+                   ?stats:(if stats then summary else None)
+                   analysis)
             else begin
               if full then
                 print_string
@@ -505,7 +509,7 @@ let sensitivity_cmd =
     match read_appfile path with
     | Error e -> `Error (false, e)
     | Ok { Rtfmt.Appfile.app; system } -> (
-        match resolve_system system override app with
+        match hosting_system path system override app with
         | Error e -> `Error (false, e)
         | Ok system ->
             let deadline_ns = deadline_of timeout in
@@ -645,7 +649,7 @@ let whatif_cmd =
     match read_appfile path with
     | Error e -> `Error (false, e)
     | Ok { Rtfmt.Appfile.app; system } -> (
-        match resolve_system system override app with
+        match hosting_system path system override app with
         | Error e -> `Error (false, e)
         | Ok system -> (
             let edits =
@@ -685,9 +689,7 @@ let whatif_cmd =
               | handle, edited ->
                   let base = Rtlb.Incremental.base handle in
                   if json then
-                    print_endline
-                      (Rtfmt.Json.to_string
-                         (Rtfmt.Json.of_whatif ~base ~edited))
+                    print_json (Rtfmt.Json.of_whatif ~base ~edited)
                   else begin
                   let name = (Rtlb.App.task app task).Rtlb.Task.name in
                   Printf.printf "what-if: task %d (%s)%s%s%s\n" task name
@@ -805,7 +807,7 @@ let critical_cmd =
     match read_appfile path with
     | Error e -> `Error (false, e)
     | Ok { Rtfmt.Appfile.app; system } -> (
-        match resolve_system system override app with
+        match hosting_system path system override app with
         | Error e -> `Error (false, e)
         | Ok system ->
             let analysis =
@@ -898,49 +900,48 @@ let recurrent_cmd =
           in
           let hp = hyperperiod_opt model in
           if json then
-            print_endline
-              (Rtfmt.Json.to_string
-                 (Rtfmt.Json.Obj
-                    [
-                      ("m", Rtfmt.Json.Int m);
-                      ( "class",
-                        Rtfmt.Json.Str
-                          (Model.class_name (Model.taskset_class model)) );
-                      ( "utilisation",
-                        Rtfmt.Json.Str (Rat.to_string (Model.utilisation model))
-                      );
-                      ( "hyperperiod",
-                        match hp with
-                        | Some (h, _) -> Rtfmt.Json.Int h
-                        | None -> Rtfmt.Json.Null );
-                      ( "jobs_per_hyperperiod",
-                        match hp with
-                        | Some (_, j) -> Rtfmt.Json.Int j
-                        | None -> Rtfmt.Json.Null );
-                      ( "tasks",
-                        Rtfmt.Json.List
-                          (List.map
-                             (fun (dt, vol, len, graham, he, mp) ->
-                               Rtfmt.Json.Obj
-                                 [
-                                   ("name", Rtfmt.Json.Str dt.Model.dt_name);
-                                   ( "vertices",
-                                     Rtfmt.Json.Int
-                                       (Array.length dt.Model.dt_vertices) );
-                                   ("vol", Rtfmt.Json.Int vol);
-                                   ("len", Rtfmt.Json.Int len);
-                                   ("period", Rtfmt.Json.Int dt.Model.dt_period);
-                                   ( "deadline",
-                                     Rtfmt.Json.Int dt.Model.dt_deadline );
-                                   ( "class",
-                                     Rtfmt.Json.Str
-                                       (Model.class_name (Model.classify dt)) );
-                                   ("graham", Rtfmt.Json.Int graham);
-                                   ("long_paths", Rtfmt.Json.Int he);
-                                   ("multi_path", Rtfmt.Json.Int mp);
-                                 ])
-                             rows) );
-                    ]))
+            print_json
+              (Rtfmt.Json.Obj
+                 [
+                   ("m", Rtfmt.Json.Int m);
+                   ( "class",
+                     Rtfmt.Json.Str
+                       (Model.class_name (Model.taskset_class model)) );
+                   ( "utilisation",
+                     Rtfmt.Json.Str (Rat.to_string (Model.utilisation model))
+                   );
+                   ( "hyperperiod",
+                     match hp with
+                     | Some (h, _) -> Rtfmt.Json.Int h
+                     | None -> Rtfmt.Json.Null );
+                   ( "jobs_per_hyperperiod",
+                     match hp with
+                     | Some (_, j) -> Rtfmt.Json.Int j
+                     | None -> Rtfmt.Json.Null );
+                   ( "tasks",
+                     Rtfmt.Json.List
+                       (List.map
+                          (fun (dt, vol, len, graham, he, mp) ->
+                            Rtfmt.Json.Obj
+                              [
+                                ("name", Rtfmt.Json.Str dt.Model.dt_name);
+                                ( "vertices",
+                                  Rtfmt.Json.Int
+                                    (Array.length dt.Model.dt_vertices) );
+                                ("vol", Rtfmt.Json.Int vol);
+                                ("len", Rtfmt.Json.Int len);
+                                ("period", Rtfmt.Json.Int dt.Model.dt_period);
+                                ( "deadline",
+                                  Rtfmt.Json.Int dt.Model.dt_deadline );
+                                ( "class",
+                                  Rtfmt.Json.Str
+                                    (Model.class_name (Model.classify dt)) );
+                                ("graham", Rtfmt.Json.Int graham);
+                                ("long_paths", Rtfmt.Json.Int he);
+                                ("multi_path", Rtfmt.Json.Int mp);
+                              ])
+                          rows) );
+                 ])
           else begin
             Printf.printf
               "recurrent task set: %d task(s), class %s, m = %d\n"
@@ -1002,37 +1003,36 @@ let recurrent_cmd =
             else "unknown"
           in
           if json then
-            print_endline
-              (Rtfmt.Json.to_string
-                 (Rtfmt.Json.Obj
-                    [
-                      ("m", Rtfmt.Json.Int m);
-                      ("necessary", Rtfmt.Json.Bool necessary);
-                      ("edf_schedulable", Rtfmt.Json.Bool edf);
-                      ("dm_schedulable", Rtfmt.Json.Bool dm);
-                      ("verdict", Rtfmt.Json.Str verdict);
-                      ( "tasks",
-                        Rtfmt.Json.List
-                          (List.map
-                             (fun (dt : Model.dtask) ->
-                               let opt name =
-                                 match List.assoc dt.Model.dt_name name with
-                                 | Some r -> Rtfmt.Json.Int r
-                                 | None -> Rtfmt.Json.Null
-                               in
-                               Rtfmt.Json.Obj
-                                 [
-                                   ("name", Rtfmt.Json.Str dt.Model.dt_name);
-                                   ("period", Rtfmt.Json.Int dt.Model.dt_period);
-                                   ( "deadline",
-                                     Rtfmt.Json.Int dt.Model.dt_deadline );
-                                   ("len", Rtfmt.Json.Int (Model.len dt));
-                                   ("vol", Rtfmt.Json.Int (Model.vol dt));
-                                   ("edf_response", opt edf_bounds);
-                                   ("dm_response", opt dm_bounds);
-                                 ])
-                             model.Model.tasks) );
-                    ]))
+            print_json
+              (Rtfmt.Json.Obj
+                 [
+                   ("m", Rtfmt.Json.Int m);
+                   ("necessary", Rtfmt.Json.Bool necessary);
+                   ("edf_schedulable", Rtfmt.Json.Bool edf);
+                   ("dm_schedulable", Rtfmt.Json.Bool dm);
+                   ("verdict", Rtfmt.Json.Str verdict);
+                   ( "tasks",
+                     Rtfmt.Json.List
+                       (List.map
+                          (fun (dt : Model.dtask) ->
+                            let opt name =
+                              match List.assoc dt.Model.dt_name name with
+                              | Some r -> Rtfmt.Json.Int r
+                              | None -> Rtfmt.Json.Null
+                            in
+                            Rtfmt.Json.Obj
+                              [
+                                ("name", Rtfmt.Json.Str dt.Model.dt_name);
+                                ("period", Rtfmt.Json.Int dt.Model.dt_period);
+                                ( "deadline",
+                                  Rtfmt.Json.Int dt.Model.dt_deadline );
+                                ("len", Rtfmt.Json.Int (Model.len dt));
+                                ("vol", Rtfmt.Json.Int (Model.vol dt));
+                                ("edf_response", opt edf_bounds);
+                                ("dm_response", opt dm_bounds);
+                              ])
+                          model.Model.tasks) );
+                 ])
           else begin
             let table =
               Rtfmt.Table.create

@@ -4,44 +4,46 @@ type t = {
   resource_set : string list;  (* cached RES *)
 }
 
-let make ~tasks ~edges =
-  let n = List.length tasks in
-  let arr = Array.make n None in
-  List.iter
+let of_arrays ~tasks ~src ~dst ~msg =
+  let n = Array.length tasks in
+  let placed = Array.make n false in
+  let by_id = Array.copy tasks in
+  Array.iter
     (fun (task : Task.t) ->
       if task.Task.id < 0 || task.Task.id >= n then
         invalid_arg
           (Printf.sprintf "App.make: task id %d out of range [0,%d)"
              task.Task.id n);
-      if arr.(task.Task.id) <> None then
+      if placed.(task.Task.id) then
         invalid_arg
           (Printf.sprintf "App.make: duplicate task id %d" task.Task.id);
-      arr.(task.Task.id) <- Some task)
+      placed.(task.Task.id) <- true;
+      by_id.(task.Task.id) <- task)
     tasks;
-  let tasks =
-    Array.map
-      (function
-        | Some t -> t
-        | None -> invalid_arg "App.make: missing task id")
-      arr
-  in
-  List.iter
-    (fun (_, _, m) ->
-      if m < 0 then invalid_arg "App.make: negative message size")
-    edges;
-  let graph = Dag.create ~n ~edges in
+  (* n distinct ids in [0, n) leave no id missing *)
+  Array.iter
+    (fun m -> if m < 0 then invalid_arg "App.make: negative message size")
+    msg;
+  let graph = Dag.of_arrays ~n ~src ~dst ~weight:msg in
   (* Collect each name once, so the sort is over the distinct names. *)
   let seen = Hashtbl.create 16 in
   Array.iter
     (fun (task : Task.t) ->
       Hashtbl.replace seen task.Task.proc ();
       List.iter (fun r -> Hashtbl.replace seen r ()) task.Task.resources)
-    tasks;
+    by_id;
   let resource_set =
     Hashtbl.fold (fun r () acc -> r :: acc) seen []
     |> List.sort String.compare
   in
-  { tasks; graph; resource_set }
+  { tasks = by_id; graph; resource_set }
+
+let make ~tasks ~edges =
+  let edges = Array.of_list edges in
+  of_arrays ~tasks:(Array.of_list tasks)
+    ~src:(Array.map (fun (s, _, _) -> s) edges)
+    ~dst:(Array.map (fun (_, d, _) -> d) edges)
+    ~msg:(Array.map (fun (_, _, m) -> m) edges)
 
 let n_tasks t = Array.length t.tasks
 let task t i = t.tasks.(i)

@@ -12,6 +12,12 @@ val make : tasks:Task.t list -> edges:(int * int * int) list -> t
       sizes, or malformed edges.
     @raise Dag.Cycle when the precedence relation is cyclic. *)
 
+val of_arrays :
+  tasks:Task.t array -> src:int array -> dst:int array -> msg:int array -> t
+(** {!make} with the edges as three parallel arrays, edge [k] being
+    [(src.(k), dst.(k), msg.(k))]; the arrays are read, not kept.  Same
+    checks, in the same order, with the same messages. *)
+
 val n_tasks : t -> int
 val task : t -> int -> Task.t
 val tasks : t -> Task.t array

@@ -1,9 +1,10 @@
 (* Structure-of-arrays analysis engine.
 
    [pack] compiles an instance once into contiguous [Bigarray] int
-   arrays — per-task scalars, CSR adjacency with message weights, a
-   per-resource member table — and the sweeps below iterate over those
-   arrays instead of chasing per-task records.  The merge search, the
+   arrays — per-task scalars and a per-resource member table — and the
+   sweeps below iterate over those arrays, and over the CSR adjacency
+   the instance's [Dag] already holds (read in place, not copied),
+   instead of chasing per-task records.  The merge search, the
    Section-5 partition and the Theta prefix-sum interval scan are
    re-derived on the packed layout with the exact integer arithmetic of
    the record path ([Est_lct] / [Partition] / [Lower_bound]), so
@@ -46,14 +47,10 @@ type t = {
   host : ia;
       (* dedicated: task i can run on node type k iff bit [k mod mask_bits]
          of word [i * host_words + k / mask_bits] is set; shared: 0 *)
-  (* CSR adjacency, message weight parallel to the target *)
-  succ_off : ia;
-  succ_tgt : ia;
-  succ_msg : ia;
-  pred_off : ia;
-  pred_tgt : ia;
-  pred_msg : ia;
-  topo : ia;
+  (* the Dag's own CSR rows, message sizes as weights *)
+  succ : Dag.csr;
+  pred : Dag.csr;
+  topo : int array;
   (* resource universe, RES order *)
   res_names : string array;
   res_off : ia;
@@ -118,66 +115,35 @@ let pack system app =
       nts
   done;
   let procs = Array.of_list (List.rev !procs) in
-  (* CSR adjacency from the Dag lists *)
-  let succ_off = ia (n + 1) and pred_off = ia (n + 1) in
-  let ns = ref 0 in
-  for i = 0 to n - 1 do
-    succ_off.{i} <- !ns;
-    ns := !ns + List.length (Dag.succs g i)
-  done;
-  succ_off.{n} <- !ns;
-  let succ_tgt = ia !ns and succ_msg = ia !ns in
-  let pos = ref 0 in
-  for i = 0 to n - 1 do
-    List.iter
-      (fun (dst, m) ->
-        succ_tgt.{!pos} <- dst;
-        succ_msg.{!pos} <- m;
-        incr pos)
-      (Dag.succs g i)
-  done;
-  let np = ref 0 in
-  for i = 0 to n - 1 do
-    pred_off.{i} <- !np;
-    np := !np + List.length (Dag.preds g i)
-  done;
-  pred_off.{n} <- !np;
-  let pred_tgt = ia !np and pred_msg = ia !np in
-  pos := 0;
-  for i = 0 to n - 1 do
-    List.iter
-      (fun (src, m) ->
-        pred_tgt.{!pos} <- src;
-        pred_msg.{!pos} <- m;
-        incr pos)
-      (Dag.preds g i)
-  done;
-  let topo = ia n in
-  Array.iteri (fun k v -> topo.{k} <- v) (Dag.topological_order g);
-  (* per-resource member table, RES order *)
+  (* per-resource member table, RES order: count every (task, resource)
+     demand, then place them in task order, so members come out
+     ascending *)
   let res_names = Array.of_list (App.resource_set app) in
   let nr = Array.length res_names in
-  let members = Array.map (fun r -> App.tasks_using app r) res_names in
-  let res_off = ia (nr + 1) in
-  let total = ref 0 in
-  Array.iteri
-    (fun k m ->
-      res_off.{k} <- !total;
-      total := !total + List.length m)
-    members;
-  res_off.{nr} <- !total;
-  let res_task = ia !total and res_units = ia !total in
-  pos := 0;
-  Array.iteri
-    (fun k m ->
-      let r = res_names.(k) in
+  let res_index = Hashtbl.create 16 in
+  Array.iteri (fun k r -> Hashtbl.replace res_index r k) res_names;
+  let proc_res = Array.map (Hashtbl.find res_index) procs in
+  let each_demand f =
+    for i = 0 to n - 1 do
+      f i proc_res.(proc.{i}) 1;
       List.iter
-        (fun i ->
-          res_task.{!pos} <- i;
-          res_units.{!pos} <- Task.units (App.task app i) r;
-          incr pos)
-        m)
-    members;
+        (fun (r, u) -> f i (Hashtbl.find res_index r) u)
+        (App.task app i).Task.demands
+    done
+  in
+  let res_off = ia (nr + 1) in
+  Array1.fill res_off 0;
+  each_demand (fun _ k _ -> res_off.{k + 1} <- res_off.{k + 1} + 1);
+  for k = 1 to nr do
+    res_off.{k} <- res_off.{k} + res_off.{k - 1}
+  done;
+  let res_task = ia res_off.{nr} and res_units = ia res_off.{nr} in
+  let next = Array.init nr (fun k -> res_off.{k}) in
+  each_demand (fun i k u ->
+      let p = next.(k) in
+      res_task.{p} <- i;
+      res_units.{p} <- u;
+      next.(k) <- p + 1);
   {
     app;
     system;
@@ -189,13 +155,9 @@ let pack system app =
     proc;
     host_words;
     host;
-    succ_off;
-    succ_tgt;
-    succ_msg;
-    pred_off;
-    pred_tgt;
-    pred_msg;
-    topo;
+    succ = Dag.succ_csr g;
+    pred = Dag.pred_csr g;
+    topo = Dag.topological_order g;
     res_names;
     res_off;
     res_task;
@@ -207,9 +169,9 @@ let pack system app =
     lct = ia n;
   }
 
-(* Rebuild an [App.t] from the packed arrays alone — [t.app] is only
-   consulted for nothing here, which is what makes the round-trip test
-   meaningful. *)
+(* Rebuild an [App.t] from the packed arrays alone — [t.app] is not
+   consulted here (the edges come from the CSR rows [pack] borrowed),
+   which is what makes the round-trip test meaningful. *)
 let unpack t =
   let n = t.n in
   (* invert the per-resource member table into per-task demand lists *)
@@ -234,8 +196,8 @@ let unpack t =
   in
   let edges = ref [] in
   for i = n - 1 downto 0 do
-    for p = t.succ_off.{i + 1} - 1 downto t.succ_off.{i} do
-      edges := (i, t.succ_tgt.{p}, t.succ_msg.{p}) :: !edges
+    for p = t.succ.Dag.off.(i + 1) - 1 downto t.succ.Dag.off.(i) do
+      edges := (i, t.succ.Dag.adj.(p), t.succ.Dag.weight.(p)) :: !edges
     done
   done;
   App.make ~tasks ~edges:!edges
@@ -301,10 +263,9 @@ let ensure ws cap =
    recursion (preds, max-combine, minimise) or the LCT mirror (succs,
    min-combine, maximise). *)
 let sweep_task t ws ~is_est i =
-  let off = if is_est then t.pred_off else t.succ_off in
-  let tgt = if is_est then t.pred_tgt else t.succ_tgt in
-  let msg = if is_est then t.pred_msg else t.succ_msg in
-  let d0 = off.{i} and d1 = off.{i + 1} in
+  let rows = if is_est then t.pred else t.succ in
+  let tgt = rows.Dag.adj and msg = rows.Dag.weight in
+  let d0 = rows.Dag.off.(i) and d1 = rows.Dag.off.(i + 1) in
   let boundary = if is_est then t.release.{i} else t.deadline.{i} in
   if d1 = d0 then boundary
   else begin
@@ -312,9 +273,9 @@ let sweep_task t ws ~is_est i =
     let combine a b = if is_est then max a b else min a b in
     (* msg bound of neighbour at CSR position p *)
     let msg_of p =
-      let j = tgt.{p} in
-      if is_est then t.est.{j} + t.compute.{j} + msg.{p}
-      else t.lct.{j} - t.compute.{j} - msg.{p}
+      let j = tgt.(p) in
+      if is_est then t.est.{j} + t.compute.{j} + msg.(p)
+      else t.lct.{j} - t.compute.{j} - msg.(p)
     in
     let msg_all = ref identity in
     for p = d0 to d1 - 1 do
@@ -331,7 +292,7 @@ let sweep_task t ws ~is_est i =
         if in_pool p then begin
           let k = !pl in
           ws.cm.(k) <- msg_of p;
-          ws.cid.(k) <- tgt.{p};
+          ws.cid.(k) <- tgt.(p);
           pl := k + 1
         end
         else nonpool := combine !nonpool (msg_of p)
@@ -400,14 +361,14 @@ let sweep_task t ws ~is_est i =
       end
     in
     (match t.system with
-    | System.Shared _ -> scan_pool (fun p -> t.proc.{tgt.{p}} = pc)
+    | System.Shared _ -> scan_pool (fun p -> t.proc.{tgt.(p)} = pc)
     | System.Dedicated _ ->
         let hw = t.host_words in
         Array.iteri
           (fun k _ ->
             let w = k / mask_bits and bit = 1 lsl (k mod mask_bits) in
             if t.host.{(i * hw) + w} land bit <> 0 then
-              scan_pool (fun p -> t.host.{(tgt.{p} * hw) + w} land bit <> 0))
+              scan_pool (fun p -> t.host.{(tgt.(p) * hw) + w} land bit <> 0))
           t.nts);
     !best
   end
@@ -415,22 +376,22 @@ let sweep_task t ws ~is_est i =
 let recompute_windows t ~est_dirty ~lct_dirty =
   let ws = sweep_ws () in
   for k = 0 to t.n - 1 do
-    let i = t.topo.{k} in
+    let i = t.topo.(k) in
     if est_dirty.(i) then t.est.{i} <- sweep_task t ws ~is_est:true i
   done;
   for k = t.n - 1 downto 0 do
-    let i = t.topo.{k} in
+    let i = t.topo.(k) in
     if lct_dirty.(i) then t.lct.{i} <- sweep_task t ws ~is_est:false i
   done
 
 let compute_windows t =
   let ws = sweep_ws () in
   for k = 0 to t.n - 1 do
-    let i = t.topo.{k} in
+    let i = t.topo.(k) in
     t.est.{i} <- sweep_task t ws ~is_est:true i
   done;
   for k = t.n - 1 downto 0 do
-    let i = t.topo.{k} in
+    let i = t.topo.(k) in
     t.lct.{i} <- sweep_task t ws ~is_est:false i
   done
 

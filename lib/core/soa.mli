@@ -1,15 +1,15 @@
 (** Structure-of-arrays analysis engine.
 
     [pack] compiles an instance once into contiguous [Bigarray] int
-    arrays — per-task scalars, CSR successor/predecessor adjacency with
-    message weights, and a per-resource member table — and the EST/LCT
-    merge-search sweep, the Section-5 partition and the Theta prefix-sum
-    interval scan all iterate over those arrays with no per-task
-    allocation.  This is the engine behind {!Analysis.run}.  Results
-    (windows, bounds, witnesses, partitions) are bit-identical to the
-    record path ({!Est_lct} / {!Lower_bound}); the only divergence is
-    that merge sets and {e traces} are left empty — {!Est_lct.compute}
-    records them.
+    arrays — per-task scalars and a per-resource member table — and the
+    EST/LCT merge-search sweep, the Section-5 partition and the Theta
+    prefix-sum interval scan all iterate over those arrays, and over the
+    CSR successor/predecessor rows of the instance's {!Dag} (read in
+    place, not copied), with no per-task allocation.  This is the engine
+    behind {!Analysis.run}.  Results (windows, bounds, witnesses,
+    partitions) are bit-identical to the record path ({!Est_lct} /
+    {!Lower_bound}); the only divergence is that merge sets and
+    {e traces} are left empty — {!Est_lct.compute} records them.
 
     The interval scan adds {e candidate-interval dominance pruning}: an
     O(n log p) precomputation bounds the kernel total for every left
@@ -34,7 +34,7 @@ val pack : System.t -> App.t -> t
 
 val unpack : t -> App.t
 (** Rebuild the application from the packed arrays alone (names, task
-    scalars, demands from the resource table, edges from the CSR).
+    scalars, demands from the resource table, edges from the CSR rows).
     [unpack (pack s app)] is structurally equal to [app]. *)
 
 val n_tasks : t -> int

@@ -6,9 +6,19 @@
 
     Provides the graph services the analysis layers need: cycle detection,
     topological orders, predecessor/successor access, reachability and
-    weighted longest paths. *)
+    weighted longest paths.
+
+    Adjacency is stored as compressed sparse rows, built by counting
+    sorts in [O(n + m)]; {!succ_csr} and {!pred_csr} hand the rows out
+    for sweeps that read every edge. *)
 
 type t
+
+type csr = { off : int array; adj : int array; weight : int array }
+(** Compressed sparse rows: the neighbours of vertex [v] are [adj.(p)],
+    ascending, for [p] from [off.(v)] to [off.(v + 1) - 1], and
+    [weight.(p)] is the weight of the edge to [adj.(p)].  [off] has
+    [n + 1] entries. *)
 
 exception Cycle of int list
 (** Raised by {!create} when the edge set contains a cycle; the payload is
@@ -22,11 +32,29 @@ val create : n:int -> edges:(int * int * int) list -> t
       the smallest [(src, dst)]).
     @raise Cycle if the edges are cyclic. *)
 
+val of_arrays :
+  n:int -> src:int array -> dst:int array -> weight:int array -> t
+(** [of_arrays ~n ~src ~dst ~weight] is {!create} with the edge list given
+    as three parallel arrays, edge [k] being
+    [(src.(k), dst.(k), weight.(k))]; it reads them and keeps none.
+    @raise Invalid_argument as {!create} does, or when the arrays differ
+      in length.
+    @raise Cycle as {!create} does. *)
+
 val n_vertices : t -> int
 val n_edges : t -> int
 
+val succ_csr : t -> csr
+(** The successor rows: [(dst, weight)] of every edge, grouped by
+    [src].  Shared, not copied: callers must not write to the arrays. *)
+
+val pred_csr : t -> csr
+(** The predecessor rows: [(src, weight)] of every edge, grouped by
+    [dst].  Shared, not copied, like {!succ_csr}. *)
+
 val succs : t -> int -> (int * int) list
-(** [(dst, weight)] pairs, in increasing [dst] order. *)
+(** [(dst, weight)] pairs, in increasing [dst] order.  This and the
+    three functions below build a fresh list on each call. *)
 
 val preds : t -> int -> (int * int) list
 (** [(src, weight)] pairs, in increasing [src] order. *)
@@ -34,6 +62,8 @@ val preds : t -> int -> (int * int) list
 val succ_ids : t -> int -> int list
 val pred_ids : t -> int -> int list
 val edge_weight : t -> src:int -> dst:int -> int option
+(** A binary search in the successor row of [src]. *)
+
 val sources : t -> int list
 (** Vertices without predecessors. *)
 

@@ -30,8 +30,17 @@ type words = {
   mutable count : int;
 }
 
-let is_blank c = c = ' ' || c = '\t' || c = '\r'
-let ends_content c = c = '\n' || c = '#'
+(* Byte classes: 0 inside a word, 1 blank (space, tab, carriage return),
+   2 the end of a line's content ('\n' or '#'). *)
+let byte_class =
+  String.init 256 (fun k ->
+      match Char.chr k with
+      | ' ' | '\t' | '\r' -> '\001'
+      | '\n' | '#' -> '\002'
+      | _ -> '\000')
+
+let class_at text i =
+  Char.code (String.unsafe_get byte_class (Char.code (String.unsafe_get text i)))
 
 (* Read the words of the line starting at [start] into [w]; returns the
    index of the line's '\n', or the length of the text. *)
@@ -39,16 +48,11 @@ let split_line w start =
   let text = w.text and len = String.length w.text in
   w.count <- 0;
   let i = ref start in
-  while !i < len && not (ends_content (String.unsafe_get text !i)) do
-    if is_blank (String.unsafe_get text !i) then incr i
+  while !i < len && class_at text !i < 2 do
+    if class_at text !i = 1 then incr i
     else begin
       let first = !i in
-      while
-        !i < len
-        &&
-        let c = String.unsafe_get text !i in
-        not (is_blank c || ends_content c)
-      do
+      while !i < len && class_at text !i = 0 do
         incr i
       done;
       if w.count = Array.length w.starts then begin
@@ -67,7 +71,8 @@ let split_line w start =
   done;
   !i
 
-let word w k = String.sub w.text w.starts.(k) (w.stops.(k) - w.starts.(k))
+let span text start stop = String.sub text start (stop - start)
+let word w k = span w.text w.starts.(k) w.stops.(k)
 
 (* The hot helpers below recurse at top level: a local recursive
    function that captures variables is a closure allocated per call. *)
@@ -89,12 +94,30 @@ let index_in text start stop c =
   done;
   !i
 
-(* The integer text.[start, stop) spells. *)
+(* The value of the decimal digits text.[start, stop), or -1 when the
+   span holds anything else. *)
+let rec digits_value text start stop acc =
+  if start = stop then acc
+  else
+    match String.unsafe_get text start with
+    | '0' .. '9' as c ->
+        digits_value text (start + 1) stop ((10 * acc) + Char.code c - 48)
+    | _ -> -1
+
+(* The integer text.[start, stop) spells.  Up to 18 plain digits cannot
+   overflow and are read in place; anything else (signs, prefixes,
+   underscores, overflow) goes through [int_of_string_opt]. *)
 let int_span line what text start stop =
-  let s = String.sub text start (stop - start) in
-  match int_of_string_opt s with
-  | Some v -> v
-  | None -> fail line "%s: not an integer: %S" what s
+  let v =
+    if stop > start && stop - start <= 18 then digits_value text start stop 0
+    else -1
+  in
+  if v >= 0 then v
+  else
+    let s = span text start stop in
+    match int_of_string_opt s with
+    | Some v -> v
+    | None -> fail line "%s: not an integer: %S" what s
 
 (* "2xr1" -> ("r1", 2); "r1" -> ("r1", 1).  Counts are not range-checked
    here: the spec path wants to see a bad count as a diagnostic, the
@@ -125,23 +148,24 @@ let rec key_index keys text start stop j =
   if j = Array.length keys || spells text start stop keys.(j) then j
   else key_index keys text start stop (j + 1)
 
+(* One buffer per scan, refilled by each declaration. *)
 type fields = {
   f_start : int array;
   f_stop : int array;
   mutable f_preemptive : bool;
 }
 
+let max_keys = 6
+
 (* The key=value words of a declaration, from word [first] on, read
-   against the [keys] it knows: the value span of each key's first
-   occurrence (start -1 when absent) and whether the bare word
-   "preemptive" appears.  Other keys are ignored; any other bare word is
-   an error. *)
-let fields line w ~first keys =
+   against the [keys] it knows (at most [max_keys]) into [f]: the value
+   span of each key's first occurrence (start -1 when absent) and whether
+   the bare word "preemptive" appears.  Other keys are ignored; any other
+   bare word is an error. *)
+let fields f line w ~first keys =
   let nk = Array.length keys in
-  let f =
-    { f_start = Array.make nk (-1); f_stop = Array.make nk 0;
-      f_preemptive = false }
-  in
+  Array.fill f.f_start 0 nk (-1);
+  f.f_preemptive <- false;
   for k = first to w.count - 1 do
     let start = w.starts.(k) and stop = w.stops.(k) in
     let eq = index_in w.text start stop '=' in
@@ -158,15 +182,15 @@ let fields line w ~first keys =
   f
 
 let has f j = f.f_start.(j) >= 0
-let field_string w f j = String.sub w.text f.f_start.(j) (f.f_stop.(j) - f.f_start.(j))
+let field_string w f j = span w.text f.f_start.(j) f.f_stop.(j)
 let field_int line what w f j = int_span line what w.text f.f_start.(j) f.f_stop.(j)
 
 let task_keys = [| "compute"; "period"; "deadline"; "proc"; "release"; "res" |]
 
-let parse_task line w =
+let parse_task f line w =
   if w.count < 2 then fail line "task: missing name";
   let name = word w 1 in
-  let f = fields line w ~first:2 task_keys in
+  let f = fields f line w ~first:2 task_keys in
   let compute =
     if has f 0 then field_int line "compute" w f 0
     else fail line "task %s: missing compute=" name
@@ -220,10 +244,10 @@ let parse_shared line w =
 
 let node_keys = [| "proc"; "cost"; "res" |]
 
-let parse_node line w =
+let parse_node f line w =
   if w.count < 2 then fail line "node: missing name";
   let name = word w 1 in
-  let f = fields line w ~first:2 node_keys in
+  let f = fields f line w ~first:2 node_keys in
   let proc =
     if has f 0 then field_string w f 0
     else fail line "node %s: missing proc=" name
@@ -233,27 +257,70 @@ let parse_node line w =
   try Rtlb.System.node_type ~name ~proc ~provides ~cost ()
   with Invalid_argument m -> fail line "node %s: %s" name m
 
+(* Edges stay spans of the text until [parse] resolves them: [edge_width]
+   ints each (line, source start and stop, destination start and stop,
+   size) in one int array that doubles when full. *)
+let edge_width = 6
+
+type edge_store = { mutable fields : int array; mutable n_edges : int }
+
+let edge_field st k f = st.fields.((k * edge_width) + f)
+
+let push_edge st line (w : words) size =
+  let o = st.n_edges * edge_width in
+  if o = Array.length st.fields then begin
+    let grown = Array.make (2 * o) 0 in
+    Array.blit st.fields 0 grown 0 o;
+    st.fields <- grown
+  end;
+  let a = st.fields in
+  a.(o) <- line;
+  a.(o + 1) <- w.starts.(1);
+  a.(o + 2) <- w.stops.(1);
+  a.(o + 3) <- w.starts.(2);
+  a.(o + 4) <- w.stops.(2);
+  a.(o + 5) <- size;
+  st.n_edges <- st.n_edges + 1
+
+type scanned = {
+  tasks : pending_task list;
+  edges : edge_store;
+  shared : Rtlb.System.t option;
+  nodes : (int * Rtlb.System.node_type) list;
+}
+
+let edge_src_name text st k = span text (edge_field st k 1) (edge_field st k 2)
+let edge_dst_name text st k = span text (edge_field st k 3) (edge_field st k 4)
+
 (* Tokenize the whole file into declarations.  Only syntax-level problems
    raise here; semantic ones (duplicates, cycles, bad quantities, dangling
-   edges) survive into the returned lists so both the strict constructor
-   path and the diagnostic path can decide how to report them. *)
+   edges) survive into the result so both the strict constructor path
+   and the diagnostic path can decide how to report them. *)
 let scan text =
-  let tasks = ref [] and edges = ref [] in
+  let tasks = ref []
+  and edges = { fields = Array.make (16 * edge_width) 0; n_edges = 0 } in
   let shared = ref None and nodes = ref [] in
   let w = { text; starts = Array.make 16 0; stops = Array.make 16 0; count = 0 } in
+  let f =
+    { f_start = Array.make max_keys (-1); f_stop = Array.make max_keys 0;
+      f_preemptive = false }
+  in
   let len = String.length text in
   let directive line =
-    match word w 0 with
-    | "task" -> tasks := parse_task line w :: !tasks
-    | "edge" ->
-        if w.count <> 4 then fail line "edge: expected 'edge SRC DST SIZE'";
-        let m = int_span line "message" text w.starts.(3) w.stops.(3) in
-        edges := (line, word w 1, word w 2, m) :: !edges
-    | "shared" ->
-        if Option.is_some !shared then fail line "duplicate shared line";
-        shared := Some (parse_shared line w)
-    | "node" -> nodes := (line, parse_node line w) :: !nodes
-    | d -> fail line "unknown directive %S" d
+    let start = w.starts.(0) and stop = w.stops.(0) in
+    if spells text start stop "task" then tasks := parse_task f line w :: !tasks
+    else if spells text start stop "edge" then begin
+      if w.count <> 4 then fail line "edge: expected 'edge SRC DST SIZE'";
+      push_edge edges line w
+        (int_span line "message" text w.starts.(3) w.stops.(3))
+    end
+    else if spells text start stop "shared" then begin
+      if Option.is_some !shared then fail line "duplicate shared line";
+      shared := Some (parse_shared line w)
+    end
+    else if spells text start stop "node" then
+      nodes := (line, parse_node f line w) :: !nodes
+    else fail line "unknown directive %S" (word w 0)
   in
   let rec lines start line =
     let stop = split_line w start in
@@ -261,7 +328,7 @@ let scan text =
     if stop < len then lines (stop + 1) (line + 1)
   in
   lines 0 1;
-  (List.rev !tasks, List.rev !edges, !shared, List.rev !nodes)
+  { tasks = List.rev !tasks; edges; shared = !shared; nodes = List.rev !nodes }
 
 let system_of line_of_conflict shared nodes =
   match (shared, nodes) with
@@ -281,47 +348,94 @@ let expand_demands pt =
       List.init k (fun _ -> r))
     pt.pt_demands
 
-module Names = Hashtbl.Make (String)
-module Ints = Hashtbl.Make (Int)
+(* ---------------- name and edge tables ---------------- *)
+
+(* Open addressing with linear probing over a power-of-two number of
+   slots, at least twice the entries; a slot holds an entry + 1, 0 when
+   free.  Task names are found by probing with spans of the text, and
+   edge keys in a flat int set, so resolving an edge allocates nothing. *)
+
+let table_size entries =
+  let rec grow c = if c >= 2 * entries then c else grow (2 * c) in
+  grow 16
+
+(* FNV-1a over text.[start, stop). *)
+let rec hash_span text start stop h =
+  if start = stop then h lxor (h lsr 29)
+  else
+    hash_span text (start + 1) stop
+      ((h lxor Char.code (String.unsafe_get text start)) * 0x100000001b3)
+
+let fnv_basis = 0x811c9dc5
+
+(* The slot, probed from [i] on, that holds the task named
+   text.[start, stop), or else the free slot that name would take. *)
+let rec name_slot slots mask names text start stop i =
+  let k = slots.(i) in
+  if k = 0 || spells text start stop names.(k - 1) then i
+  else name_slot slots mask names text start stop ((i + 1) land mask)
+
+let hash_int k =
+  let h = k * 0x1e3779b97f4a7c15 in
+  h lxor (h lsr 32)
+
+(* Add [key] (>= 0) to the set; false when it was already there. *)
+let rec add_key slots mask key i =
+  let k = slots.(i) in
+  if k = 0 then begin
+    slots.(i) <- key + 1;
+    true
+  end
+  else k <> key + 1 && add_key slots mask key ((i + 1) land mask)
 
 let parse text =
-  let tasks, edge_decls, shared, nodes = scan text in
+  let { tasks; edges; shared; nodes } = scan text in
   let decls = Array.of_list tasks in
   let n = Array.length decls in
-  let name i = decls.(i).pt_name in
-  let index = Names.create n in
+  let names = Array.map (fun pt -> pt.pt_name) decls in
+  let slots = Array.make (table_size n) 0 in
+  let mask = Array.length slots - 1 in
+  let slot text start stop =
+    let h = hash_span text start stop fnv_basis in
+    name_slot slots mask names text start stop (h land mask)
+  in
   Array.iteri
-    (fun i pt ->
-      if Names.mem index pt.pt_name then
-        fail pt.pt_line "duplicate task name %s" pt.pt_name;
-      Names.add index pt.pt_name i)
-    decls;
+    (fun i name ->
+      let j = slot name 0 (String.length name) in
+      if slots.(j) <> 0 then
+        fail decls.(i).pt_line "duplicate task name %s" name;
+      slots.(j) <- i + 1)
+    names;
   (* Reject dangling endpoints, self-loops and duplicate edges here, where
      the source line is still known — Dag.create would only raise an
      unlocated Invalid_argument. *)
-  let seen_edges = Ints.create (List.length edge_decls) in
-  let edges =
-    List.map
-      (fun (line, src, dst, m) ->
-        let find name =
-          match Names.find_opt index name with
-          | Some i -> i
-          | None -> fail line "edge: unknown task %s" name
-        in
-        let s = find src in
-        let d = find dst in
-        if s = d then fail line "edge: self loop on task %s" src;
-        let key = (s * n) + d in
-        if Ints.mem seen_edges key then
-          fail line "duplicate edge %s -> %s" src dst;
-        Ints.add seen_edges key ();
-        (s, d, m))
-      edge_decls
+  let m = edges.n_edges in
+  let src = Array.make m 0 and dst = Array.make m 0 and msg = Array.make m 0 in
+  let keys = Array.make (table_size m) 0 in
+  let keys_mask = Array.length keys - 1 in
+  let resolve line start stop =
+    let i = slots.(slot text start stop) - 1 in
+    if i < 0 then fail line "edge: unknown task %s" (span text start stop);
+    i
   in
+  for k = 0 to m - 1 do
+    let line = edge_field edges k 0 in
+    let s = resolve line (edge_field edges k 1) (edge_field edges k 2) in
+    let d = resolve line (edge_field edges k 3) (edge_field edges k 4) in
+    if s = d then
+      fail line "edge: self loop on task %s" (edge_src_name text edges k);
+    let key = (s * n) + d in
+    if not (add_key keys keys_mask key (hash_int key land keys_mask)) then
+      fail line "duplicate edge %s -> %s" (edge_src_name text edges k)
+        (edge_dst_name text edges k);
+    src.(k) <- s;
+    dst.(k) <- d;
+    msg.(k) <- edge_field edges k 5
+  done;
   let cycle_error ids =
     (* Map the Dag.Cycle payload back to names and the earliest source
        line of an edge on the cycle. *)
-    let names = List.map name ids in
+    let cycle_names = List.map (fun i -> names.(i)) ids in
     let pairs =
       match ids with
       | [] -> []
@@ -333,17 +447,14 @@ let parse text =
           in
           consecutive ids
     in
-    let line =
-      List.fold_left
-        (fun acc (l, src, dst, _) ->
-          if List.mem (Names.find index src, Names.find index dst) pairs then
-            min acc l
-          else acc)
-        max_int edge_decls
-    in
-    let line = if line = max_int then 0 else line in
+    let line = ref max_int in
+    for k = 0 to m - 1 do
+      if List.mem (src.(k), dst.(k)) pairs then
+        line := min !line (edge_field edges k 0)
+    done;
+    let line = if !line = max_int then 0 else !line in
     fail line "precedence cycle: %s"
-      (String.concat " -> " (names @ [ List.nth names 0 ]))
+      (String.concat " -> " (cycle_names @ [ List.nth cycle_names 0 ]))
   in
   let periodic = List.exists (fun pt -> pt.pt_period <> None) tasks in
   let app =
@@ -366,24 +477,26 @@ let parse text =
             with Invalid_argument m -> fail pt.pt_line "task %s: %s" pt.pt_name m)
           tasks
       in
-      let pedges = List.map (fun (_, src, dst, m) -> (src, dst, m)) edge_decls in
+      let pedges =
+        List.init m (fun k -> (names.(src.(k)), names.(dst.(k)), msg.(k)))
+      in
       match Rtlb.Periodic.unroll ~tasks:ptasks ~edges:pedges () with
       | app -> app
       | exception Invalid_argument m -> fail 0 "%s" m
       | exception Dag.Cycle _ -> fail 0 "precedence cycle in task graph"
     end
     else begin
-      let task_list =
-        List.mapi
+      let tasks =
+        Array.mapi
           (fun i pt ->
             try
               Rtlb.Task.make ~id:i ~name:pt.pt_name ~compute:pt.pt_compute
                 ~release:pt.pt_release ~deadline:pt.pt_deadline ~proc:pt.pt_proc
                 ~resources:(expand_demands pt) ~preemptive:pt.pt_preemptive ()
             with Invalid_argument m -> fail pt.pt_line "task %s: %s" pt.pt_name m)
-          tasks
+          decls
       in
-      match Rtlb.App.make ~tasks:task_list ~edges with
+      match Rtlb.App.of_arrays ~tasks ~src ~dst ~msg with
       | app -> app
       | exception Invalid_argument m -> fail 0 "%s" m
       | exception Dag.Cycle ids -> cycle_error ids
@@ -412,7 +525,7 @@ type spec = {
 }
 
 let parse_spec text =
-  let tasks, edges, shared, nodes = scan text in
+  let { tasks; edges; shared; nodes } = scan text in
   let line_of_conflict nodes =
     match nodes with (l, _) :: _ -> l | [] -> 0
   in
@@ -434,15 +547,13 @@ let parse_spec text =
           })
         tasks;
     spec_edges =
-      List.map
-        (fun (line, src, dst, m) ->
+      List.init edges.n_edges (fun k ->
           {
-            Rtlb.Validate.es_src = src;
-            es_dst = dst;
-            es_message = m;
-            es_line = Some line;
-          })
-        edges;
+            Rtlb.Validate.es_src = edge_src_name text edges k;
+            es_dst = edge_dst_name text edges k;
+            es_message = edge_field edges k 5;
+            es_line = Some (edge_field edges k 0);
+          });
     spec_system = system;
     spec_source = text;
   }

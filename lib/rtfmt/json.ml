@@ -41,8 +41,9 @@ let rec add_spaces buf n =
     add_spaces buf (n - k)
   end
 
-let to_string ?(indent = true) t =
-  let buf = Buffer.create 256 in
+(* The one printer: [t] into [buf], handing [buf] to [flush] whenever it
+   holds [limit] bytes or more between two values. *)
+let print ~indent ~limit ~flush buf t =
   let pad depth = if indent then add_spaces buf (2 * depth) in
   let nl () = if indent then Buffer.add_char buf '\n' in
   let rec go depth = function
@@ -63,6 +64,7 @@ let to_string ?(indent = true) t =
               Buffer.add_char buf ',';
               nl ()
             end;
+            if Buffer.length buf >= limit then flush buf;
             pad (depth + 1);
             go (depth + 1) item)
           items;
@@ -79,6 +81,7 @@ let to_string ?(indent = true) t =
               Buffer.add_char buf ',';
               nl ()
             end;
+            if Buffer.length buf >= limit then flush buf;
             pad (depth + 1);
             Buffer.add_char buf '"';
             Buffer.add_string buf (escape name);
@@ -89,8 +92,24 @@ let to_string ?(indent = true) t =
         pad depth;
         Buffer.add_char buf '}'
   in
-  go 0 t;
+  go 0 t
+
+let to_string ?(indent = true) t =
+  let buf = Buffer.create 256 in
+  print ~indent ~limit:max_int ~flush:ignore buf t;
   Buffer.contents buf
+
+(* Bytes [output] holds back before writing them to its channel. *)
+let chunk = 65536
+
+let output ?(indent = true) oc t =
+  let buf = Buffer.create (2 * chunk) in
+  let flush buf =
+    Buffer.output_buffer oc buf;
+    Buffer.clear buf
+  in
+  print ~indent ~limit:chunk ~flush buf t;
+  flush buf
 
 (* ---------------- parsing ---------------- *)
 

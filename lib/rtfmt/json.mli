@@ -17,6 +17,11 @@ type t =
 val to_string : ?indent:bool -> t -> string
 (** [indent] (default true) pretty-prints with two-space indentation. *)
 
+val output : ?indent:bool -> out_channel -> t -> unit
+(** [output oc t] writes [to_string t] to [oc], byte for byte, without
+    building the whole string: the same printer hands its buffer to the
+    channel every 64 KB or so.  Does not flush [oc]. *)
+
 exception Parse_error of string
 
 val parse : string -> t

@@ -118,6 +118,170 @@ let prop_tests =
           (List.init n Fun.id));
   ]
 
+(* ---------------- differential against Dag_ref ---------------- *)
+
+module type GRAPH = sig
+  type t
+
+  val n_vertices : t -> int
+  val n_edges : t -> int
+  val succs : t -> int -> (int * int) list
+  val preds : t -> int -> (int * int) list
+  val succ_ids : t -> int -> int list
+  val pred_ids : t -> int -> int list
+  val edge_weight : t -> src:int -> dst:int -> int option
+  val sources : t -> int list
+  val sinks : t -> int list
+  val topological_order : t -> int array
+  val reverse_topological_order : t -> int array
+  val reachable : t -> int -> bool array
+  val transitive_closure : t -> bool array array
+  val longest_path_lengths : t -> vertex_weight:(int -> int) -> int array
+  val longest_path_with_edges : t -> vertex_weight:(int -> int) -> int array
+
+  val fold_edges :
+    t -> init:'a -> f:('a -> src:int -> dst:int -> int -> 'a) -> 'a
+
+  val to_dot : ?name:string -> ?label:(int -> string) -> t -> string
+end
+
+(* Everything a graph answers, as plain data both implementations can be
+   compared on. *)
+module Observe (G : GRAPH) = struct
+  let observe g =
+    let n = G.n_vertices g in
+    let vs = List.init n Fun.id in
+    let vertex_weight v = ((v * 7) + 3) mod 11 in
+    ( (n, G.n_edges g),
+      List.map (fun v -> (G.succs g v, G.preds g v)) vs,
+      List.map (fun v -> (G.succ_ids g v, G.pred_ids g v)) vs,
+      List.concat_map
+        (fun src -> List.map (fun dst -> G.edge_weight g ~src ~dst) vs)
+        vs,
+      (G.sources g, G.sinks g, G.topological_order g),
+      ( G.reverse_topological_order g,
+        List.map (G.reachable g) vs,
+        G.transitive_closure g ),
+      List.rev
+        (G.fold_edges g ~init:[] ~f:(fun acc ~src ~dst w -> (src, dst, w) :: acc)),
+      ( G.longest_path_lengths g ~vertex_weight,
+        G.longest_path_with_edges g ~vertex_weight ),
+      G.to_dot g )
+end
+
+module Obs_new = Observe (Dag)
+module Obs_ref = Observe (Dag_ref)
+
+let show_ints l = String.concat " " (List.map string_of_int l)
+
+let outcome_new ~n ~edges =
+  match Dag.create ~n ~edges with
+  | g -> Ok (Obs_new.observe g)
+  | exception Invalid_argument m -> Error ("Invalid_argument " ^ m)
+  | exception Dag.Cycle c -> Error ("Cycle " ^ show_ints c)
+
+let outcome_ref ~n ~edges =
+  match Dag_ref.create ~n ~edges with
+  | g -> Ok (Obs_ref.observe g)
+  | exception Invalid_argument m -> Error ("Invalid_argument " ^ m)
+  | exception Dag_ref.Cycle c -> Error ("Cycle " ^ show_ints c)
+
+(* [l] with [x] inserted before position [at]. *)
+let insert_at at x l =
+  List.filteri (fun i _ -> i < at) l @ (x :: List.filteri (fun i _ -> i >= at) l)
+
+(* Edge lists over up to 30 vertices: forward edges of a random vertex
+   ranking (a DAG) with, in about half the cases, some faults spliced in
+   at random positions: out-of-range endpoints, self loops, repeats of
+   earlier pairs (with any weight) and backward edges, which close a
+   cycle when a forward path joins their ends. *)
+let arb_edge_list =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 0 30 in
+      let* rank = map Array.of_list (shuffle_l (List.init n Fun.id)) in
+      let* n_fwd = int_range 0 (2 * n) in
+      let pair =
+        let* a = int_bound (max 0 (n - 1)) in
+        let* b = int_bound (max 0 (n - 1)) in
+        return (min a b, max a b)
+      in
+      let* fwd =
+        list_repeat n_fwd
+          (let* a, b = pair in
+           let* w = int_bound 9 in
+           return (rank.(a), rank.(b), w))
+      in
+      let fwd =
+        List.filteri
+          (fun k (s, d, _) ->
+            s <> d
+            && not
+                 (List.exists (fun (s', d', _) -> s = s' && d = d')
+                    (List.filteri (fun j _ -> j < k) fwd)))
+          fwd
+      in
+      let* faulty = bool in
+      let* n_faults = if faulty then int_range 1 3 else return 0 in
+      (* one kind of fault per case, or any mix of them *)
+      let* only = int_bound 4 in
+      let fault =
+        let* kind = if only < 4 then return only else int_bound 3 in
+        let* w = int_bound 9 in
+        match kind with
+        | 0 ->
+            (* an endpoint out of range *)
+            let* v = int_range (-2) (n + 2) in
+            let* side = bool in
+            let out = if v >= 0 && v < n then n + 1 else v in
+            let* other = int_bound (max 0 (n - 1)) in
+            return (if side then (out, other, w) else (other, out, w))
+        | 1 ->
+            let* v = int_bound (max 0 (n - 1)) in
+            return (v, v, w)
+        | 2 -> (
+            (* a repeat of an earlier pair *)
+            match fwd with
+            | [] -> return (0, 0, w)
+            | _ ->
+                let* k = int_bound (List.length fwd - 1) in
+                let s, d, _ = List.nth fwd k in
+                return (s, d, w))
+        | _ when n < 2 -> return (0, 0, w)
+        | _ -> (
+            (* a backward edge *)
+            let* reverse = bool in
+            match fwd with
+            | _ :: _ when reverse ->
+                let* k = int_bound (List.length fwd - 1) in
+                let s, d, _ = List.nth fwd k in
+                return (d, s, w)
+            | _ ->
+                let* a = int_bound (n - 2) in
+                let* b = int_range (a + 1) (n - 1) in
+                return (rank.(b), rank.(a), w))
+      in
+      let* faults = list_repeat n_faults fault in
+      let* edges =
+        List.fold_left
+          (fun acc e ->
+            let* l = acc in
+            let* at = int_bound (List.length l) in
+            return (insert_at at e l))
+          (return fwd) faults
+      in
+      return (n, edges))
+  in
+  QCheck.make gen ~print:(fun (n, edges) ->
+      Printf.sprintf "n=%d edges=[%s]" n
+        (String.concat "; "
+           (List.map (fun (s, d, w) -> Printf.sprintf "(%d,%d,%d)" s d w) edges)))
+
+let differential =
+  qtest ~count:1000 "CSR Dag agrees with the list-based reference"
+    arb_edge_list (fun (n, edges) ->
+      outcome_new ~n ~edges = outcome_ref ~n ~edges)
+
 let suite =
   [
     ( "dag",
@@ -131,5 +295,5 @@ let suite =
         Alcotest.test_case "dot output" `Quick dot_output;
         Alcotest.test_case "map weights" `Quick map_weights;
       ]
-      @ prop_tests );
+      @ prop_tests @ [ differential ] );
   ]

@@ -207,6 +207,31 @@ let prop_tests =
       (fun v ->
         s v = Json_ref.to_string v
         && s ~indent:false v = Json_ref.to_string ~indent:false v);
+    qtest ~count:200 "output writes the bytes of to_string"
+      (QCheck.make
+         ~print:(fun (copies, v) ->
+           Printf.sprintf "%d copies of %s" copies
+             (Json_ref.to_string ~indent:false v))
+         (fun st ->
+           (* half the time up to 400 copies of a random tree in one list,
+              so some outputs pass the 64 KB write threshold many times *)
+           let copies =
+             if Random.State.bool st then 1 else 1 + Random.State.int st 400
+           in
+           (copies, QCheck2.Gen.generate1 ~rand:st tree_gen)))
+      (fun (copies, t) ->
+        let v = Rtfmt.Json.List (List.init copies (fun _ -> t)) in
+        List.for_all
+          (fun indent ->
+            let path = Filename.temp_file "rtlb_json" ".out" in
+            Fun.protect
+              ~finally:(fun () -> Sys.remove path)
+              (fun () ->
+                Out_channel.with_open_bin path (fun oc ->
+                    Rtfmt.Json.output ~indent oc v);
+                In_channel.with_open_bin path In_channel.input_all
+                = s ~indent v))
+          [ true; false ]);
   ]
 
 let stencil_shape () =
