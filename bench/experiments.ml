@@ -1411,9 +1411,10 @@ let serve_throughput () =
   in
   (* Request templates: field lists so each tenant can stamp its own
      "tenant" field in.  Mixed warm/cold: 4 generated 80-task apps x
-     {record analyze, soa analyze, record whatif} — first touch is a
-     cold build, repeats hit the warm LRU, and concurrent what-ifs on
-     the same text coalesce. *)
+     {analyze, analyze with the deprecated "engine": "soa" field, whatif}
+     — the daemon ignores the field, so all three share one handle per
+     app: first touch is a cold build, repeats hit the warm LRU, and
+     concurrent requests on the same text coalesce. *)
   let requests =
     List.concat_map
       (fun seed ->

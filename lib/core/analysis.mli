@@ -47,6 +47,11 @@ val run :
     evaluations), and per-worker chunk accounting from the pool.  The
     default is the zero-cost no-op tracer, and a traced run returns
     bit-identical results — tracing is observation only.
+
+    [run] is safe to call concurrently, from several domains or from
+    several systhreads of one domain: each call packs its own instance
+    and takes its scratch space for itself (see {!Soa}), so each returns
+    exactly what it would return alone.
     @raise Invalid_argument when the system model cannot host some task
       (see {!System.validate_for}); run {!Validate.check} first to get
       diagnostics instead of an exception. *)

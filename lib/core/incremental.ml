@@ -58,11 +58,6 @@ type t = {
   i_base : Analysis.t;
   i_cache : (block_key, block_entry) Hashtbl.t;
   i_rstates : (string * rstate) list;
-  i_soa : (Soa.t * Soa.t) option;
-      (* packed engine: live handle + base snapshot.  Queries edit the
-         live arrays in place, so each one first restores the snapshot —
-         [Soa.recompute_windows] (like [Est_lct.recompute]) requires
-         clean entries to hold their base values. *)
 }
 
 let base t = t.i_base
@@ -179,13 +174,8 @@ type resource_plan =
    field by field; with cache hits it is bit-identical by the
    associativity argument above.  Returns the per-resource bounds (RES
    order), the refreshed per-resource states, and the completeness,
-   where cached and reused items count as executed.
-
-   [scan_from] performs one left endpoint of one live block — the record
-   path's [Lower_bound.scan_from] or the packed engine's
-   [Soa.scan_from].  Both are exhaustive (unpruned) scans of the same
-   member tuples, so cache entries are engine-independent. *)
-let scan ?pool ?deadline_ns ~tracer:tr ~cache ~reuse ~scan_from ~est ~lct app =
+   where cached and reused items count as executed. *)
+let scan ?pool ?deadline_ns ~tracer:tr ~cache ~reuse ~est ~lct app =
   let plans =
     Rtlb_obs.Tracer.with_span tr "plan" (fun () ->
         List.map
@@ -265,7 +255,9 @@ let scan ?pool ?deadline_ns ~tracer:tr ~cache ~reuse ~scan_from ~est ~lct app =
   let scanned, _status =
     Rtlb_par.Pool.map_array_partial ?pool ?deadline_ns ~tracer:tr
       (fun (r, block, pts, a) ->
-        let scan = scan_from ~resource:r block pts a in
+        let scan =
+          Lower_bound.scan_from ~resource:r ~est ~lct app block pts a
+        in
         if Rtlb_obs.Tracer.enabled tr then begin
           Rtlb_obs.Tracer.add tr Rtlb_obs.Tracer.Tasks_scanned
             (List.length block);
@@ -343,40 +335,23 @@ let scan ?pool ?deadline_ns ~tracer:tr ~cache ~reuse ~scan_from ~est ~lct app =
   in
   (bounds, states, completeness)
 
-let record_scan_from ~est ~lct app ~resource block pts a =
-  Lower_bound.scan_from ~resource ~est ~lct app block pts a
-
-let create ?(engine = `Record) ?pool ?deadline_ns ?tracer system app =
+let create ?pool ?deadline_ns ?tracer system app =
   let tr = Option.value tracer ~default:Rtlb_obs.Tracer.null in
   Rtlb_obs.Tracer.with_span tr "analyze" (fun () ->
       (match System.validate_for system app with
       | Ok () -> ()
       | Error e -> invalid_arg ("Incremental.create: " ^ e));
-      let soa =
-        match engine with
-        | `Record -> None
-        | `Soa -> Some (Soa.pack system app)
-      in
       let windows =
         Rtlb_obs.Tracer.with_span tr "est_lct" (fun () ->
-            match soa with
-            | None -> Est_lct.compute system app
-            | Some s ->
-                Soa.compute_windows s;
-                Soa.windows s)
+            Est_lct.compute system app)
       in
       let est = windows.Est_lct.est and lct = windows.Est_lct.lct in
-      let scan_from =
-        match soa with
-        | None -> record_scan_from ~est ~lct app
-        | Some s -> Soa.scan_from s
-      in
       let cache = Hashtbl.create 64 in
       let bounds, states, completeness =
         Rtlb_obs.Tracer.with_span tr "lower_bounds" (fun () ->
             scan ?pool ?deadline_ns ~tracer:tr ~cache
               ~reuse:(fun _ -> None)
-              ~scan_from ~est ~lct app)
+              ~est ~lct app)
       in
       let cost =
         Rtlb_obs.Tracer.with_span tr "cost" (fun () ->
@@ -392,7 +367,6 @@ let create ?(engine = `Record) ?pool ?deadline_ns ?tracer system app =
         i_base = base;
         i_cache = cache;
         i_rstates = states;
-        i_soa = Option.map (fun s -> (s, Soa.copy_base s)) soa;
       })
 
 (* Per-task diff between the base application and a query's.  Anything
@@ -473,11 +447,7 @@ let count dirty = Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 di
 
 let query ?pool ?deadline_ns ?tracer t app =
   match diff t.i_app app with
-  | Reshaped ->
-      (* a cold run on the handle's own engine: record handles keep
-         their merge traces *)
-      let engine = if Option.is_some t.i_soa then `Soa else `Record in
-      (create ~engine ?pool ?deadline_ns ?tracer t.i_system app).i_base
+  | Reshaped -> (create ?pool ?deadline_ns ?tracer t.i_system app).i_base
   | Same_shape { d_rel; d_dl; d_comp } ->
       let tr = Option.value tracer ~default:Rtlb_obs.Tracer.null in
       Rtlb_obs.Tracer.with_span tr "analyze" (fun () ->
@@ -494,35 +464,12 @@ let query ?pool ?deadline_ns ?tracer t app =
             Rtlb_obs.Tracer.add tr Rtlb_obs.Tracer.Cone_tasks cone;
           let windows =
             Rtlb_obs.Tracer.with_span tr "est_lct" (fun () ->
-                match t.i_soa with
-                | None ->
-                    if cone = 0 then t.i_windows
-                    else
-                      Est_lct.recompute t.i_system app t.i_windows ~est_dirty
-                        ~lct_dirty
-                | Some (s, base) ->
-                    (* Undo the previous query's in-place edits, apply
-                       this one's scalar diffs, then re-sweep the dirty
-                       cones over the packed arrays. *)
-                    Soa.restore_from s ~base;
-                    if cone = 0 then t.i_windows
-                    else begin
-                      for i = 0 to n - 1 do
-                        let task = App.task app i in
-                        if d_rel.(i) then Soa.set_release s i task.Task.release;
-                        if d_dl.(i) then Soa.set_deadline s i task.Task.deadline;
-                        if d_comp.(i) then Soa.set_compute s i task.Task.compute
-                      done;
-                      Soa.recompute_windows s ~est_dirty ~lct_dirty;
-                      Soa.windows s
-                    end)
+                if cone = 0 then t.i_windows
+                else
+                  Est_lct.recompute t.i_system app t.i_windows ~est_dirty
+                    ~lct_dirty)
           in
           let est = windows.Est_lct.est and lct = windows.Est_lct.lct in
-          let scan_from =
-            match t.i_soa with
-            | None -> record_scan_from ~est ~lct app
-            | Some (s, _) -> Soa.scan_from s
-          in
           let reuse r =
             match List.assoc_opt r t.i_rstates with
             | Some rs
@@ -535,7 +482,7 @@ let query ?pool ?deadline_ns ?tracer t app =
           let bounds, _states, completeness =
             Rtlb_obs.Tracer.with_span tr "lower_bounds" (fun () ->
                 scan ?pool ?deadline_ns ~tracer:tr ~cache:t.i_cache ~reuse
-                  ~scan_from ~est ~lct app)
+                  ~est ~lct app)
           in
           let cost =
             Rtlb_obs.Tracer.with_span tr "cost" (fun () ->

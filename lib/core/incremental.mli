@@ -35,27 +35,19 @@
     block scans. *)
 
 type t
+(** A handle.  Queries add to its block cache, so a handle must be used
+    by one thread at a time; distinct handles are independent. *)
 
 val create :
-  ?engine:[ `Record | `Soa ] ->
   ?pool:Rtlb_par.Pool.t ->
   ?deadline_ns:int64 ->
   ?tracer:Rtlb_obs.Tracer.t ->
   System.t -> App.t -> t
-(** One full analysis (the plan, work order, spans and counters of
-    the record composition's exhaustive scan,
+(** One full analysis on the record engine ({!Est_lct.compute}, then
+    the plan, work order, spans and counters of the exhaustive scan of
     {!Lower_bound.all_within} — the {!base} result is bit-identical to
-    it), capturing per-block scan results for later reuse.
-
-    [~engine:`Soa] runs the sweeps and block scans over a {!Soa} packed
-    instance whose arrays are updated in place across queries (each
-    query restores a base snapshot first).  Results are value-identical
-    to the record engine — windows, bounds, witnesses, partitions, cost,
-    completeness — except that merge sets and traces are empty, the one
-    documented {!Soa} divergence; block cache entries are
-    engine-independent.  Queries that fall back to a cold run (shape
-    changes) run it on the handle's own engine, so a record handle always
-    answers with merge traces.
+    that composition, merge traces included), capturing per-block scan
+    results for later reuse.
     @raise Invalid_argument when the system cannot host some task. *)
 
 val base : t -> Analysis.t
@@ -79,8 +71,8 @@ val query :
   t -> App.t -> Analysis.t
 (** Analysis of a perturbed application, reusing everything outside the
     edit's cone.  Bit-identical to the {!base} of a fresh handle on
-    [app] with the same engine, and value-identical to
-    [Analysis.run system app], whenever no budget expires (and still a valid partial result when one does —
+    [app], and value-identical to [Analysis.run system app], whenever no
+    budget expires (and still a valid partial result when one does —
     cached items count as executed in the coverage fraction). *)
 
 type edit =

@@ -34,7 +34,6 @@ type ia = (int, int_elt, c_layout) Array1.t
 let ia n : ia = Array1.create int c_layout n
 
 type t = {
-  app : App.t;
   system : System.t;
   n : int;
   (* per-task scalars *)
@@ -64,10 +63,6 @@ type t = {
   est : ia;
   lct : ia;
 }
-
-let n_tasks t = t.n
-let system t = t.system
-let app t = t.app
 
 (* ------------------------------------------------------------------ *)
 (* Packing                                                             *)
@@ -145,7 +140,6 @@ let pack system app =
       res_units.{p} <- u;
       next.(k) <- p + 1);
   {
-    app;
     system;
     n;
     release;
@@ -169,9 +163,9 @@ let pack system app =
     lct = ia n;
   }
 
-(* Rebuild an [App.t] from the packed arrays alone — [t.app] is not
-   consulted here (the edges come from the CSR rows [pack] borrowed),
-   which is what makes the round-trip test meaningful. *)
+(* Rebuild an [App.t] from the packed arrays alone — [pack] keeps no
+   reference to the application (the edges come from the CSR rows it
+   borrowed), which is what makes the round-trip test meaningful. *)
 let unpack t =
   let n = t.n in
   (* invert the per-resource member table into per-task demand lists *)
@@ -201,31 +195,6 @@ let unpack t =
     done
   done;
   App.make ~tasks ~edges:!edges
-
-(* ------------------------------------------------------------------ *)
-(* In-place edits (the incremental engine's write path)                *)
-(* ------------------------------------------------------------------ *)
-
-let set_release t i v = t.release.{i} <- v
-let set_deadline t i v = t.deadline.{i} <- v
-let set_compute t i v = t.compute.{i} <- v
-
-let copy_base t =
-  let b = { t with release = ia t.n; deadline = ia t.n; compute = ia t.n;
-            est = ia t.n; lct = ia t.n } in
-  Array1.blit t.release b.release;
-  Array1.blit t.deadline b.deadline;
-  Array1.blit t.compute b.compute;
-  Array1.blit t.est b.est;
-  Array1.blit t.lct b.lct;
-  b
-
-let restore_from t ~base =
-  Array1.blit base.release t.release;
-  Array1.blit base.deadline t.deadline;
-  Array1.blit base.compute t.compute;
-  Array1.blit base.est t.est;
-  Array1.blit base.lct t.lct
 
 (* ------------------------------------------------------------------ *)
 (* EST / LCT merge-search sweep over the packed arrays                  *)
@@ -373,17 +342,6 @@ let sweep_task t ws ~is_est i =
     !best
   end
 
-let recompute_windows t ~est_dirty ~lct_dirty =
-  let ws = sweep_ws () in
-  for k = 0 to t.n - 1 do
-    let i = t.topo.(k) in
-    if est_dirty.(i) then t.est.{i} <- sweep_task t ws ~is_est:true i
-  done;
-  for k = t.n - 1 downto 0 do
-    let i = t.topo.(k) in
-    if lct_dirty.(i) then t.lct.{i} <- sweep_task t ws ~is_est:false i
-  done
-
 let compute_windows t =
   let ws = sweep_ws () in
   for k = 0 to t.n - 1 do
@@ -395,13 +353,11 @@ let compute_windows t =
     t.lct.{i} <- sweep_task t ws ~is_est:false i
   done
 
-let est_array t = Array.init t.n (fun i -> t.est.{i})
-let lct_array t = Array.init t.n (fun i -> t.lct.{i})
-
 (* The windows record, values only: merge traces are an explanation
    artifact of the record engine and are left empty here. *)
 let windows t =
-  let est = est_array t and lct = lct_array t in
+  let est = Array.init t.n (fun i -> t.est.{i})
+  and lct = Array.init t.n (fun i -> t.lct.{i}) in
   let trace v =
     Array.init t.n (fun i ->
         {
@@ -427,8 +383,8 @@ let windows t =
 
 let ceil_div a b = (a + b - 1) / b
 
-(* Per-domain scratch: event buffers, the cumulative kernel arrays and
-   a bucket accumulator for the counting-sort fast path.  Reused across
+(* Scan scratch: event buffers, the cumulative kernel arrays and a
+   bucket accumulator for the counting-sort fast path.  Reused across
    work items so the scan allocates nothing per task. *)
 type kernel_ws = {
   mutable kcap : int;
@@ -459,7 +415,14 @@ let kernel_ws () =
     bdi = [||];
   }
 
-let kernel_key = Domain.DLS.new_key kernel_ws
+(* Each domain keeps one spare workspace.  A scan takes it out of the
+   domain's cell for the whole work item and puts the same [Some] block
+   back afterwards (so the common path allocates nothing), and
+   systhreads of one domain never share it: a thread switch inside a
+   scan leaves the cell empty, and a scan that finds it empty builds a
+   workspace of its own. *)
+let spare_kernel =
+  Domain.DLS.new_key (fun () -> Atomic.make (Some (kernel_ws ())))
 
 let ensure_kernel ws cap =
   if cap > ws.kcap then begin
@@ -591,7 +554,6 @@ let eval_kernel ws ~t2 =
 
 (* One scannable partition block, fully planned. *)
 type blk = {
-  b_res : int;  (* resource index, for labels *)
   b_ids : int array;  (* member ids, partition order *)
   b_w : int array;  (* member weights for the resource *)
   b_pts : int array;  (* candidate points, ascending, deduped *)
@@ -660,7 +622,9 @@ let scan_item t ~prune ~tr blk a =
     && (tmax <= 0 || (inc0 > 0 && ceil_div tmax (pts.(a + 1) - t1) < inc0))
   then (0, None)
   else begin
-    let ws = Domain.DLS.get kernel_key in
+    let spare = Domain.DLS.get spare_kernel in
+    let held = Atomic.exchange spare None in
+    let ws = match held with Some ws -> ws | None -> kernel_ws () in
     let nb = Array.length blk.b_ids in
     build_kernel t ws blk.b_ids blk.b_w nb ~t1;
     let best = ref 0 and wit = ref None and evals = ref 0 in
@@ -684,6 +648,7 @@ let scan_item t ~prune ~tr blk a =
          end
        done
      with Exit -> ());
+    if Option.is_some held then Atomic.set spare held;
     if Rtlb_obs.Tracer.enabled tr then begin
       Rtlb_obs.Tracer.add tr Rtlb_obs.Tracer.Tasks_scanned nb;
       Rtlb_obs.Tracer.add tr Rtlb_obs.Tracer.Theta_evals !evals
@@ -779,7 +744,6 @@ let plan_resource t ~prune r_idx =
             in
             Some
               {
-                b_res = r_idx;
                 b_ids = ids;
                 b_w = w;
                 b_pts = pts;
@@ -818,7 +782,6 @@ let bounds ?prune ?pool ?deadline_ns ?tracer t =
     plans;
   let dummy =
     {
-      b_res = 0;
       b_ids = [||];
       b_w = [||];
       b_pts = [||];
@@ -879,44 +842,3 @@ let bounds ?prune ?pool ?deadline_ns ?tracer t =
     else `Partial (float_of_int !executed /. float_of_int !n_items)
   in
   (bounds, completeness)
-
-(* Block scan at the record path's call signature, for the incremental
-   engine's live blocks: same kernel, fresh per-call incumbent. *)
-let scan_from t ~resource ids pts a =
-  let r_idx = ref (-1) in
-  Array.iteri
-    (fun k r -> if String.equal r resource then r_idx := k)
-    t.res_names;
-  if !r_idx < 0 then (0, None)
-  else begin
-    let m0 = t.res_off.{!r_idx} and m1 = t.res_off.{!r_idx + 1} in
-    let unit_of i =
-      (* members are id-ascending: binary search the CSR slice *)
-      let lo = ref m0 and hi = ref (m1 - 1) and u = ref 0 in
-      while !lo <= !hi do
-        let mid = (!lo + !hi) / 2 in
-        let v = t.res_task.{mid} in
-        if v = i then begin
-          u := t.res_units.{mid};
-          lo := !hi + 1
-        end
-        else if v < i then lo := mid + 1
-        else hi := mid - 1
-      done;
-      !u
-    in
-    let ids = Array.of_list ids in
-    let w = Array.map unit_of ids in
-    let blk =
-      {
-        b_res = !r_idx;
-        b_ids = ids;
-        b_w = w;
-        b_pts = pts;
-        b_tmax = [||];
-        b_inc = Atomic.make 0;
-        b_slot0 = 0;
-      }
-    in
-    scan_item t ~prune:false ~tr:Rtlb_obs.Tracer.null blk a
-  end

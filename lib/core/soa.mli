@@ -19,11 +19,18 @@
     the earliest winning witness of the exhaustive fold always survives
     — on the sequential and the {!Rtlb_par.Pool} path alike.  Set
     [RTLB_SOA_NO_PRUNE] in the environment (or pass [~prune:false]) to
-    force the exhaustive scan. *)
+    force the exhaustive scan.
+
+    {b Threads.}  Distinct packed instances may be analysed at the same
+    time from any mix of domains and systhreads: the sweep and the scan
+    keep their scratch space per call (a domain's spare Theta-kernel
+    workspace is taken out for the length of one scan item, never
+    shared).  One instance must not be used from two threads at once,
+    since {!compute_windows} writes its window arrays. *)
 
 type t
 (** A packed instance.  The window arrays ([est]/[lct]) live inside and
-    are computed / updated in place. *)
+    are computed in place. *)
 
 val pack : System.t -> App.t -> t
 (** Compile an instance into packed arrays.  Window arrays start
@@ -37,41 +44,9 @@ val unpack : t -> App.t
     scalars, demands from the resource table, edges from the CSR rows).
     [unpack (pack s app)] is structurally equal to [app]. *)
 
-val n_tasks : t -> int
-
-val system : t -> System.t
-
-val app : t -> App.t
-(** The application [pack] was given (not a reconstruction). *)
-
 val compute_windows : t -> unit
 (** Run the full EST/LCT merge-search sweep over the packed arrays, in
     place; values are bit-identical to [Est_lct.compute]. *)
-
-val recompute_windows : t -> est_dirty:bool array -> lct_dirty:bool array -> unit
-(** Re-run the sweep for the marked tasks only, in the same topological
-    orders, against the current in-place values — the packed mirror of
-    [Est_lct.recompute]; the same dirty-cone closure obligations apply. *)
-
-val set_release : t -> int -> int -> unit
-val set_deadline : t -> int -> int -> unit
-
-val set_compute : t -> int -> int -> unit
-(** In-place scalar edits (task id, new value).  No validation: callers
-    are expected to hold values a [Task.t] already accepted. *)
-
-val copy_base : t -> t
-(** Snapshot the mutable arrays (scalars and windows) for later
-    {!restore_from}.  Shares all immutable structure. *)
-
-val restore_from : t -> base:t -> unit
-(** Blit the snapshot's scalars and windows back, undoing in-place
-    edits. *)
-
-val est_array : t -> int array
-
-val lct_array : t -> int array
-(** Fresh copies of the current window values. *)
 
 val windows : t -> Est_lct.t
 (** The windows as the record type: values copied from the packed
@@ -91,18 +66,6 @@ val bounds :
     [Lower_bound.all_within]; with pruning, [Theta_evals] counts only
     the evaluations actually executed.  [prune] defaults to [true]
     unless [RTLB_SOA_NO_PRUNE] is set. *)
-
-val scan_from :
-  t ->
-  resource:string ->
-  int list ->
-  int array ->
-  int ->
-  int * Lower_bound.witness option
-(** [scan_from t ~resource tasks pts a]: one left endpoint of one block
-    against the current packed windows — the packed, unpruned equivalent
-    of [Lower_bound.scan_from], used by the incremental engine's live
-    block scans. *)
 
 val default_prune : unit -> bool
 (** [true] unless [RTLB_SOA_NO_PRUNE] is set in the environment. *)

@@ -1,7 +1,7 @@
 (* Per-instance circuit breakers for the serve daemon.
 
-   One breaker per instance fingerprint (the engine+app digest the
-   cache and coalescer already key on).  An instance whose analysis
+   One breaker per instance fingerprint (the application-text digest
+   the coalescer already keys on).  An instance whose analysis
    keeps failing (S302 invalid_app, S305 internal) trips its breaker:
 
      closed --[threshold consecutive failures]--> open

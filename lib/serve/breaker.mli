@@ -1,7 +1,7 @@
 (** Per-instance circuit breakers for {!Server}.
 
-    One breaker per instance fingerprint (the same engine+app digest
-    the warm cache and the coalescer key on).  [threshold] consecutive
+    One breaker per instance fingerprint (the same application-text
+    digest the coalescer keys on).  [threshold] consecutive
     analysis failures (S302/S305) trip the fingerprint's breaker open;
     while open, admission fast-fails matching requests with
     [S308 circuit_open] and a [retry_after_ms] hint instead of queueing

@@ -2,9 +2,9 @@
 
    Handles are *checked out* (removed) while a request uses them and
    checked back in afterwards, so a handle is only ever touched by one
-   worker at a time — required because the SoA engine mutates its
-   packed arrays in place.  A request that crashes mid-use simply never
-   checks its handle back in: the cache cannot be poisoned by a
+   worker at a time — required because a query adds to the handle's
+   block cache (a hash table).  A request that crashes mid-use simply
+   never checks its handle back in: the cache cannot be poisoned by a
    half-mutated handle, at the price of rebuilding it on the next miss
    (counted as an eviction). *)
 
@@ -29,9 +29,7 @@ let length t =
   Mutex.unlock t.mutex;
   n
 
-let key ~engine system app =
-  (match engine with `Record -> "record:" | `Soa -> "soa:")
-  ^ Rtlb.Incremental.instance_fingerprint system app
+let key = Rtlb.Incremental.instance_fingerprint
 
 let mem t k =
   Mutex.lock t.mutex;

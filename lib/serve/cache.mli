@@ -1,8 +1,8 @@
 (** Fingerprint-keyed LRU cache of warm {!Rtlb.Incremental} handles.
 
     Checkout/checkin discipline: {!checkout} {e removes} the handle, so
-    at most one request ever touches a handle (the SoA engine mutates
-    packed arrays in place); {!checkin} reinserts it most-recently-used
+    at most one request ever touches a handle (a query adds to the
+    handle's block cache); {!checkin} reinserts it most-recently-used
     and evicts the least-recently-used entries beyond [capacity]
     (bumping the [Evictions] counter).  A request that crashes mid-use
     never checks its handle back in — crash isolation by construction:
@@ -19,9 +19,8 @@ val capacity : t -> int
 val length : t -> int
 (** Entries currently resident (checked-out handles are not counted). *)
 
-val key : engine:[ `Record | `Soa ] -> Rtlb.System.t -> Rtlb.App.t -> string
-(** Cache key: engine tag + {!Rtlb.Incremental.instance_fingerprint} —
-    the two engines never share handles. *)
+val key : Rtlb.System.t -> Rtlb.App.t -> string
+(** Cache key: {!Rtlb.Incremental.instance_fingerprint}. *)
 
 val mem : t -> string -> bool
 (** Is a handle for this key resident right now?  Advisory only — a

@@ -5,8 +5,14 @@
    Format (JSON lines, like the wire protocol):
 
      rtlb-journal v1
-     {"sum": "<md5 hex of engine-tag + app>", "engine": "soa", "app": "..."}
+     {"sum": "<md5 hex of tag, NUL, app>", "engine": "record", "app": "..."}
      ...
+
+   The engine tag stays for format compatibility: every v1 reader
+   requires it and checks the sum over it.  New records carry "record";
+   records tagged "soa", written by daemons that had a second what-if
+   engine, still load.  Each record's sum covers its own tag, and the
+   two tags of one text are one instance.
 
    Every record carries its own checksum ([sum] is recomputed from the
    payload on load), so the trust discipline can match
@@ -32,7 +38,7 @@ module Chaos = Rtlb_par.Chaos
 
 let header = "rtlb-journal v1"
 
-type entry = { je_engine : [ `Record | `Soa ]; je_app : string }
+type entry = { je_app : string }
 
 type t = {
   path : string;
@@ -40,31 +46,26 @@ type t = {
   tracer : Tracer.t;
   mutex : Mutex.t;
   mutable fd : Unix.file_descr option;
-  mutable order : (string * entry) list;  (* most recent first *)
+  mutable order : (string * entry) list;
+      (* most recent first, keyed by the sum of the entry's record *)
   mutable file_lines : int;  (* record lines physically in the file *)
   mutable appends : int;  (* chaos replay key (journalcorrupt@N) *)
   mutable dropped : int;  (* corrupt-tail lines dropped at open *)
 }
 
-let engine_name = function `Record -> "record" | `Soa -> "soa"
+let digest_hex tag app =
+  Digest.to_hex (Digest.string (String.concat "\x00" [ tag; app ]))
 
-let engine_of_name = function
-  | "record" -> Some `Record
-  | "soa" -> Some `Soa
-  | _ -> None
+(* The key of an instance: the sum of the record it is written as. *)
+let key app = digest_hex "record" app
 
-let digest_hex engine app =
-  Digest.to_hex
-    (Digest.string
-       ((match engine with `Record -> "record\x00" | `Soa -> "soa\x00") ^ app))
-
-let render_entry e =
+let render_entry sum app =
   Json.to_string ~indent:false
     (Json.Obj
        [
-         ("sum", Json.Str (digest_hex e.je_engine e.je_app));
-         ("engine", Json.Str (engine_name e.je_engine));
-         ("app", Json.Str e.je_app);
+         ("sum", Json.Str sum);
+         ("engine", Json.Str "record");
+         ("app", Json.Str app);
        ])
 
 (* One record line back into an entry; None means the line (and, per
@@ -78,11 +79,11 @@ let parse_entry line =
           List.assoc_opt "engine" fields,
           List.assoc_opt "app" fields )
       with
-      | Some (Json.Str sum), Some (Json.Str engine), Some (Json.Str app) -> (
-          match engine_of_name engine with
-          | Some je_engine when digest_hex je_engine app = sum ->
-              Some { je_engine; je_app = app }
-          | _ -> None)
+      | ( Some (Json.Str sum),
+          Some (Json.Str (("record" | "soa") as tag)),
+          Some (Json.Str app) )
+        when digest_hex tag app = sum ->
+          Some { je_app = app }
       | _ -> None)
   | _ -> None
 
@@ -141,7 +142,7 @@ let rewrite t =
   Rtfmt.Atomic_io.write_atomic t.path (fun oc ->
       output_string oc (header ^ "\n");
       List.iter
-        (fun (_, e) -> output_string oc (render_entry e ^ "\n"))
+        (fun (sum, e) -> output_string oc (render_entry sum e.je_app ^ "\n"))
         (List.rev t.order));
   t.file_lines <- List.length t.order;
   t.fd <-
@@ -177,9 +178,7 @@ let open_ ?(tracer = Tracer.null) ~capacity path =
               | [] -> (acc, dropped)
               | line :: rest -> (
                   match parse_entry line with
-                  | Some e ->
-                      walk ((digest_hex e.je_engine e.je_app, e) :: acc)
-                        dropped rest
+                  | Some e -> walk ((key e.je_app, e) :: acc) dropped rest
                   | None -> (acc, List.length rest + 1))
             in
             let newest_first, dropped = walk [] 0 records in
@@ -214,8 +213,8 @@ let write_line fd line =
   in
   push 0
 
-let record t engine ~app =
-  let digest = digest_hex engine app in
+let record t ~app =
+  let digest = key app in
   Mutex.lock t.mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mutex)
@@ -223,7 +222,7 @@ let record t engine ~app =
       match t.order with
       | (d, _) :: _ when d = digest -> ()  (* already the most recent *)
       | order ->
-          let entry = { je_engine = engine; je_app = app } in
+          let entry = { je_app = app } in
           t.order <-
             take t.capacity
               ((digest, entry) :: List.filter (fun (d, _) -> d <> digest) order);
@@ -233,7 +232,7 @@ let record t engine ~app =
               let seq = t.appends in
               t.appends <- seq + 1;
               try
-                write_line fd (render_entry entry ^ "\n");
+                write_line fd (render_entry digest app ^ "\n");
                 t.file_lines <- t.file_lines + 1;
                 (* chaos: garble the tail the way a torn write would —
                    the next open must drop it, never trust it *)

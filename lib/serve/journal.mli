@@ -1,5 +1,5 @@
 (** Warm-state journal for {!Server}: an append-only, checksummed,
-    bounded log of the instances the daemon answered (engine + full
+    bounded log of the instances the daemon answered (the full
     application text), replayed on (re)start to pre-warm the handle
     cache in the background.
 
@@ -13,11 +13,18 @@
     The file is log-structured: appends are single [O_APPEND] writes,
     duplicates only move in the in-memory recency order, and the file
     is compacted (rewritten through {!Rtfmt.Atomic_io} with just the
-    live entries) once it exceeds twice the capacity.  Thread-safe. *)
+    live entries) once it exceeds twice the capacity.  Thread-safe.
+
+    Format: an [rtlb-journal v1] header line, then one JSON object per
+    record, [{"sum": md5(tag ^ "\000" ^ app), "engine": tag, "app": app}].
+    The tag is a leftover of the deprecated per-request engine: new
+    records carry ["record"], records tagged ["soa"] still load (each
+    checked against its own tag), and both tags of one text are one
+    entry. *)
 
 type t
 
-type entry = { je_engine : [ `Record | `Soa ]; je_app : string }
+type entry = { je_app : string }
 
 val open_ : ?tracer:Rtlb_obs.Tracer.t -> capacity:int -> string -> t
 (** Open (or create) the journal at a path, validating any existing
@@ -26,7 +33,7 @@ val open_ : ?tracer:Rtlb_obs.Tracer.t -> capacity:int -> string -> t
     @raise Invalid_argument when [capacity < 1].
     @raise Unix.Unix_error when the path cannot be created at all. *)
 
-val record : t -> [ `Record | `Soa ] -> app:string -> unit
+val record : t -> app:string -> unit
 (** Note that an instance just produced a successful analyze/what-if
     reply.  Duplicate of the current head: no-op.  Known digest: moved
     to the front of the recency order.  New digest: appended (possibly

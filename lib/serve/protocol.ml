@@ -80,7 +80,6 @@ type request = {
   id : Json.t;  (** Echoed verbatim in the reply; [Null] when absent. *)
   op : op;
   app : string;  (** Application file text (the {!Rtfmt.Appfile} format). *)
-  engine : [ `Record | `Soa ];
   deadline_ms : int option;
   tenant : string option;  (** Quota key; anonymous when absent. *)
   priority : priority option;  (** [None]: the server decides. *)
@@ -179,14 +178,13 @@ let request_of_json j =
       | _, Some _ -> fail "\"app\" must be a string (application file text)"
       | _, None -> fail "op %S requires field \"app\"" (op_name op)
     in
-    let engine =
-      match List.assoc_opt "engine" fields with
-      | Some (Json.Str "record") | None -> `Record
-      | Some (Json.Str "soa") -> `Soa
-      | Some (Json.Str other) ->
-          fail "unknown engine %S (expected \"record\" or \"soa\")" other
-      | Some _ -> fail "\"engine\" must be a string"
-    in
+    (* deprecated: every request runs the one engine; the two names an
+       older client may send are accepted and ignored *)
+    (match List.assoc_opt "engine" fields with
+    | Some (Json.Str ("record" | "soa")) | None -> ()
+    | Some (Json.Str other) ->
+        fail "unknown engine %S (expected \"record\" or \"soa\")" other
+    | Some _ -> fail "\"engine\" must be a string");
     let deadline_ms =
       match List.assoc_opt "deadline_ms" fields with
       | Some (Json.Int ms) when ms >= 0 -> Some ms
@@ -229,7 +227,7 @@ let request_of_json j =
       | _, Some _ -> fail "op %S takes no \"factors\"" (op_name op)
       | _, None -> []
     in
-    Ok { id; op; app; engine; deadline_ms; tenant; priority; edits; factors }
+    Ok { id; op; app; deadline_ms; tenant; priority; edits; factors }
   with Reject (_, msg) -> Error msg
 
 (* ---- replies ----------------------------------------------------- *)

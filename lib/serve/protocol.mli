@@ -6,7 +6,7 @@
 
     {v
     {"id": 7, "op": "analyze", "app": "task T1 compute=3 deadline=36 ...",
-     "engine": "soa", "deadline_ms": 50}
+     "deadline_ms": 50}
     {"id": 8, "op": "whatif", "app": "...",
      "edits": [{"task": 0, "deadline": 40}]}
     {"id": 9, "op": "sensitivity", "app": "...", "factors": ["0.5", 1, "1.5"]}
@@ -17,8 +17,11 @@
 
     Unknown fields, unknown ops and malformed payloads are rejected —
     never silently ignored (the same contract the [RTLB_CHAOS] parser
-    keeps).  Every failure carries a stable [S3xx] code alongside the
-    validation codes E100–E106; see docs/ROBUSTNESS.md for the table. *)
+    keeps).  The ["engine"] field is deprecated: every request runs the
+    same engine, so its values ["record"] and ["soa"] are accepted and
+    ignored, and any other value is still rejected.  Every failure
+    carries a stable [S3xx] code alongside the validation codes
+    E100–E106; see docs/ROBUSTNESS.md for the table. *)
 
 type op = Analyze | Whatif | Sensitivity | Check | Ping | Stats | Health
 
@@ -78,7 +81,6 @@ type request = {
   id : Rtfmt.Json.t;  (** Echoed verbatim in the reply; [Null] when absent. *)
   op : op;
   app : string;  (** Application file text ({!Rtfmt.Appfile} format). *)
-  engine : [ `Record | `Soa ];
   deadline_ms : int option;
       (** Per-request budget, measured from admission; an expired budget
           yields a reply flagged [partial], never an empty one. *)

@@ -77,7 +77,7 @@ type job = {
   j_req : Protocol.request;
   j_deadline_ns : int64 option;  (* absolute; fixed at admission *)
   j_seq : int;  (* admitted-request sequence number (chaos replay key) *)
-  j_digest : string;  (* engine + app text digest (coalescing/warmth key) *)
+  j_digest : string;  (* app text digest (coalescing/warmth key) *)
   j_high : bool;  (* which queue admitted it (stats bookkeeping) *)
   mutable j_taken : bool;
       (* claimed into an earlier batch; still physically queued (a
@@ -110,10 +110,7 @@ type t = {
   started_ns : int64;
 }
 
-let job_digest (req : Protocol.request) =
-  Digest.string
-    ((match req.Protocol.engine with `Record -> "record\x00" | `Soa -> "soa\x00")
-    ^ req.Protocol.app)
+let job_digest (req : Protocol.request) = Digest.string req.Protocol.app
 
 (* ---- request execution (worker side) ----------------------------- *)
 
@@ -159,8 +156,8 @@ let prepare (req : Protocol.request) =
 (* Checkout a warm handle or build one cold.  A cold build under an
    expired budget yields a partial base analysis, which must never be
    checked back in — [use] receives [cacheable = false] for it. *)
-let with_handle t ?pool ?deadline_ns ~engine system app use =
-  let key = Cache.key ~engine system app in
+let with_handle t ?pool ?deadline_ns system app use =
+  let key = Cache.key system app in
   match Cache.checkout t.cache key with
   | Some handle -> (
       match use ~cacheable:true handle with
@@ -173,8 +170,8 @@ let with_handle t ?pool ?deadline_ns ~engine system app use =
   | None -> (
       Tracer.add t.cfg.tracer Tracer.Cold_builds 1;
       let handle =
-        Rtlb.Incremental.create ~engine ?pool ?deadline_ns
-          ~tracer:t.cfg.tracer system app
+        Rtlb.Incremental.create ?pool ?deadline_ns ~tracer:t.cfg.tracer
+          system app
       in
       let cacheable =
         not (Rtlb.Analysis.is_partial (Rtlb.Incremental.base handle))
@@ -199,12 +196,12 @@ let exec_prepared t ?pool job prepared =
   | P_analysis { system; app } -> (
       match req.Protocol.op with
       | Protocol.Analyze ->
-          with_handle t ?pool ?deadline_ns ~engine:req.Protocol.engine system
-            app (fun ~cacheable:_ handle ->
+          with_handle t ?pool ?deadline_ns system app
+            (fun ~cacheable:_ handle ->
               Json.of_analysis (Rtlb.Incremental.base handle))
       | Protocol.Whatif ->
-          with_handle t ?pool ?deadline_ns ~engine:req.Protocol.engine system
-            app (fun ~cacheable:_ handle ->
+          with_handle t ?pool ?deadline_ns system app
+            (fun ~cacheable:_ handle ->
               let edited =
                 try
                   Rtlb.Incremental.edit ?pool ?deadline_ns
@@ -303,8 +300,7 @@ let run_job t ?pool ?prepared job =
                 else
                   Option.iter
                     (fun journal ->
-                      Journal.record journal job.j_req.Protocol.engine
-                        ~app:job.j_req.Protocol.app)
+                      Journal.record journal ~app:job.j_req.Protocol.app)
                     t.cfg.journal
             | _ -> ());
             note_breaker t job `Success;
@@ -362,7 +358,7 @@ let note_taken t job =
   if job.j_high then t.n_high <- t.n_high - 1 else t.n_low <- t.n_low - 1
 
 (* Callers hold [t.mutex].  High-priority first; a dequeued what-if (or
-   analyze) pulls every compatible (same op, same engine+text digest)
+   analyze) pulls every compatible (same op, same text digest)
    queued request into its batch, from both queues, via the [by_key]
    index — mates become tombstones where they sit. *)
 let pop_batch t =
@@ -448,7 +444,6 @@ let rehydrate t =
               Protocol.id = Json.Null;
               op = Protocol.Analyze;
               app = e.Journal.je_app;
-              engine = e.Journal.je_engine;
               deadline_ms = None;
               tenant = None;
               priority = Some Protocol.Low;

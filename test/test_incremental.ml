@@ -216,11 +216,6 @@ let reshape_falls_back () =
   check_bool "preemptability change answered via cold path" true
     (analyses_identical
        (Rtlb.Incremental.query handle reshaped)
-       (Oracle.run system reshaped));
-  let packed = Rtlb.Incremental.create ~engine:`Soa system app in
-  check_bool "packed handle: cold path on its own engine" true
-    (Oracle.values_identical
-       (Rtlb.Incremental.query packed reshaped)
        (Oracle.run system reshaped))
 
 (* The instance digest keys checkpoints and the serve cache, so its

@@ -43,9 +43,9 @@ let with_server ?config f =
   let t = Server.create ~config () in
   Fun.protect ~finally:(fun () -> Server.shutdown t) (fun () -> f t)
 
-(* Submit one frame and block until its reply arrives (replies may come
-   from a worker thread). *)
-let request t line =
+(* Submit one frame and block until its reply line arrives (replies may
+   come from a worker thread). *)
+let request_line t line =
   let m = Mutex.create () and c = Condition.create () in
   let slot = ref None in
   Server.submit t line (fun reply ->
@@ -58,7 +58,9 @@ let request t line =
     Condition.wait c m
   done;
   Mutex.unlock m;
-  Json.parse (Option.get !slot)
+  Option.get !slot
+
+let request t line = Json.parse (request_line t line)
 
 let frame fields = Protocol.to_line (Json.Obj fields)
 
@@ -105,7 +107,6 @@ let protocol_strict () =
   | Error m -> Alcotest.failf "well-formed request rejected: %s" m
   | Ok req ->
       check_bool "id echoed" true (req.Protocol.id = Json.Int 9);
-      check_bool "engine decoded" true (req.Protocol.engine = `Soa);
       check_int "two edits from one object" 2 (List.length req.Protocol.edits)
 
 (* ------------------------------------------------------------------ *)
@@ -128,10 +129,45 @@ let cache_lru () =
   (* checkout removes: a second checkout misses (single-user handles) *)
   check_bool "checkout removes the entry" true
     (Cache.checkout cache "c" = None);
-  check_int "only b left" 1 (Cache.length cache);
-  check_bool "engine tags split the key space" true
-    (Cache.key ~engine:`Record system paper
-    <> Cache.key ~engine:`Soa system paper)
+  check_int "only b left" 1 (Cache.length cache)
+
+(* The deprecated "engine" field: both of its names are accepted and
+   ignored, so one text is one instance whatever the field says. *)
+let engine_field_ignored () =
+  let tracer = Tracer.make () in
+  with_server ~config:{ (quick_config ()) with Server.tracer } @@ fun t ->
+  let analyze id engine =
+    request_line t
+      (frame
+         ([
+            ("id", Json.Int id);
+            ("op", Json.Str "analyze");
+            ("app", Json.Str paper_text);
+          ]
+         @ List.map (fun e -> ("engine", Json.Str e)) (Option.to_list engine)))
+  in
+  let cold = Tracer.counter tracer Tracer.Cold_builds in
+  (* each reply starts with its id; the bytes after it must agree *)
+  let after_id id line =
+    let prefix = Printf.sprintf "{\"id\": %d," id in
+    check_bool
+      (Printf.sprintf "reply %d starts with its id" id)
+      true
+      (String.starts_with ~prefix line);
+    let n = String.length prefix in
+    String.sub line n (String.length line - n)
+  in
+  let record = after_id 1 (analyze 1 (Some "record")) in
+  let soa = after_id 2 (analyze 2 (Some "soa")) in
+  let none = after_id 3 (analyze 3 None) in
+  check_bool "the record reply is ok" true
+    (is_ok (Json.parse ("{" ^ record)));
+  check_string "\"soa\" = \"record\", byte for byte" record soa;
+  check_string "no engine = \"record\", byte for byte" record none;
+  check_int "one cold build served all three" 1
+    (Tracer.counter tracer Tracer.Cold_builds - cold);
+  check_string "any other engine is still S301" "S301"
+    (error_code (Json.parse (analyze 4 (Some "simd"))))
 
 (* ------------------------------------------------------------------ *)
 (* Admission control and drain                                         *)
@@ -1074,21 +1110,19 @@ let journal_roundtrip () =
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
   let j = Journal.open_ ~capacity:3 path in
-  Journal.record j `Record ~app:"a";
-  Journal.record j `Soa ~app:"a";
-  (* same text, different engine: distinct instances *)
-  Journal.record j `Record ~app:"b";
-  Journal.record j `Record ~app:"a";
+  Journal.record j ~app:"a";
+  Journal.record j ~app:"b";
+  Journal.record j ~app:"c";
+  Journal.record j ~app:"a";
   (* refresh: moves to front *)
-  Journal.record j `Record ~app:"a";
+  Journal.record j ~app:"a";
   (* duplicate head: no-op *)
   check_int "recency-deduped length" 3 (Journal.length j);
   (match Journal.entries j with
   | [ e1; e2; e3 ] ->
       check_string "most recent first" "a" e1.Journal.je_app;
-      check_bool "engine preserved" true (e1.Journal.je_engine = `Record);
-      check_string "then b" "b" e2.Journal.je_app;
-      check_bool "then the soa one" true (e3.Journal.je_engine = `Soa)
+      check_string "then c" "c" e2.Journal.je_app;
+      check_string "then the oldest" "b" e3.Journal.je_app
   | es -> Alcotest.failf "expected 3 entries, got %d" (List.length es));
   Journal.close j;
   let j2 = Journal.open_ ~capacity:3 path in
@@ -1103,7 +1137,7 @@ let journal_roundtrip () =
   | _ -> Alcotest.fail "expected 1 entry");
   (* compaction: enough distinct appends to pass max(2*cap, 8) *)
   for i = 0 to 11 do
-    Journal.record j3 `Record ~app:(Printf.sprintf "app%d" i)
+    Journal.record j3 ~app:(Printf.sprintf "app%d" i)
   done;
   Journal.close j3;
   let stat = Unix.stat path in
@@ -1122,8 +1156,8 @@ let journal_corrupt_tail () =
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
   let j = Journal.open_ ~capacity:4 path in
-  Journal.record j `Record ~app:"keep1";
-  Journal.record j `Record ~app:"keep2";
+  Journal.record j ~app:"keep1";
+  Journal.record j ~app:"keep2";
   Journal.close j;
   (* a torn append: valid-looking JSON with no trailing newline *)
   let append s =
@@ -1167,6 +1201,92 @@ let journal_corrupt_tail () =
   check_bool "everything counted as dropped" true (Journal.dropped_tail j5 >= 2);
   Journal.close j5
 
+(* A journal record as the v1 writer renders it: the sum covers
+   [sum_tag] (the record's own tag unless a test forges it), a NUL byte
+   and the text. *)
+let v1_record ?sum_tag ~tag app =
+  let sum_tag = Option.value sum_tag ~default:tag in
+  let sum = Digest.to_hex (Digest.string (sum_tag ^ "\x00" ^ app)) in
+  Rtfmt.Json.to_string ~indent:false
+    (Json.Obj
+       [
+         ("sum", Json.Str sum);
+         ("engine", Json.Str tag);
+         ("app", Json.Str app);
+       ])
+  ^ "\n"
+
+(* A v1 journal from the days of two what-if engines: one text under
+   both tags, then a second text.  Each record is checked against its
+   own tag, and the two tags of one text are one instance. *)
+let journal_v1_both_tags () =
+  let path = temp_path ".journal" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let other =
+    Rtfmt.Appfile.to_string
+      (Workload.Gen.layered_frames ~seed:5 ~frames:1 ~tasks_per_frame:12 ())
+  in
+  let oc = open_out_bin path in
+  output_string oc
+    ("rtlb-journal v1\n"
+    ^ v1_record ~tag:"record" paper_text
+    ^ v1_record ~tag:"soa" paper_text
+    ^ v1_record ~tag:"record" other);
+  close_out oc;
+  let journal = Journal.open_ ~capacity:4 path in
+  check_int "opens clean" 0 (Journal.dropped_tail journal);
+  check_int "two instances" 2 (Journal.length journal);
+  check_bool "most recent first" true
+    (List.map (fun e -> e.Journal.je_app) (Journal.entries journal)
+    = [ other; paper_text ]);
+  let tracer = Tracer.make () in
+  let t =
+    Server.create
+      ~config:
+        {
+          Server.default_config with
+          Server.workers = 0;
+          jobs = 1;
+          tracer;
+          journal = Some journal;
+        }
+      ()
+  in
+  Server.run_pending t;
+  Server.shutdown t;
+  Journal.close journal;
+  check_int "two replays" 2 (Tracer.counter tracer Tracer.Journal_replays);
+  (* a "soa" record whose sum was taken over the other tag is corrupt *)
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+  output_string oc (v1_record ~sum_tag:"record" ~tag:"soa" "forged");
+  close_out oc;
+  let j = Journal.open_ ~capacity:4 path in
+  check_int "checked against its own tag" 1 (Journal.dropped_tail j);
+  check_int "the two instances stay" 2 (Journal.length j);
+  Journal.close j
+
+(* New records keep the bytes a v1 reader checks: tag "record" and a
+   sum over "record", NUL, text. *)
+let journal_writes_v1 () =
+  let path = temp_path ".journal" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let app = "task A compute=1 release=0 deadline=4 proc=P1" in
+  let j = Journal.open_ ~capacity:4 path in
+  Journal.record j ~app;
+  Journal.close j;
+  let ic = open_in_bin path in
+  let content = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  check_string "header and one v1 record"
+    (Printf.sprintf
+       "rtlb-journal v1\n\
+        {\"sum\": \"%s\",\"engine\": \"record\",\"app\": \"%s\"}\n"
+       (Digest.to_hex (Digest.string ("record\x00" ^ app)))
+       app)
+    content
+
 (* chaos: the journalcorrupt directive garbles the tail exactly once,
    and the next open drops it — never trusts it *)
 let journal_chaos_corrupt () =
@@ -1180,10 +1300,10 @@ let journal_chaos_corrupt () =
   in
   with_chaos plan (fun () ->
       let j = Journal.open_ ~capacity:4 path in
-      Journal.record j `Record ~app:"first";
-      Journal.record j `Record ~app:"second";
+      Journal.record j ~app:"first";
+      Journal.record j ~app:"second";
       (* append #1: garbled after the record *)
-      Journal.record j `Record ~app:"third";
+      Journal.record j ~app:"third";
       Journal.close j;
       check_int "the corruption fired once" 1 (Chaos.fired_journal_corrupts ()));
   let j2 = Journal.open_ ~capacity:4 path in
@@ -1439,5 +1559,11 @@ let suite =
         Alcotest.test_case "health: op, file protocol, extended stats" `Quick
           health_and_stats;
         cache_race_ops;
+        Alcotest.test_case "engine field: accepted, ignored, one instance"
+          `Quick engine_field_ignored;
+        Alcotest.test_case "journal: v1 file with both engine tags loads"
+          `Quick journal_v1_both_tags;
+        Alcotest.test_case "journal: new records keep the v1 bytes" `Quick
+          journal_writes_v1;
       ] );
   ]

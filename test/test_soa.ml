@@ -202,49 +202,6 @@ let frames_deterministic () =
   check_string "same seed, same app" (Rtfmt.Appfile.to_string a)
     (Rtfmt.Appfile.to_string b)
 
-(* --- incremental engine over packed arrays --------------------------- *)
-
-let gen_edit st app =
-  let n = Rtlb.App.n_tasks app in
-  let i = Random.State.int st n in
-  let t = Rtlb.App.task app i in
-  let release = t.Rtlb.Task.release
-  and deadline = t.Rtlb.Task.deadline
-  and compute = t.Rtlb.Task.compute in
-  match Random.State.int st 3 with
-  | 0 ->
-      Rtlb.Incremental.Set_deadline
-        { task = i; deadline = release + compute + Random.State.int st 21 }
-  | 1 ->
-      Rtlb.Incremental.Set_release
-        { task = i; release = Random.State.int st (deadline - compute + 1) }
-  | _ ->
-      Rtlb.Incremental.Set_compute
-        { task = i; compute = Random.State.int st (deadline - release + 1) }
-
-let incremental_soa_equals_cold =
-  qtest ~count:100 "Incremental ~engine:`Soa = cold run under random edits"
-    QCheck.(pair (arb_instance ~max_tasks:10 ()) small_int)
-    (fun (i, salt) ->
-      let system = shared_of i in
-      let st = Random.State.make [| i.config.Workload.Gen.seed; salt |] in
-      let handle = Rtlb.Incremental.create ~engine:`Soa system i.app in
-      assert (
-        Oracle.values_identical
-          (Rtlb.Incremental.base handle)
-          (Oracle.run system i.app));
-      let rec go k edits =
-        k = 0
-        ||
-        let edits =
-          edits @ [ gen_edit st (Rtlb.Incremental.apply i.app edits) ]
-        in
-        let app' = Rtlb.Incremental.apply i.app edits in
-        let q = Rtlb.Incremental.query handle app' in
-        Oracle.values_identical q (Oracle.run system app') && go (k - 1) edits
-      in
-      go (1 + (salt mod 4)) [])
-
 (* --- domain-pool path ----------------------------------------------- *)
 
 let pool_identical () =
@@ -265,6 +222,42 @@ let pool_identical () =
            (Rtlb.Analysis.run ~pool system app)
            (Oracle.run ~pool system app)))
 
+(* --- systhreads of one domain ---------------------------------------- *)
+
+(* Serve's workers are systhreads of one domain, and a thread switch can
+   land inside a scan.  Each thread analyses its own instance over and
+   over against its sequential answer, until the first mismatch or
+   exception, or for 3 s.  The instances differ, so a scan that reads
+   another thread's Theta kernel gives a wrong bound, not a lucky
+   right one. *)
+let systhreads_identical () =
+  let system = Workload.Gen.frame_system () in
+  let instances =
+    Array.init 4 (fun k ->
+        let app =
+          Workload.Gen.layered_frames ~seed:(100 + k) ~frames:2
+            ~tasks_per_frame:150 ()
+        in
+        (app, Rtlb.Analysis.run system app))
+  in
+  let failure = Atomic.make None and runs = Atomic.make 0 in
+  let fail m = ignore (Atomic.compare_and_set failure None (Some m)) in
+  let until = Unix.gettimeofday () +. 3.0 in
+  let worker (app, reference) () =
+    while Atomic.get failure = None && Unix.gettimeofday () < until do
+      (match Rtlb.Analysis.run system app with
+      | a when Oracle.values_identical a reference -> ()
+      | _ -> fail "a result differs from the sequential run"
+      | exception e -> fail (Printexc.to_string e));
+      Atomic.incr runs
+    done
+  in
+  Array.iter Thread.join
+    (Array.map (fun i -> Thread.create (worker i) ()) instances);
+  match Atomic.get failure with
+  | None -> check_bool "some runs were made" true (Atomic.get runs > 0)
+  | Some m -> Alcotest.failf "after %d runs: %s" (Atomic.get runs) m
+
 let suite =
   [
     ( "soa",
@@ -277,10 +270,11 @@ let suite =
           many_node_types;
         families_identical;
         pruned_equals_unpruned;
-        incremental_soa_equals_cold;
         Alcotest.test_case "frame workload identity" `Quick frames_identical;
         Alcotest.test_case "frame workload determinism" `Quick
           frames_deterministic;
         Alcotest.test_case "pool path identity" `Quick pool_identical;
+        Alcotest.test_case "systhreads of one domain = sequential" `Quick
+          systhreads_identical;
       ] );
   ]
