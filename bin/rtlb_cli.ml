@@ -169,49 +169,70 @@ let analyze_cmd =
       & info [ "full" ]
           ~doc:"Full tabular report with criticality and demand profiles.")
   in
+  (* One root span holds the command: [parse], the [analyze] subtree and
+     [encode].  The tracer exists before the parse; the [--stats] summary
+     is taken before anything is printed, so it holds [parse] and the
+     [analyze] subtree, while [--trace] holds every span. *)
   let run path override json full jobs timeout trace stats =
-    match read_appfile path with
+    let tracer = tracer_for ~trace ~stats in
+    let tr = Option.value tracer ~default:Rtlb_obs.Tracer.null in
+    let outcome =
+      Rtlb_obs.Tracer.with_span tr "cli" (fun () ->
+          match
+            Rtlb_obs.Tracer.with_span tr "parse" (fun () -> read_appfile path)
+          with
+          | Error e -> Error e
+          | Ok { Rtfmt.Appfile.app; system } -> (
+              match hosting_system path system override app with
+              | Error e -> Error e
+              | Ok system ->
+                  let deadline_ns = deadline_of timeout in
+                  let analysis =
+                    with_jobs jobs (fun pool ->
+                        Rtlb.Analysis.run ?pool ?deadline_ns ?tracer system app)
+                  in
+                  let summary = Option.map Rtlb_obs.Stats.of_tracer tracer in
+                  Rtlb_obs.Tracer.with_span tr "encode" (fun () ->
+                      if json then begin
+                        Rtfmt.Json.output_analysis
+                          ?stats:(if stats then summary else None)
+                          stdout analysis;
+                        print_newline ()
+                      end
+                      else begin
+                        if full then
+                          print_string
+                            (Rtfmt.Report.render
+                               ~demand_windows:
+                                 (max 1 (Rtlb.App.horizon app / 8))
+                               analysis)
+                        else begin
+                          Format.printf "%a@." Rtlb.Analysis.pp analysis;
+                          match
+                            Rtlb.Est_lct.feasible_windows app
+                              analysis.Rtlb.Analysis.windows
+                          with
+                          | Ok () -> ()
+                          | Error e ->
+                              Format.printf
+                                "NOTE: application infeasible on this model: \
+                                 %s@."
+                                e
+                        end;
+                        match (stats, summary) with
+                        | true, Some s ->
+                            print_newline ();
+                            print_string (Rtfmt.Stats_render.render s)
+                        | _ -> ()
+                      end);
+                  Ok ()))
+    in
+    match outcome with
     | Error e -> `Error (false, e)
-    | Ok { Rtfmt.Appfile.app; system } -> (
-        match hosting_system path system override app with
-        | Error e -> `Error (false, e)
-        | Ok system ->
-            let deadline_ns = deadline_of timeout in
-            let tracer = tracer_for ~trace ~stats in
-            let analysis =
-              with_jobs jobs (fun pool ->
-                  Rtlb.Analysis.run ?pool ?deadline_ns ?tracer system app)
-            in
-            let summary = Option.map Rtlb_obs.Stats.of_tracer tracer in
-            if json then
-              print_json
-                (Rtfmt.Json.of_analysis
-                   ?stats:(if stats then summary else None)
-                   analysis)
-            else begin
-              if full then
-                print_string
-                  (Rtfmt.Report.render
-                     ~demand_windows:(max 1 (Rtlb.App.horizon app / 8))
-                     analysis)
-              else begin
-                Format.printf "%a@." Rtlb.Analysis.pp analysis;
-                match Rtlb.Est_lct.feasible_windows app
-                        analysis.Rtlb.Analysis.windows with
-                | Ok () -> ()
-                | Error e ->
-                    Format.printf
-                      "NOTE: application infeasible on this model: %s@." e
-              end;
-              match (stats, summary) with
-              | true, Some s ->
-                  print_newline ();
-                  print_string (Rtfmt.Stats_render.render s)
-              | _ -> ()
-            end;
-            write_trace trace tracer;
-            exit_if_interrupted ();
-            `Ok ())
+    | Ok () ->
+        write_trace trace tracer;
+        exit_if_interrupted ();
+        `Ok ()
   in
   let doc = "Run the lower-bound analysis on an application file." in
   Cmd.v
@@ -1298,7 +1319,9 @@ let serve_cmd =
                 queue_capacity = max 1 queue;
                 workers = max 1 workers;
                 jobs;
-                tracer = Rtlb_obs.Tracer.make ();
+                (* the daemon reads only counters (the stats op); spans
+                   recorded over its lifetime would be kept forever *)
+                tracer = Rtlb_obs.Tracer.make ~spans:false ();
                 quota = (match quota with Some (Ok q) -> Some q | _ -> None);
                 journal;
                 breaker =

@@ -25,12 +25,22 @@ let of_arrays ~tasks ~src ~dst ~msg =
     (fun m -> if m < 0 then invalid_arg "App.make: negative message size")
     msg;
   let graph = Dag.of_arrays ~n ~src ~dst ~weight:msg in
-  (* Collect each name once, so the sort is over the distinct names. *)
+  (* Collect each name once, so the sort is over the distinct names.  A
+     name physically equal to the last one of its kind (the [.app]
+     reader interns names) is not hashed again. *)
   let seen = Hashtbl.create 16 in
+  let last_proc = ref None and last_res = ref None in
+  let see last r =
+    match !last with
+    | Some l when l == r -> ()
+    | _ ->
+        Hashtbl.replace seen r ();
+        last := Some r
+  in
   Array.iter
     (fun (task : Task.t) ->
-      Hashtbl.replace seen task.Task.proc ();
-      List.iter (fun r -> Hashtbl.replace seen r ()) task.Task.resources)
+      see last_proc task.Task.proc;
+      List.iter (see last_res) task.Task.resources)
     by_id;
   let resource_set =
     Hashtbl.fold (fun r () acc -> r :: acc) seen []

@@ -56,12 +56,19 @@ type t = {
   i_app : App.t;
   i_windows : Est_lct.t;
   i_base : Analysis.t;
-  i_cache : (block_key, block_entry) Hashtbl.t;
+  i_cache : (block_key, block_entry) Hashtbl.t;  (* the base run's *)
+  i_recent : (block_key, block_entry) Hashtbl.t;
+      (* later queries', emptied whenever it reaches [recent_limit] *)
   i_rstates : (string * rstate) list;
 }
 
 let base t = t.i_base
-let cached_blocks t = Hashtbl.length t.i_cache
+let cached_blocks t = Hashtbl.length t.i_cache + Hashtbl.length t.i_recent
+
+(* Query results a handle keeps beside the base run's.  Each distinct
+   edit adds the blocks it rescanned, so without a limit a long-lived
+   handle (a serve daemon's) would grow with every what-if it answers. *)
+let recent_limit t = max 64 (Hashtbl.length t.i_cache)
 
 (* [string_of_int i] appended to [buf]; the quantities of an instance
    are non-negative, and those skip the intermediate string. *)
@@ -172,10 +179,12 @@ type resource_plan =
    block results in plan order with [merge_scans], so whenever nothing
    is cached the result is bit-identical to [Lower_bound.all_within]
    field by field; with cache hits it is bit-identical by the
-   associativity argument above.  Returns the per-resource bounds (RES
-   order), the refreshed per-resource states, and the completeness,
-   where cached and reused items count as executed. *)
-let scan ?pool ?deadline_ns ~tracer:tr ~cache ~reuse ~est ~lct app =
+   associativity argument above.  [find] looks a block up in the cache
+   and [keep] stores the result of a block whose every item ran.
+   Returns the per-resource bounds (RES order), the refreshed
+   per-resource states, and the completeness, where cached and reused
+   items count as executed. *)
+let scan ?pool ?deadline_ns ~tracer:tr ~find ~keep ~reuse ~est ~lct app =
   let plans =
     Rtlb_obs.Tracer.with_span tr "plan" (fun () ->
         List.map
@@ -197,7 +206,7 @@ let scan ?pool ?deadline_ns ~tracer:tr ~cache ~reuse ~est ~lct app =
                             bk_fp = fingerprint app ~est ~lct block;
                           }
                         in
-                        match Hashtbl.find_opt cache key with
+                        match find key with
                         | Some entry -> Cached entry
                         | None ->
                             Live
@@ -305,8 +314,7 @@ let scan ?pool ?deadline_ns ~tracer:tr ~cache ~reuse ~est ~lct app =
                         done;
                         executed := !executed + !ran;
                         if !ran = items then
-                          Hashtbl.replace cache lv.lv_key
-                            { be_scan = !bacc; be_items = items }
+                          keep lv.lv_key { be_scan = !bacc; be_items = items }
                         else r_complete := false;
                         racc := Lower_bound.merge_scans !racc !bacc)
                   sp_blocks;
@@ -349,8 +357,8 @@ let create ?pool ?deadline_ns ?tracer system app =
       let cache = Hashtbl.create 64 in
       let bounds, states, completeness =
         Rtlb_obs.Tracer.with_span tr "lower_bounds" (fun () ->
-            scan ?pool ?deadline_ns ~tracer:tr ~cache
-              ~reuse:(fun _ -> None)
+            scan ?pool ?deadline_ns ~tracer:tr ~find:(Hashtbl.find_opt cache)
+              ~keep:(Hashtbl.replace cache) ~reuse:(fun _ -> None)
               ~est ~lct app)
       in
       let cost =
@@ -366,6 +374,7 @@ let create ?pool ?deadline_ns ?tracer system app =
         i_windows = windows;
         i_base = base;
         i_cache = cache;
+        i_recent = Hashtbl.create 16;
         i_rstates = states;
       })
 
@@ -479,10 +488,20 @@ let query ?pool ?deadline_ns ?tracer t app =
                 Some rs
             | _ -> None
           in
+          let find key =
+            match Hashtbl.find_opt t.i_cache key with
+            | Some _ as hit -> hit
+            | None -> Hashtbl.find_opt t.i_recent key
+          in
+          let keep key entry =
+            if Hashtbl.length t.i_recent >= recent_limit t then
+              Hashtbl.reset t.i_recent;
+            Hashtbl.replace t.i_recent key entry
+          in
           let bounds, _states, completeness =
             Rtlb_obs.Tracer.with_span tr "lower_bounds" (fun () ->
-                scan ?pool ?deadline_ns ~tracer:tr ~cache:t.i_cache ~reuse
-                  ~est ~lct app)
+                scan ?pool ?deadline_ns ~tracer:tr ~find ~keep ~reuse ~est
+                  ~lct app)
           in
           let cost =
             Rtlb_obs.Tracer.with_span tr "cost" (fun () ->

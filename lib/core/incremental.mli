@@ -54,7 +54,11 @@ val base : t -> Analysis.t
 (** The analysis of the unperturbed application. *)
 
 val cached_blocks : t -> int
-(** Number of block scan results currently held (grows across queries). *)
+(** Number of block scan results currently held: the base run's, which
+    stay for the handle's life, plus those of recent queries.  The
+    latter are dropped together whenever they reach [max 64 b], [b]
+    being the base run's count, so a handle answering any number of
+    distinct queries holds at most [b + max 64 b]. *)
 
 val instance_fingerprint : System.t -> App.t -> string
 (** Stable hex digest of the full instance — every per-task field

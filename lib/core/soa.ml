@@ -33,6 +33,20 @@ type ia = (int, int_elt, c_layout) Array1.t
 
 let ia n : ia = Array1.create int c_layout n
 
+(* Scratch of the EST/LCT sweep, made once per packed instance. *)
+type sweep_ws = {
+  mutable cap : int;
+  mutable cm : int array;  (* pool candidate msg bounds *)
+  mutable cid : int array;  (* pool candidate ids *)
+  mutable suf : int array;  (* suffix combine of cm *)
+  mutable sv : int array;  (* prefix jobs sorted by window value *)
+  mutable sc : int array;  (* their computes *)
+}
+
+let sweep_ws () =
+  { cap = 16; cm = Array.make 16 0; cid = Array.make 16 0;
+    suf = Array.make 17 0; sv = Array.make 16 0; sc = Array.make 16 0 }
+
 type t = {
   system : System.t;
   n : int;
@@ -62,6 +76,7 @@ type t = {
   (* window outputs, computed in place *)
   est : ia;
   lct : ia;
+  sweep : sweep_ws;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -69,6 +84,13 @@ type t = {
 (* ------------------------------------------------------------------ *)
 
 let mask_bits = Sys.int_size - 2
+
+(* [f i (code r) u] for each demand [(r, u)] of task [i]. *)
+let rec iter_demands f code i = function
+  | [] -> ()
+  | (r, u) :: rest ->
+      f i (code r) u;
+      iter_demands f code i rest
 
 let pack system app =
   let n = App.n_tasks app in
@@ -84,6 +106,9 @@ let pack system app =
   Array1.fill host 0;
   let proc_code = Hashtbl.create 16 in
   let procs = ref [] and n_procs = ref 0 in
+  (* a name physically equal to the last one looked up (the [.app]
+     reader interns names) keeps its code without a hash *)
+  let last_proc = ref "" and last_code = ref (-1) in
   let names = Array.make n "" in
   for i = 0 to n - 1 do
     let task = App.task app i in
@@ -92,22 +117,26 @@ let pack system app =
     deadline.{i} <- task.Task.deadline;
     compute.{i} <- task.Task.compute;
     preempt.{i} <- (if task.Task.preemptive then 1 else 0);
-    (proc.{i} <-
-       (match Hashtbl.find_opt proc_code task.Task.proc with
-       | Some c -> c
-       | None ->
-           let c = !n_procs in
-           incr n_procs;
-           Hashtbl.add proc_code task.Task.proc c;
-           procs := task.Task.proc :: !procs;
-           c));
-    Array.iteri
-      (fun k nt ->
-        if System.node_can_host nt task then begin
-          let w = (i * host_words) + (k / mask_bits) in
-          host.{w} <- host.{w} lor (1 lsl (k mod mask_bits))
-        end)
-      nts
+    let p = task.Task.proc in
+    if !last_code < 0 || p != !last_proc then begin
+      last_proc := p;
+      last_code :=
+        match Hashtbl.find_opt proc_code p with
+        | Some c -> c
+        | None ->
+            let c = !n_procs in
+            incr n_procs;
+            Hashtbl.add proc_code p c;
+            procs := p :: !procs;
+            c
+    end;
+    proc.{i} <- !last_code;
+    for k = 0 to Array.length nts - 1 do
+      if System.node_can_host nts.(k) task then begin
+        let w = (i * host_words) + (k / mask_bits) in
+        host.{w} <- host.{w} lor (1 lsl (k mod mask_bits))
+      end
+    done
   done;
   let procs = Array.of_list (List.rev !procs) in
   (* per-resource member table, RES order: count every (task, resource)
@@ -118,12 +147,18 @@ let pack system app =
   let res_index = Hashtbl.create 16 in
   Array.iteri (fun k r -> Hashtbl.replace res_index r k) res_names;
   let proc_res = Array.map (Hashtbl.find res_index) procs in
+  let last_res = ref "" and last_index = ref (-1) in
+  let res_code r =
+    if !last_index < 0 || r != !last_res then begin
+      last_res := r;
+      last_index := Hashtbl.find res_index r
+    end;
+    !last_index
+  in
   let each_demand f =
     for i = 0 to n - 1 do
       f i proc_res.(proc.{i}) 1;
-      List.iter
-        (fun (r, u) -> f i (Hashtbl.find res_index r) u)
-        (App.task app i).Task.demands
+      iter_demands f res_code i (App.task app i).Task.demands
     done
   in
   let res_off = ia (nr + 1) in
@@ -161,6 +196,7 @@ let pack system app =
     nts;
     est = ia n;
     lct = ia n;
+    sweep = sweep_ws ();
   }
 
 (* Rebuild an [App.t] from the packed arrays alone — [pack] keeps no
@@ -204,19 +240,6 @@ let unpack t =
 (* the no-merge bound.  See est_lct.ml for why prefixes are exact.     *)
 (* ------------------------------------------------------------------ *)
 
-type sweep_ws = {
-  mutable cap : int;
-  mutable cm : int array;  (* pool candidate msg bounds *)
-  mutable cid : int array;  (* pool candidate ids *)
-  mutable suf : int array;  (* suffix combine of cm *)
-  mutable sv : int array;  (* prefix jobs sorted by window value *)
-  mutable sc : int array;  (* their computes *)
-}
-
-let sweep_ws () =
-  { cap = 16; cm = Array.make 16 0; cid = Array.make 16 0;
-    suf = Array.make 17 0; sv = Array.make 16 0; sc = Array.make 16 0 }
-
 let ensure ws cap =
   if cap > ws.cap then begin
     let cap = max cap (2 * ws.cap) in
@@ -228,122 +251,128 @@ let ensure ws cap =
     ws.sc <- Array.make cap 0
   end
 
-(* One direction of the sweep for one task.  [is_est] selects the EST
-   recursion (preds, max-combine, minimise) or the LCT mirror (succs,
-   min-combine, maximise). *)
+(* The sweep is first-order: [is_est] picks the EST recursion (preds,
+   max-combine, minimise) or the LCT mirror (succs, min-combine,
+   maximise) by a branch, not by closures, so a sweep allocates
+   nothing. *)
+
+let[@inline] combine is_est (a : int) b =
+  if is_est then if a >= b then a else b else if a <= b then a else b
+
+(* The msg bound of the neighbour at CSR position [p] of [rows]. *)
+let[@inline] msg_bound t is_est (rows : Dag.csr) p =
+  let j = rows.Dag.adj.(p) in
+  if is_est then t.est.{j} + t.compute.{j} + rows.Dag.weight.(p)
+  else t.lct.{j} - t.compute.{j} - rows.Dag.weight.(p)
+
+(* Whether the neighbour at CSR position [p] is in task [i]'s merge pool:
+   the same processor type on a shared system ([k] < 0), or a host of
+   node type [k] on a dedicated one. *)
+let[@inline] in_pool t (rows : Dag.csr) i k p =
+  let j = rows.Dag.adj.(p) in
+  if k < 0 then t.proc.{j} = t.proc.{i}
+  else
+    t.host.{(j * t.host_words) + (k / mask_bits)} land (1 lsl (k mod mask_bits))
+    <> 0
+
+(* Value the prefixes of one merge pool of task [i] (rows [d0, d1)) and
+   return [best] improved by them. *)
+let scan_pool t ws is_est rows i k d0 d1 boundary best =
+  let identity = if is_est then min_int else max_int in
+  let pl = ref 0 and nonpool = ref identity in
+  for p = d0 to d1 - 1 do
+    if in_pool t rows i k p then begin
+      let x = !pl in
+      ws.cm.(x) <- msg_bound t is_est rows p;
+      ws.cid.(x) <- rows.Dag.adj.(p);
+      pl := x + 1
+    end
+    else nonpool := combine is_est !nonpool (msg_bound t is_est rows p)
+  done;
+  let pl = !pl in
+  let best = ref best in
+  if pl > 0 then begin
+    (* sort by msg bound — decreasing emr for EST, increasing lms for
+       LCT — with ascending id tie-break, as the record path does *)
+    for x = 1 to pl - 1 do
+      let m = ws.cm.(x) and j = ws.cid.(x) in
+      let y = ref x in
+      while
+        !y > 0
+        &&
+        let pm = ws.cm.(!y - 1) and pj = ws.cid.(!y - 1) in
+        if pm <> m then if is_est then pm < m else pm > m else pj > j
+      do
+        ws.cm.(!y) <- ws.cm.(!y - 1);
+        ws.cid.(!y) <- ws.cid.(!y - 1);
+        decr y
+      done;
+      ws.cm.(!y) <- m;
+      ws.cid.(!y) <- j
+    done;
+    ws.suf.(pl) <- identity;
+    for x = pl - 1 downto 0 do
+      ws.suf.(x) <- combine is_est ws.suf.(x + 1) ws.cm.(x)
+    done;
+    let base = combine is_est boundary !nonpool in
+    (* grow the prefix one candidate at a time, keeping the prefix jobs
+       sorted by window value for the sequential bound *)
+    for k = 1 to pl do
+      let j = ws.cid.(k - 1) in
+      let v = if is_est then t.est.{j} else t.lct.{j} in
+      let c = t.compute.{j} in
+      let x = ref (k - 1) in
+      while
+        !x > 0 && if is_est then ws.sv.(!x - 1) > v else ws.sv.(!x - 1) < v
+      do
+        ws.sv.(!x) <- ws.sv.(!x - 1);
+        ws.sc.(!x) <- ws.sc.(!x - 1);
+        decr x
+      done;
+      ws.sv.(!x) <- v;
+      ws.sc.(!x) <- c;
+      (* ect: ascending EST fold; lst: descending LCT fold *)
+      let seqv = ref identity in
+      for x = 0 to k - 1 do
+        seqv :=
+          if is_est then combine true !seqv ws.sv.(x) + ws.sc.(x)
+          else combine false !seqv ws.sv.(x) - ws.sc.(x)
+      done;
+      let value = combine is_est (combine is_est base ws.suf.(k)) !seqv in
+      if if is_est then value < !best else value > !best then best := value
+    done
+  end;
+  !best
+
+(* One direction of the sweep for one task. *)
 let sweep_task t ws ~is_est i =
   let rows = if is_est then t.pred else t.succ in
-  let tgt = rows.Dag.adj and msg = rows.Dag.weight in
   let d0 = rows.Dag.off.(i) and d1 = rows.Dag.off.(i + 1) in
   let boundary = if is_est then t.release.{i} else t.deadline.{i} in
   if d1 = d0 then boundary
   else begin
-    let identity = if is_est then min_int else max_int in
-    let combine a b = if is_est then max a b else min a b in
-    (* msg bound of neighbour at CSR position p *)
-    let msg_of p =
-      let j = tgt.(p) in
-      if is_est then t.est.{j} + t.compute.{j} + msg.(p)
-      else t.lct.{j} - t.compute.{j} - msg.(p)
-    in
-    let msg_all = ref identity in
+    let msg_all = ref (if is_est then min_int else max_int) in
     for p = d0 to d1 - 1 do
-      msg_all := combine !msg_all (msg_of p)
+      msg_all := combine is_est !msg_all (msg_bound t is_est rows p)
     done;
-    let no_merge = combine boundary !msg_all in
-    let best = ref no_merge in
-    let pc = t.proc.{i} in
+    let best = ref (combine is_est boundary !msg_all) in
     ensure ws (d1 - d0);
-    (* Value the prefixes of one pool; [in_pool p] tests CSR positions. *)
-    let scan_pool in_pool =
-      let pl = ref 0 and nonpool = ref identity in
-      for p = d0 to d1 - 1 do
-        if in_pool p then begin
-          let k = !pl in
-          ws.cm.(k) <- msg_of p;
-          ws.cid.(k) <- tgt.(p);
-          pl := k + 1
-        end
-        else nonpool := combine !nonpool (msg_of p)
-      done;
-      let pl = !pl in
-      if pl > 0 then begin
-        (* sort by msg bound — decreasing emr for EST, increasing lms for
-           LCT — with ascending id tie-break, as the record path does *)
-        for x = 1 to pl - 1 do
-          let m = ws.cm.(x) and j = ws.cid.(x) in
-          let y = ref x in
-          while
-            !y > 0
-            &&
-            let pm = ws.cm.(!y - 1) and pj = ws.cid.(!y - 1) in
-            if pm <> m then if is_est then pm < m else pm > m else pj > j
-          do
-            ws.cm.(!y) <- ws.cm.(!y - 1);
-            ws.cid.(!y) <- ws.cid.(!y - 1);
-            decr y
-          done;
-          ws.cm.(!y) <- m;
-          ws.cid.(!y) <- j
-        done;
-        ws.suf.(pl) <- identity;
-        for x = pl - 1 downto 0 do
-          ws.suf.(x) <- combine ws.suf.(x + 1) ws.cm.(x)
-        done;
-        (* grow the prefix one candidate at a time, keeping the prefix
-           jobs sorted by window value for the sequential bound *)
-        for k = 1 to pl do
-          let j = ws.cid.(k - 1) in
-          let v = if is_est then t.est.{j} else t.lct.{j} in
-          let c = t.compute.{j} in
-          let x = ref (k - 1) in
-          while
-            !x > 0
-            && (if is_est then ws.sv.(!x - 1) > v else ws.sv.(!x - 1) < v)
-          do
-            ws.sv.(!x) <- ws.sv.(!x - 1);
-            ws.sc.(!x) <- ws.sc.(!x - 1);
-            decr x
-          done;
-          ws.sv.(!x) <- v;
-          ws.sc.(!x) <- c;
-          (* ect: ascending EST fold; lst: descending LCT fold *)
-          let seqv = ref identity in
-          if is_est then begin
-            seqv := min_int;
-            for x = 0 to k - 1 do
-              seqv := max !seqv ws.sv.(x) + ws.sc.(x)
-            done
-          end
-          else begin
-            seqv := max_int;
-            for x = 0 to k - 1 do
-              seqv := min !seqv ws.sv.(x) - ws.sc.(x)
-            done
-          end;
-          let value =
-            combine (combine (combine boundary !nonpool) ws.suf.(k)) !seqv
-          in
-          if is_est then (if value < !best then best := value)
-          else if value > !best then best := value
-        done
-      end
-    in
     (match t.system with
-    | System.Shared _ -> scan_pool (fun p -> t.proc.{tgt.(p)} = pc)
+    | System.Shared _ ->
+        best := scan_pool t ws is_est rows i (-1) d0 d1 boundary !best
     | System.Dedicated _ ->
         let hw = t.host_words in
-        Array.iteri
-          (fun k _ ->
-            let w = k / mask_bits and bit = 1 lsl (k mod mask_bits) in
-            if t.host.{(i * hw) + w} land bit <> 0 then
-              scan_pool (fun p -> t.host.{(tgt.(p) * hw) + w} land bit <> 0))
-          t.nts);
+        for k = 0 to Array.length t.nts - 1 do
+          if
+            t.host.{(i * hw) + (k / mask_bits)} land (1 lsl (k mod mask_bits))
+            <> 0
+          then best := scan_pool t ws is_est rows i k d0 d1 boundary !best
+        done);
     !best
   end
 
 let compute_windows t =
-  let ws = sweep_ws () in
+  let ws = t.sweep in
   for k = 0 to t.n - 1 do
     let i = t.topo.(k) in
     t.est.{i} <- sweep_task t ws ~is_est:true i

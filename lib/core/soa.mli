@@ -22,11 +22,11 @@
     force the exhaustive scan.
 
     {b Threads.}  Distinct packed instances may be analysed at the same
-    time from any mix of domains and systhreads: the sweep and the scan
-    keep their scratch space per call (a domain's spare Theta-kernel
-    workspace is taken out for the length of one scan item, never
-    shared).  One instance must not be used from two threads at once,
-    since {!compute_windows} writes its window arrays. *)
+    time from any mix of domains and systhreads: the sweep keeps its
+    scratch space in its instance and the scan per call (a domain's
+    spare Theta-kernel workspace is taken out for the length of one scan
+    item, never shared).  One instance must not be used from two threads
+    at once, since {!compute_windows} writes its window arrays. *)
 
 type t
 (** A packed instance.  The window arrays ([est]/[lct]) live inside and
@@ -46,7 +46,9 @@ val unpack : t -> App.t
 
 val compute_windows : t -> unit
 (** Run the full EST/LCT merge-search sweep over the packed arrays, in
-    place; values are bit-identical to [Est_lct.compute]. *)
+    place; values are bit-identical to [Est_lct.compute].  The sweep is
+    first-order and reuses its instance's scratch, so it allocates no
+    minor words unless a task has more neighbours than any before. *)
 
 val windows : t -> Est_lct.t
 (** The windows as the record type: values copied from the packed

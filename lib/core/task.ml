@@ -23,17 +23,23 @@ let make ?name ~id ?(release = 0) ~compute ~deadline ~proc ?(resources = [])
   let name =
     match name with Some n -> n | None -> Printf.sprintf "T%d" (id + 1)
   in
-  let sorted = List.sort String.compare resources in
-  let demands =
-    List.fold_left
-      (fun acc r ->
-        match acc with
-        | (r', k) :: rest when String.equal r r' -> (r', k + 1) :: rest
-        | _ -> (r, 1) :: acc)
-      [] sorted
-    |> List.rev
+  let resources, demands =
+    match resources with
+    | [] -> ([], [])
+    | [ r ] -> (resources, [ (r, 1) ])
+    | _ ->
+        let demands =
+          List.fold_left
+            (fun acc r ->
+              match acc with
+              | (r', k) :: rest when String.equal r r' -> (r', k + 1) :: rest
+              | _ -> (r, 1) :: acc)
+            []
+            (List.sort String.compare resources)
+          |> List.rev
+        in
+        (List.map fst demands, demands)
   in
-  let resources = List.map fst demands in
   if List.mem proc resources then
     invalid_arg "Task.make: processor type listed among resources";
   { id; name; compute; release; deadline; proc; resources; demands; preemptive }

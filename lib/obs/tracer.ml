@@ -99,6 +99,7 @@ type worker_stat = { mutable ws_chunks : int; mutable ws_items : int }
 
 type t = {
   enabled : bool;
+  spans : bool;  (* whether [with_span] records events *)
   t_clock : Clock.t;
   lock : Mutex.t;
   mutable events_rev : event list;
@@ -111,6 +112,7 @@ type t = {
 let null =
   {
     enabled = false;
+    spans = false;
     t_clock = Clock.monotonic;
     lock = Mutex.create ();
     events_rev = [];
@@ -118,9 +120,10 @@ let null =
     workers = Hashtbl.create 1;
   }
 
-let make ?(clock = Clock.monotonic) () =
+let make ?(clock = Clock.monotonic) ?(spans = true) () =
   {
     enabled = true;
+    spans;
     t_clock = clock;
     lock = Mutex.create ();
     events_rev = [];
@@ -158,7 +161,7 @@ let record_chunk t ~items =
   end
 
 let with_span t name f =
-  if not t.enabled then f ()
+  if not t.spans then f ()
   else begin
     let id = tid () in
     let t0 = Clock.now_ns t.t_clock in

@@ -135,9 +135,13 @@ val null : t
     and [with_span null name f] is exactly [f ()].  This is the default
     everywhere a [?tracer] is accepted. *)
 
-val make : ?clock:Clock.t -> unit -> t
+val make : ?clock:Clock.t -> ?spans:bool -> unit -> t
 (** A live tracer.  [clock] defaults to {!Clock.monotonic}; golden
-    tests pass {!Clock.fake}. *)
+    tests pass {!Clock.fake}.  With [~spans:false] it keeps counters and
+    the per-worker table but records no span: {!with_span} is then
+    exactly [f ()] and {!events} stays empty.  A long-lived process that
+    reads only counters uses it, since recorded spans are kept until the
+    tracer is dropped. *)
 
 val enabled : t -> bool
 (** [false] exactly for {!null}.  Instrumentation uses this to skip

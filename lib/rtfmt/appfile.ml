@@ -4,18 +4,6 @@ exception Parse_error of int * string
 
 let fail line fmt = Printf.ksprintf (fun m -> raise (Parse_error (line, m))) fmt
 
-type pending_task = {
-  pt_name : string;
-  pt_compute : int;
-  pt_release : int;
-  pt_deadline : int;
-  pt_proc : string;
-  pt_demands : (string * int) list;  (* grouped units; counts may be bad *)
-  pt_preemptive : bool;
-  pt_period : int option;  (* period= turns the file periodic *)
-  pt_line : int;
-}
-
 (* ---------------- tokenizer ---------------- *)
 
 (* One pass over the text by index.  A line ends at '\n' and its content
@@ -185,9 +173,188 @@ let has f j = f.f_start.(j) >= 0
 let field_string w f j = span w.text f.f_start.(j) f.f_stop.(j)
 let field_int line what w f j = int_span line what w.text f.f_start.(j) f.f_stop.(j)
 
+(* ---------------- hash tables over text spans ---------------- *)
+
+(* Open addressing with linear probing over a power-of-two number of
+   slots, at least twice the entries; a slot holds an entry + 1, 0 when
+   free.  Names are found by probing with spans of the text, so a
+   lookup allocates nothing. *)
+
+let table_size entries =
+  let rec grow c = if c >= 2 * entries then c else grow (2 * c) in
+  grow 16
+
+(* FNV-1a over text.[start, stop). *)
+let rec hash_span text start stop h =
+  if start = stop then h lxor (h lsr 29)
+  else
+    hash_span text (start + 1) stop
+      ((h lxor Char.code (String.unsafe_get text start)) * 0x100000001b3)
+
+let fnv_basis = 0x811c9dc5
+
+(* The slot, probed from [i] on, that holds the entry of [names]
+   spelled text.[start, stop), or else the free slot it would take. *)
+let rec name_slot slots mask names text start stop i =
+  let k = slots.(i) in
+  if k = 0 || spells text start stop names.(k - 1) then i
+  else name_slot slots mask names text start stop ((i + 1) land mask)
+
+(* An index over a growing column of names: the table doubles when
+   half full, and the first name entered twice is kept in [dup]. *)
+type name_table = {
+  mutable slots : int array;
+  mutable hashes : int array;
+      (* per entry, its name's hash, kept so that growing re-reads no
+         name; -1 for a repeated name, which has no slot *)
+  mutable dup : int;
+}
+
+let name_table () = { slots = Array.make 16 0; hashes = Array.make 16 0; dup = -1 }
+
+let name_hash text start stop = hash_span text start stop fnv_basis land max_int
+
+(* The index of the name text.[start, stop) in [names], or -1. *)
+let find_name tbl names text start stop =
+  let slots = tbl.slots in
+  let mask = Array.length slots - 1 in
+  slots.(name_slot slots mask names text start stop
+           (name_hash text start stop land mask))
+  - 1
+
+(* The first free slot from [i] on. *)
+let rec free_slot slots mask i =
+  if slots.(i) = 0 then i else free_slot slots mask ((i + 1) land mask)
+
+(* Enter [names.(i)]; a repeated name keeps its first index. *)
+let add_name tbl names i =
+  if i = Array.length tbl.hashes then begin
+    let grown = Array.make (2 * i) 0 in
+    Array.blit tbl.hashes 0 grown 0 i;
+    tbl.hashes <- grown
+  end;
+  if 2 * (i + 1) > Array.length tbl.slots then begin
+    let slots = Array.make (2 * Array.length tbl.slots) 0 in
+    let mask = Array.length slots - 1 in
+    for k = 0 to i - 1 do
+      let h = tbl.hashes.(k) in
+      if h >= 0 then slots.(free_slot slots mask (h land mask)) <- k + 1
+    done;
+    tbl.slots <- slots
+  end;
+  let name = names.(i) in
+  let h = name_hash name 0 (String.length name) in
+  let mask = Array.length tbl.slots - 1 in
+  let j = name_slot tbl.slots mask names name 0 (String.length name) (h land mask) in
+  if tbl.slots.(j) = 0 then begin
+    tbl.slots.(j) <- i + 1;
+    tbl.hashes.(i) <- h
+  end
+  else begin
+    tbl.hashes.(i) <- -1;
+    if tbl.dup < 0 then tbl.dup <- i
+  end
+
+(* Processor and resource names: one string per distinct name, with
+   the one-element demand list every task that needs only that name
+   shares. *)
+type interned = {
+  index : name_table;
+  mutable i_names : string array;
+  mutable i_single : string list array;
+  mutable i_count : int;
+}
+
+let interned () =
+  { index = name_table (); i_names = Array.make 8 ""; i_single = Array.make 8 [];
+    i_count = 0 }
+
+(* The entry for the name text.[start, stop), added when new. *)
+let intern t text start stop =
+  let k = find_name t.index t.i_names text start stop in
+  if k >= 0 then k
+  else begin
+    let k = t.i_count in
+    if k = Array.length t.i_names then begin
+      let grow a fill =
+        let b = Array.make (2 * k) fill in
+        Array.blit a 0 b 0 k;
+        b
+      in
+      t.i_names <- grow t.i_names "";
+      t.i_single <- grow t.i_single []
+    end;
+    let name = span text start stop in
+    t.i_names.(k) <- name;
+    t.i_single.(k) <- [ name ];
+    t.i_count <- k + 1;
+    add_name t.index t.i_names k;
+    k
+  end
+
+let intern_name t text start stop = t.i_names.(intern t text start stop)
+let intern_string t s = intern_name t s 0 (String.length s)
+
+(* ---------------- declarations ---------------- *)
+
+(* Task declarations land in growable columns: the name, the interned
+   processor, the demands, and [task_width] ints each (compute, release,
+   deadline, period, line, flags) in one int array. *)
+let task_width = 6
+let preemptive_flag = 1
+let periodic_flag = 2
+
+type decls = {
+  mutable n : int;
+  mutable names : string array;
+  mutable procs : string array;
+  mutable single : string list array;
+      (* the interned [[r]] of a res= naming one resource once, else [] *)
+  mutable demands : (string * int) list array;
+      (* grouped units of any other res=; counts may be bad *)
+  mutable ints : int array;
+}
+
+let decls () =
+  { n = 0; names = Array.make 16 ""; procs = Array.make 16 ""; single = Array.make 16 [];
+    demands = Array.make 16 []; ints = Array.make (16 * task_width) 0 }
+
+let grow_decls d =
+  let cap = Array.length d.names in
+  let grow a fill len =
+    let b = Array.make (2 * len) fill in
+    Array.blit a 0 b 0 len;
+    b
+  in
+  d.names <- grow d.names "" cap;
+  d.procs <- grow d.procs "" cap;
+  d.single <- grow d.single [] cap;
+  d.demands <- grow d.demands [] cap;
+  d.ints <- grow d.ints 0 (cap * task_width)
+
+let field_of d i f = d.ints.((i * task_width) + f)
+let compute_of d i = field_of d i 0
+let release_of d i = field_of d i 1
+let deadline_of d i = field_of d i 2
+let line_of d i = field_of d i 4
+let preemptive_of d i = field_of d i 5 land preemptive_flag <> 0
+let period_of d i =
+  if field_of d i 5 land periodic_flag <> 0 then Some (field_of d i 3) else None
+
+(* The grouped demands of task [i]. *)
+let demands_of d i =
+  match d.single.(i) with [ r ] -> [ (r, 1) ] | _ -> d.demands.(i)
+
 let task_keys = [| "compute"; "period"; "deadline"; "proc"; "release"; "res" |]
 
-let parse_task f line w =
+(* Whether text.[start, stop) holds no ',' and no 'x': a res= value
+   naming one resource, once. *)
+let rec one_name text start stop =
+  start = stop
+  || (match String.unsafe_get text start with ',' | 'x' -> false | _ -> true)
+     && one_name text (start + 1) stop
+
+let parse_task d names f line w =
   if w.count < 2 then fail line "task: missing name";
   let name = word w 1 in
   let f = fields f line w ~first:2 task_keys in
@@ -195,35 +362,40 @@ let parse_task f line w =
     if has f 0 then field_int line "compute" w f 0
     else fail line "task %s: missing compute=" name
   in
-  let period_opt =
-    if has f 1 then Some (field_int line "period" w f 1) else None
-  in
+  let periodic = has f 1 in
+  let period = if periodic then field_int line "period" w f 1 else 0 in
   let deadline =
     if has f 2 then field_int line "deadline" w f 2
-    else
-      match period_opt with
-      | Some p -> p
-      | None -> fail line "task %s: missing deadline=" name
+    else if periodic then period
+    else fail line "task %s: missing deadline=" name
   in
-  let proc =
-    if has f 3 then field_string w f 3
-    else fail line "task %s: missing proc=" name
-  in
+  if not (has f 3) then fail line "task %s: missing proc=" name;
+  let proc = intern_name names w.text f.f_start.(3) f.f_stop.(3) in
   let release = if has f 4 then field_int line "release" w f 4 else 0 in
-  let demands =
-    if has f 5 then group_demands (counted_list (field_string w f 5)) else []
-  in
-  {
-    pt_name = name;
-    pt_compute = compute;
-    pt_release = release;
-    pt_deadline = deadline;
-    pt_proc = proc;
-    pt_demands = demands;
-    pt_preemptive = f.f_preemptive;
-    pt_period = period_opt;
-    pt_line = line;
-  }
+  let i = d.n in
+  if i = Array.length d.names then grow_decls d;
+  d.names.(i) <- name;
+  d.procs.(i) <- proc;
+  (if has f 5 then
+     let start = f.f_start.(5) and stop = f.f_stop.(5) in
+     if start = stop then ()
+     else if one_name w.text start stop then
+       d.single.(i) <- names.i_single.(intern names w.text start stop)
+     else
+       d.demands.(i) <-
+         List.map
+           (fun (r, k) -> (intern_string names r, k))
+           (group_demands (counted_list (span w.text start stop))));
+  let o = i * task_width in
+  d.ints.(o) <- compute;
+  d.ints.(o + 1) <- release;
+  d.ints.(o + 2) <- deadline;
+  d.ints.(o + 3) <- period;
+  d.ints.(o + 4) <- line;
+  d.ints.(o + 5) <-
+    (if f.f_preemptive then preemptive_flag else 0)
+    lor if periodic then periodic_flag else 0;
+  d.n <- i + 1
 
 let parse_shared line w =
   let costs = ref [] in
@@ -257,16 +429,30 @@ let parse_node f line w =
   try Rtlb.System.node_type ~name ~proc ~provides ~cost ()
   with Invalid_argument m -> fail line "node %s: %s" name m
 
-(* Edges stay spans of the text until [parse] resolves them: [edge_width]
-   ints each (line, source start and stop, destination start and stop,
-   size) in one int array that doubles when full. *)
-let edge_width = 6
+(* ---------------- edges ---------------- *)
 
-type edge_store = { mutable fields : int array; mutable n_edges : int }
+(* Edges: [edge_width] ints each (line, source, destination, size) in one
+   int array that doubles when full.  An edge resolves its endpoints
+   against the tasks declared so far when it is read, while its words
+   are at hand; an endpoint not declared yet is -1, with its span kept
+   in [unresolved] as (field, start, stop), latest first, field being
+   the endpoint's index in [fields], and is looked up again once the
+   whole file is read. *)
+let edge_width = 4
+
+type edge_store = {
+  mutable fields : int array;
+  mutable n_edges : int;
+  mutable unresolved : (int * int * int) list;
+}
 
 let edge_field st k f = st.fields.((k * edge_width) + f)
+let edge_line st k = edge_field st k 0
+let edge_src st k = edge_field st k 1
+let edge_dst st k = edge_field st k 2
+let edge_size st k = edge_field st k 3
 
-let push_edge st line (w : words) size =
+let push_edge st line src dst size =
   let o = st.n_edges * edge_width in
   if o = Array.length st.fields then begin
     let grown = Array.make (2 * o) 0 in
@@ -275,30 +461,64 @@ let push_edge st line (w : words) size =
   end;
   let a = st.fields in
   a.(o) <- line;
-  a.(o + 1) <- w.starts.(1);
-  a.(o + 2) <- w.stops.(1);
-  a.(o + 3) <- w.starts.(2);
-  a.(o + 4) <- w.stops.(2);
-  a.(o + 5) <- size;
+  a.(o + 1) <- src;
+  a.(o + 2) <- dst;
+  a.(o + 3) <- size;
   st.n_edges <- st.n_edges + 1
 
+(* Word [f] of an edge line as endpoint [f] of the next edge. *)
+let endpoint st tbl names (w : words) f =
+  let start = w.starts.(f) and stop = w.stops.(f) in
+  let i = find_name tbl names w.text start stop in
+  if i < 0 then
+    st.unresolved <-
+      ((st.n_edges * edge_width) + f, start, stop) :: st.unresolved;
+  i
+
+let read_edge st tbl names line w size =
+  let src = endpoint st tbl names w 1 in
+  let dst = endpoint st tbl names w 2 in
+  push_edge st line src dst size
+
+(* Look up the endpoints left unresolved, now that every task is known. *)
+let resolve_rest st tbl names text =
+  List.iter
+    (fun (field, start, stop) ->
+      st.fields.(field) <- find_name tbl names text start stop)
+    st.unresolved
+
+(* The name of endpoint [f] (1 source, 2 destination) of edge [k], as the
+   file spells it. *)
+let endpoint_names st names text =
+  let spans = Hashtbl.create 16 in
+  List.iter
+    (fun (field, start, stop) -> Hashtbl.replace spans field (start, stop))
+    st.unresolved;
+  fun k f ->
+    let i = edge_field st k f in
+    if i >= 0 then names.(i)
+    else
+      let start, stop = Hashtbl.find spans ((k * edge_width) + f) in
+      span text start stop
+
 type scanned = {
-  tasks : pending_task list;
+  decls : decls;
+  table : name_table;
   edges : edge_store;
   shared : Rtlb.System.t option;
   nodes : (int * Rtlb.System.node_type) list;
 }
-
-let edge_src_name text st k = span text (edge_field st k 1) (edge_field st k 2)
-let edge_dst_name text st k = span text (edge_field st k 3) (edge_field st k 4)
 
 (* Tokenize the whole file into declarations.  Only syntax-level problems
    raise here; semantic ones (duplicates, cycles, bad quantities, dangling
    edges) survive into the result so both the strict constructor path
    and the diagnostic path can decide how to report them. *)
 let scan text =
-  let tasks = ref []
-  and edges = { fields = Array.make (16 * edge_width) 0; n_edges = 0 } in
+  let d = decls () and names = interned ()
+  and table = name_table ()
+  and edges =
+    { fields = Array.make (16 * edge_width) 0; n_edges = 0; unresolved = [] }
+  in
   let shared = ref None and nodes = ref [] in
   let w = { text; starts = Array.make 16 0; stops = Array.make 16 0; count = 0 } in
   let f =
@@ -308,10 +528,13 @@ let scan text =
   let len = String.length text in
   let directive line =
     let start = w.starts.(0) and stop = w.stops.(0) in
-    if spells text start stop "task" then tasks := parse_task f line w :: !tasks
+    if spells text start stop "task" then begin
+      parse_task d names f line w;
+      add_name table d.names (d.n - 1)
+    end
     else if spells text start stop "edge" then begin
       if w.count <> 4 then fail line "edge: expected 'edge SRC DST SIZE'";
-      push_edge edges line w
+      read_edge edges table d.names line w
         (int_span line "message" text w.starts.(3) w.stops.(3))
     end
     else if spells text start stop "shared" then begin
@@ -328,7 +551,8 @@ let scan text =
     if stop < len then lines (stop + 1) (line + 1)
   in
   lines 0 1;
-  { tasks = List.rev !tasks; edges; shared = !shared; nodes = List.rev !nodes }
+  resolve_rest edges table d.names text;
+  { decls = d; table; edges; shared = !shared; nodes = List.rev !nodes }
 
 let system_of line_of_conflict shared nodes =
   match (shared, nodes) with
@@ -340,40 +564,20 @@ let system_of line_of_conflict shared nodes =
       try Some (Rtlb.System.dedicated (List.map snd nodes))
       with Invalid_argument m -> fail 0 "%s" m)
 
-(* Repeat each resource name [units] times, the form Task.make expects. *)
-let expand_demands pt =
-  List.concat_map
-    (fun (r, k) ->
-      if k < 1 then fail pt.pt_line "task %s: zero resource units" pt.pt_name;
-      List.init k (fun _ -> r))
-    pt.pt_demands
+(* The resources task [i] lists, each repeated for its units: the form
+   Task.make expects. *)
+let resources_of d i =
+  match d.single.(i) with
+  | [ _ ] as one -> one
+  | _ ->
+      List.concat_map
+        (fun (r, k) ->
+          if k < 1 then
+            fail (line_of d i) "task %s: zero resource units" d.names.(i);
+          List.init k (fun _ -> r))
+        d.demands.(i)
 
-(* ---------------- name and edge tables ---------------- *)
-
-(* Open addressing with linear probing over a power-of-two number of
-   slots, at least twice the entries; a slot holds an entry + 1, 0 when
-   free.  Task names are found by probing with spans of the text, and
-   edge keys in a flat int set, so resolving an edge allocates nothing. *)
-
-let table_size entries =
-  let rec grow c = if c >= 2 * entries then c else grow (2 * c) in
-  grow 16
-
-(* FNV-1a over text.[start, stop). *)
-let rec hash_span text start stop h =
-  if start = stop then h lxor (h lsr 29)
-  else
-    hash_span text (start + 1) stop
-      ((h lxor Char.code (String.unsafe_get text start)) * 0x100000001b3)
-
-let fnv_basis = 0x811c9dc5
-
-(* The slot, probed from [i] on, that holds the task named
-   text.[start, stop), or else the free slot that name would take. *)
-let rec name_slot slots mask names text start stop i =
-  let k = slots.(i) in
-  if k = 0 || spells text start stop names.(k - 1) then i
-  else name_slot slots mask names text start stop ((i + 1) land mask)
+(* ---------------- strict parse ---------------- *)
 
 let hash_int k =
   let h = k * 0x1e3779b97f4a7c15 in
@@ -388,50 +592,53 @@ let rec add_key slots mask key i =
   end
   else k <> key + 1 && add_key slots mask key ((i + 1) land mask)
 
+(* Raise for the first edge among the first [limit] that repeats an
+   earlier one.  Dag's sorted rows find duplicates on the way; this
+   scan only runs once something has failed, to report the first
+   duplicate in file order, which outranks every later problem. *)
+let check_duplicates edges names ~n limit =
+  let keys = Array.make (table_size limit) 0 in
+  let mask = Array.length keys - 1 in
+  for k = 0 to limit - 1 do
+    let key = (edge_src edges k * n) + edge_dst edges k in
+    if not (add_key keys mask key (hash_int key land mask)) then
+      fail (edge_line edges k) "duplicate edge %s -> %s"
+        names.(edge_src edges k) names.(edge_dst edges k)
+  done
+
 let parse text =
-  let { tasks; edges; shared; nodes } = scan text in
-  let decls = Array.of_list tasks in
-  let n = Array.length decls in
-  let names = Array.map (fun pt -> pt.pt_name) decls in
-  let slots = Array.make (table_size n) 0 in
-  let mask = Array.length slots - 1 in
-  let slot text start stop =
-    let h = hash_span text start stop fnv_basis in
-    name_slot slots mask names text start stop (h land mask)
-  in
-  Array.iteri
-    (fun i name ->
-      let j = slot name 0 (String.length name) in
-      if slots.(j) <> 0 then
-        fail decls.(i).pt_line "duplicate task name %s" name;
-      slots.(j) <- i + 1)
-    names;
-  (* Reject dangling endpoints, self-loops and duplicate edges here, where
-     the source line is still known — Dag.create would only raise an
-     unlocated Invalid_argument. *)
+  let { decls = d; table; edges; shared; nodes } = scan text in
+  let n = d.n in
+  let names = d.names in
+  if table.dup >= 0 then
+    fail (line_of d table.dup) "duplicate task name %s" names.(table.dup);
+  (* the first edge, in file order, with an unknown endpoint or a self
+     loop *)
   let m = edges.n_edges in
-  let src = Array.make m 0 and dst = Array.make m 0 and msg = Array.make m 0 in
-  let keys = Array.make (table_size m) 0 in
-  let keys_mask = Array.length keys - 1 in
-  let resolve line start stop =
-    let i = slots.(slot text start stop) - 1 in
-    if i < 0 then fail line "edge: unknown task %s" (span text start stop);
-    i
-  in
-  for k = 0 to m - 1 do
-    let line = edge_field edges k 0 in
-    let s = resolve line (edge_field edges k 1) (edge_field edges k 2) in
-    let d = resolve line (edge_field edges k 3) (edge_field edges k 4) in
-    if s = d then
-      fail line "edge: self loop on task %s" (edge_src_name text edges k);
-    let key = (s * n) + d in
-    if not (add_key keys keys_mask key (hash_int key land keys_mask)) then
-      fail line "duplicate edge %s -> %s" (edge_src_name text edges k)
-        (edge_dst_name text edges k);
-    src.(k) <- s;
-    dst.(k) <- d;
-    msg.(k) <- edge_field edges k 5
+  let bad = ref m and k = ref 0 in
+  while !k < m do
+    let s = edge_src edges !k and t = edge_dst edges !k in
+    if s < 0 || t < 0 || s = t then begin
+      bad := !k;
+      k := m
+    end
+    else incr k
   done;
+  let duplicates limit = check_duplicates edges names ~n limit in
+  if !bad < m then begin
+    let k = !bad in
+    duplicates k;
+    let line = edge_line edges k in
+    let endpoint_name = endpoint_names edges names text in
+    if edge_src edges k < 0 then
+      fail line "edge: unknown task %s" (endpoint_name k 1);
+    if edge_dst edges k < 0 then
+      fail line "edge: unknown task %s" (endpoint_name k 2);
+    fail line "edge: self loop on task %s" names.(edge_src edges k)
+  end;
+  let src = Array.init m (edge_src edges)
+  and dst = Array.init m (edge_dst edges)
+  and msg = Array.init m (edge_size edges) in
   let cycle_error ids =
     (* Map the Dag.Cycle payload back to names and the earliest source
        line of an edge on the cycle. *)
@@ -450,55 +657,65 @@ let parse text =
     let line = ref max_int in
     for k = 0 to m - 1 do
       if List.mem (src.(k), dst.(k)) pairs then
-        line := min !line (edge_field edges k 0)
+        line := min !line (edge_line edges k)
     done;
     let line = if !line = max_int then 0 else !line in
     fail line "precedence cycle: %s"
       (String.concat " -> " (cycle_names @ [ List.nth cycle_names 0 ]))
   in
-  let periodic = List.exists (fun pt -> pt.pt_period <> None) tasks in
+  let periodic = ref false and one_shot = ref (-1) in
+  for i = n - 1 downto 0 do
+    if period_of d i <> None then periodic := true else one_shot := i
+  done;
   let app =
-    if periodic then begin
-      (match List.find_opt (fun pt -> pt.pt_period = None) tasks with
-      | Some pt ->
-          fail pt.pt_line
-            "task %s: mixing periodic and one-shot tasks is not supported"
-            pt.pt_name
-      | None -> ());
+    if !periodic then begin
+      duplicates m;
+      (if !one_shot >= 0 then
+         let i = !one_shot in
+         fail (line_of d i)
+           "task %s: mixing periodic and one-shot tasks is not supported"
+           names.(i));
       let ptasks =
-        List.map
-          (fun pt ->
+        List.init n (fun i ->
             try
-              Rtlb.Periodic.ptask ~name:pt.pt_name
-                ~period:(Option.get pt.pt_period) ~offset:pt.pt_release
-                ~compute:pt.pt_compute ~deadline:pt.pt_deadline
-                ~proc:pt.pt_proc ~resources:(expand_demands pt)
-                ~preemptive:pt.pt_preemptive ()
-            with Invalid_argument m -> fail pt.pt_line "task %s: %s" pt.pt_name m)
-          tasks
+              Rtlb.Periodic.ptask ~name:names.(i)
+                ~period:(Option.get (period_of d i)) ~offset:(release_of d i)
+                ~compute:(compute_of d i) ~deadline:(deadline_of d i)
+                ~proc:d.procs.(i) ~resources:(resources_of d i)
+                ~preemptive:(preemptive_of d i) ()
+            with Invalid_argument msg ->
+              fail (line_of d i) "task %s: %s" names.(i) msg)
       in
       let pedges =
         List.init m (fun k -> (names.(src.(k)), names.(dst.(k)), msg.(k)))
       in
       match Rtlb.Periodic.unroll ~tasks:ptasks ~edges:pedges () with
       | app -> app
-      | exception Invalid_argument m -> fail 0 "%s" m
+      | exception Invalid_argument msg -> fail 0 "%s" msg
       | exception Dag.Cycle _ -> fail 0 "precedence cycle in task graph"
     end
     else begin
       let tasks =
-        Array.mapi
-          (fun i pt ->
-            try
-              Rtlb.Task.make ~id:i ~name:pt.pt_name ~compute:pt.pt_compute
-                ~release:pt.pt_release ~deadline:pt.pt_deadline ~proc:pt.pt_proc
-                ~resources:(expand_demands pt) ~preemptive:pt.pt_preemptive ()
-            with Invalid_argument m -> fail pt.pt_line "task %s: %s" pt.pt_name m)
-          decls
+        Array.init n (fun i ->
+            match
+              Rtlb.Task.make ~id:i ~name:names.(i) ~compute:(compute_of d i)
+                ~release:(release_of d i) ~deadline:(deadline_of d i)
+                ~proc:d.procs.(i) ~resources:(resources_of d i)
+                ~preemptive:(preemptive_of d i) ()
+            with
+            | task -> task
+            | exception Invalid_argument msg ->
+                duplicates m;
+                fail (line_of d i) "task %s: %s" names.(i) msg
+            | exception (Parse_error _ as e) ->
+                duplicates m;
+                raise e)
       in
       match Rtlb.App.of_arrays ~tasks ~src ~dst ~msg with
       | app -> app
-      | exception Invalid_argument m -> fail 0 "%s" m
+      | exception Invalid_argument msg ->
+          duplicates m;
+          fail 0 "%s" msg
       | exception Dag.Cycle ids -> cycle_error ids
     end
   in
@@ -525,34 +742,33 @@ type spec = {
 }
 
 let parse_spec text =
-  let { tasks; edges; shared; nodes } = scan text in
+  let { decls = d; edges; shared; nodes; _ } = scan text in
   let line_of_conflict nodes =
     match nodes with (l, _) :: _ -> l | [] -> 0
   in
   let system = system_of line_of_conflict shared nodes in
+  let endpoint_name = endpoint_names edges d.names text in
   {
     spec_tasks =
-      List.map
-        (fun pt ->
+      List.init d.n (fun i ->
           {
-            Rtlb.Validate.ts_name = pt.pt_name;
-            ts_compute = pt.pt_compute;
-            ts_release = pt.pt_release;
-            ts_deadline = pt.pt_deadline;
-            ts_proc = pt.pt_proc;
-            ts_demands = pt.pt_demands;
-            ts_preemptive = pt.pt_preemptive;
-            ts_period = pt.pt_period;
-            ts_line = Some pt.pt_line;
-          })
-        tasks;
+            Rtlb.Validate.ts_name = d.names.(i);
+            ts_compute = compute_of d i;
+            ts_release = release_of d i;
+            ts_deadline = deadline_of d i;
+            ts_proc = d.procs.(i);
+            ts_demands = demands_of d i;
+            ts_preemptive = preemptive_of d i;
+            ts_period = period_of d i;
+            ts_line = Some (line_of d i);
+          });
     spec_edges =
       List.init edges.n_edges (fun k ->
           {
-            Rtlb.Validate.es_src = edge_src_name text edges k;
-            es_dst = edge_dst_name text edges k;
-            es_message = edge_field edges k 5;
-            es_line = Some (edge_field edges k 0);
+            Rtlb.Validate.es_src = endpoint_name k 1;
+            es_dst = endpoint_name k 2;
+            es_message = edge_size edges k;
+            es_line = Some (edge_line edges k);
           });
     spec_system = system;
     spec_source = text;
@@ -625,56 +841,97 @@ let check spec =
     | exception Parse_error (l, m) -> diags @ [ e100 l m ]
     | exception e -> diags @ [ e100 0 (Printexc.to_string e) ]
 
+(* ---------------- writing ---------------- *)
+
+(* The digits of a non-positive [v] into [b], last digit at [p],
+   leftwards; returns the position of the first. *)
+let rec put_digits b p v =
+  Bytes.unsafe_set b p (Char.unsafe_chr (48 - (v mod 10)));
+  if v <= -10 then put_digits b (p - 1) (v / 10) else p
+
+(* [string_of_int i] appended through a scratch of 20 bytes, enough for
+   any 63-bit integer. *)
+let add_int buf scratch i =
+  let p = put_digits scratch 19 (if i < 0 then i else -i) in
+  let p =
+    if i < 0 then begin
+      Bytes.unsafe_set scratch (p - 1) '-';
+      p - 1
+    end
+    else p
+  in
+  Buffer.add_subbytes buf scratch p (20 - p)
+
+(* "r" for one unit, "2xr" for more, comma-separated. *)
+let add_counted buf scratch pairs =
+  List.iteri
+    (fun k (r, units) ->
+      if k > 0 then Buffer.add_char buf ',';
+      if units <> 1 then begin
+        add_int buf scratch units;
+        Buffer.add_char buf 'x'
+      end;
+      Buffer.add_string buf r)
+    pairs
+
 let to_string ?system app =
-  let buf = Buffer.create 512 in
+  let buf = Buffer.create 512 and scratch = Bytes.create 20 in
+  let add = Buffer.add_string buf and int = add_int buf scratch in
   Array.iter
     (fun (task : Rtlb.Task.t) ->
-      Buffer.add_string buf
-        (Printf.sprintf "task %s compute=%d release=%d deadline=%d proc=%s"
-           task.Rtlb.Task.name task.Rtlb.Task.compute task.Rtlb.Task.release
-           task.Rtlb.Task.deadline task.Rtlb.Task.proc);
+      add "task ";
+      add task.Rtlb.Task.name;
+      add " compute=";
+      int task.Rtlb.Task.compute;
+      add " release=";
+      int task.Rtlb.Task.release;
+      add " deadline=";
+      int task.Rtlb.Task.deadline;
+      add " proc=";
+      add task.Rtlb.Task.proc;
       (match task.Rtlb.Task.demands with
       | [] -> ()
       | ds ->
-          Buffer.add_string buf
-            (" res="
-            ^ String.concat ","
-                (List.map
-                   (fun (r, k) ->
-                     if k = 1 then r else Printf.sprintf "%dx%s" k r)
-                   ds)));
-      if task.Rtlb.Task.preemptive then Buffer.add_string buf " preemptive";
+          add " res=";
+          add_counted buf scratch ds);
+      if task.Rtlb.Task.preemptive then add " preemptive";
       Buffer.add_char buf '\n')
     (Rtlb.App.tasks app);
   let name i = (Rtlb.App.task app i).Rtlb.Task.name in
   Dag.fold_edges (Rtlb.App.graph app) ~init:() ~f:(fun () ~src ~dst m ->
-      Buffer.add_string buf
-        (Printf.sprintf "edge %s %s %d\n" (name src) (name dst) m));
+      add "edge ";
+      add (name src);
+      Buffer.add_char buf ' ';
+      add (name dst);
+      Buffer.add_char buf ' ';
+      int m;
+      Buffer.add_char buf '\n');
   (match system with
   | None -> ()
   | Some (Rtlb.System.Shared costs) ->
-      Buffer.add_string buf "shared";
+      add "shared";
       List.iter
-        (fun (r, c) -> Buffer.add_string buf (Printf.sprintf " %s=%d" r c))
+        (fun (r, c) ->
+          Buffer.add_char buf ' ';
+          add r;
+          Buffer.add_char buf '=';
+          int c)
         costs;
       Buffer.add_char buf '\n'
   | Some (Rtlb.System.Dedicated nts) ->
       List.iter
         (fun (nt : Rtlb.System.node_type) ->
-          Buffer.add_string buf
-            (Printf.sprintf "node %s proc=%s" nt.Rtlb.System.nt_name
-               nt.Rtlb.System.nt_proc);
+          add "node ";
+          add nt.Rtlb.System.nt_name;
+          add " proc=";
+          add nt.Rtlb.System.nt_proc;
           (match nt.Rtlb.System.nt_provides with
           | [] -> ()
           | provides ->
-              Buffer.add_string buf " res=";
-              Buffer.add_string buf
-                (String.concat ","
-                   (List.map
-                      (fun (r, c) ->
-                        if c = 1 then r else Printf.sprintf "%dx%s" c r)
-                      provides)));
-          Buffer.add_string buf
-            (Printf.sprintf " cost=%d\n" nt.Rtlb.System.nt_cost))
+              add " res=";
+              add_counted buf scratch provides);
+          add " cost=";
+          int nt.Rtlb.System.nt_cost;
+          Buffer.add_char buf '\n')
         nts);
   Buffer.contents buf

@@ -19,7 +19,7 @@ val to_string : ?indent:bool -> t -> string
 
 val output : ?indent:bool -> out_channel -> t -> unit
 (** [output oc t] writes [to_string t] to [oc], byte for byte, without
-    building the whole string: the same printer hands its buffer to the
+    building the whole string: the same writer hands its buffer to the
     channel every 64 KB or so.  Does not flush [oc]. *)
 
 exception Parse_error of string
@@ -41,6 +41,13 @@ val of_analysis : ?stats:Rtlb_obs.Stats.t -> Rtlb.Analysis.t -> t
     outcome.  With [?stats] (a traced run's summary), a trailing
     ["stats"] object is appended — omitted otherwise, so untraced
     output is byte-identical to earlier versions. *)
+
+val output_analysis :
+  ?stats:Rtlb_obs.Stats.t -> out_channel -> Rtlb.Analysis.t -> unit
+(** [output_analysis oc a] writes [to_string (of_analysis a)] to [oc],
+    byte for byte, without building the tree: the analysis is walked
+    straight into the writer ([of_analysis] assembles its tree from the
+    same walk).  Does not flush [oc]. *)
 
 val of_schedule : Rtlb.App.t -> Sched.Schedule.t -> t
 

@@ -3,7 +3,11 @@
    found through a hash table keyed on (src, dst) pairs.  Kept verbatim
    as the reference the index-based Rtfmt.Appfile reader is tested
    against; it separates words on spaces only, so it agrees with the
-   library reader on every input without tabs or carriage returns. *)
+   library reader on every input without tabs or carriage returns.
+
+   [to_string] at the end is the writer that formatted each line with
+   Printf.sprintf, kept verbatim as the reference for the Buffer-based
+   Rtfmt.Appfile.to_string. *)
 
 let fail line fmt =
   Printf.ksprintf (fun m -> raise (Rtfmt.Appfile.Parse_error (line, m))) fmt
@@ -335,3 +339,56 @@ let parse_spec text =
     spec_source = text;
   }
 
+let to_string ?system app =
+  let buf = Buffer.create 512 in
+  Array.iter
+    (fun (task : Rtlb.Task.t) ->
+      Buffer.add_string buf
+        (Printf.sprintf "task %s compute=%d release=%d deadline=%d proc=%s"
+           task.Rtlb.Task.name task.Rtlb.Task.compute task.Rtlb.Task.release
+           task.Rtlb.Task.deadline task.Rtlb.Task.proc);
+      (match task.Rtlb.Task.demands with
+      | [] -> ()
+      | ds ->
+          Buffer.add_string buf
+            (" res="
+            ^ String.concat ","
+                (List.map
+                   (fun (r, k) ->
+                     if k = 1 then r else Printf.sprintf "%dx%s" k r)
+                   ds)));
+      if task.Rtlb.Task.preemptive then Buffer.add_string buf " preemptive";
+      Buffer.add_char buf '\n')
+    (Rtlb.App.tasks app);
+  let name i = (Rtlb.App.task app i).Rtlb.Task.name in
+  Dag.fold_edges (Rtlb.App.graph app) ~init:() ~f:(fun () ~src ~dst m ->
+      Buffer.add_string buf
+        (Printf.sprintf "edge %s %s %d\n" (name src) (name dst) m));
+  (match system with
+  | None -> ()
+  | Some (Rtlb.System.Shared costs) ->
+      Buffer.add_string buf "shared";
+      List.iter
+        (fun (r, c) -> Buffer.add_string buf (Printf.sprintf " %s=%d" r c))
+        costs;
+      Buffer.add_char buf '\n'
+  | Some (Rtlb.System.Dedicated nts) ->
+      List.iter
+        (fun (nt : Rtlb.System.node_type) ->
+          Buffer.add_string buf
+            (Printf.sprintf "node %s proc=%s" nt.Rtlb.System.nt_name
+               nt.Rtlb.System.nt_proc);
+          (match nt.Rtlb.System.nt_provides with
+          | [] -> ()
+          | provides ->
+              Buffer.add_string buf " res=";
+              Buffer.add_string buf
+                (String.concat ","
+                   (List.map
+                      (fun (r, c) ->
+                        if c = 1 then r else Printf.sprintf "%dx%s" c r)
+                      provides)));
+          Buffer.add_string buf
+            (Printf.sprintf " cost=%d\n" nt.Rtlb.System.nt_cost))
+        nts);
+  Buffer.contents buf

@@ -80,3 +80,63 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_int_list = Alcotest.(check (list int))
 let check_string = Alcotest.(check string)
+
+(* ---------------- generator families ---------------- *)
+
+let families =
+  [|
+    Workload.Gen.Layered { layers = 4; density = 0.4 };
+    Workload.Gen.Series_parallel;
+    Workload.Gen.Fork_join { width = 4 };
+    Workload.Gen.Out_tree;
+    Workload.Gen.In_tree;
+    Workload.Gen.Gauss { size = 5 };
+    Workload.Gen.Fft { points = 8 };
+    Workload.Gen.Stencil { rows = 4; cols = 5 };
+    Workload.Gen.Chain;
+    Workload.Gen.Independent;
+  |]
+
+let frame_nodes =
+  Rtlb.System.dedicated
+    [
+      Rtlb.System.node_type ~name:"full" ~proc:"P" ~provides:[ ("R", 1) ]
+        ~cost:10 ();
+      Rtlb.System.node_type ~name:"bare" ~proc:"P" ~cost:6 ();
+    ]
+
+(* One instance of a generator family — every [Workload.Gen] shape, or
+   [layered_frames] — with its shared and its dedicated system. *)
+let arb_family_instance =
+  let gen =
+    QCheck.Gen.(
+      let* family = int_bound (Array.length families) in
+      let* seed = int_bound 1_000_000 in
+      let* size = int_range 2 40 in
+      if family = Array.length families then
+        let app =
+          Workload.Gen.layered_frames ~seed ~frames:(1 + (size mod 4))
+            ~tasks_per_frame:size ()
+        in
+        return ("layered_frames", seed, Workload.Gen.frame_system (), frame_nodes, app)
+      else
+        let config =
+          {
+            Workload.Gen.default with
+            Workload.Gen.seed;
+            shape = families.(family);
+            n_tasks = size;
+            preemptive_fraction = 0.3;
+            release_spread = 0.5;
+            resource_types = [ ("r1", 0.4); ("r2", 0.2) ];
+          }
+        in
+        return
+          ( Workload.Gen.shape_name families.(family),
+            seed,
+            Workload.Gen.shared_system config,
+            Workload.Gen.dedicated_system config,
+            Workload.Gen.generate config ))
+  in
+  QCheck.make gen ~print:(fun (name, seed, _, _, app) ->
+      Printf.sprintf "%s seed=%d\n%s" name seed (Rtfmt.Appfile.to_string app))

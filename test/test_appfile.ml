@@ -140,6 +140,38 @@ let differential =
            (spec_outcome Rtfmt.Appfile.parse_spec text)
            (spec_outcome Appfile_ref.parse_spec text))
 
+(* Duplicate edges are found by Dag's sorted rows, and the first one in
+   file order only once something fails: it must still outrank a later
+   unknown endpoint or self loop, an invalid task, a negative message
+   and a cycle, and still yield to a syntax error, a redeclared name
+   and an earlier faulty edge.  Edges may name tasks declared later. *)
+let precedence_texts =
+  let tasks = "task a compute=1 deadline=9 proc=P\ntask b compute=1 deadline=9 proc=P\n" in
+  [
+    (tasks ^ "edge a b 1\nedge a b 2\nedge a zz 1\n", Error (4, "duplicate edge a -> b"));
+    (tasks ^ "edge a zz 1\nedge a b 1\nedge a b 2\n", Error (3, "edge: unknown task zz"));
+    (tasks ^ "edge a b 1\nedge a b 2\nedge b b 1\n", Error (4, "duplicate edge a -> b"));
+    ("task a compute=5 deadline=2 proc=P\ntask b compute=1 deadline=9 proc=P\n"
+     ^ "edge a b 1\nedge a b 1\n", Error (4, "duplicate edge a -> b"));
+    (tasks ^ "edge a b -1\nedge a b 1\n", Error (4, "duplicate edge a -> b"));
+    (tasks ^ "edge a b 1\nedge b a 1\nedge a b 1\n", Error (5, "duplicate edge a -> b"));
+    (tasks ^ "edge a b 1\nedge a b 1\nbogus\n", Error (5, "unknown directive \"bogus\""));
+    (tasks ^ "task a compute=1 deadline=9 proc=P\nedge a b 1\nedge a b 1\n",
+     Error (3, "duplicate task name a"));
+    ("edge a b 1\nedge b c 1\n" ^ tasks ^ "task c compute=1 deadline=9 proc=P\n",
+     outcome Rtfmt.Appfile.parse (tasks ^ "task c compute=1 deadline=9 proc=P\nedge a b 1\nedge b c 1\n"));
+  ]
+
+let error_precedence () =
+  List.iter
+    (fun (text, expected) ->
+      let got = outcome Rtfmt.Appfile.parse text in
+      check_string ("reference on " ^ String.escaped text)
+        (show (outcome Appfile_ref.parse text)) (show got);
+      check_string ("expected on " ^ String.escaped text) (show expected)
+        (show got))
+    precedence_texts
+
 let total =
   qtest ~count:600 "reader is total on byte-mutated input"
     (arb_mutant ~blanks:true) (fun text ->
@@ -171,68 +203,70 @@ let roundtrips system app =
   in
   apps_equal app app' && system' = Some system
 
-let families =
-  [|
-    Workload.Gen.Layered { layers = 4; density = 0.4 };
-    Workload.Gen.Series_parallel;
-    Workload.Gen.Fork_join { width = 4 };
-    Workload.Gen.Out_tree;
-    Workload.Gen.In_tree;
-    Workload.Gen.Gauss { size = 5 };
-    Workload.Gen.Fft { points = 8 };
-    Workload.Gen.Stencil { rows = 4; cols = 5 };
-    Workload.Gen.Chain;
-    Workload.Gen.Independent;
-  |]
-
-let frame_nodes =
-  Rtlb.System.dedicated
-    [
-      Rtlb.System.node_type ~name:"full" ~proc:"P" ~provides:[ ("R", 1) ]
-        ~cost:10 ();
-      Rtlb.System.node_type ~name:"bare" ~proc:"P" ~cost:6 ();
-    ]
-
-(* One instance of a generator family — every [Workload.Gen] shape, or
-   [layered_frames] — with its shared and its dedicated system. *)
-let arb_family_instance =
-  let gen =
-    QCheck.Gen.(
-      let* family = int_bound (Array.length families) in
-      let* seed = int_bound 1_000_000 in
-      let* size = int_range 2 40 in
-      if family = Array.length families then
-        let app =
-          Workload.Gen.layered_frames ~seed ~frames:(1 + (size mod 4))
-            ~tasks_per_frame:size ()
-        in
-        return ("layered_frames", seed, Workload.Gen.frame_system (), frame_nodes, app)
-      else
-        let config =
-          {
-            Workload.Gen.default with
-            Workload.Gen.seed;
-            shape = families.(family);
-            n_tasks = size;
-            preemptive_fraction = 0.3;
-            release_spread = 0.5;
-            resource_types = [ ("r1", 0.4); ("r2", 0.2) ];
-          }
-        in
-        return
-          ( Workload.Gen.shape_name families.(family),
-            seed,
-            Workload.Gen.shared_system config,
-            Workload.Gen.dedicated_system config,
-            Workload.Gen.generate config ))
-  in
-  QCheck.make gen ~print:(fun (name, seed, _, _, app) ->
-      Printf.sprintf "%s seed=%d\n%s" name seed (Rtfmt.Appfile.to_string app))
-
 let families_roundtrip =
   qtest ~count:300 "parse (to_string ~system app) = app, every family"
     arb_family_instance (fun (_, _, shared, dedicated, app) ->
       roundtrips shared app && roundtrips dedicated app)
+
+(* Counted demands and preemptive tasks on top of a family instance:
+   each task takes its demands one to three times over, and about a
+   third of the tasks become preemptive. *)
+let with_counted seed app =
+  let rand = Random.State.make [| seed |] in
+  Rtlb.App.map_tasks app ~f:(fun (t : Rtlb.Task.t) ->
+      let k = 1 + Random.State.int rand 3 in
+      Rtlb.Task.make ~id:t.Rtlb.Task.id ~name:t.Rtlb.Task.name
+        ~compute:t.Rtlb.Task.compute ~release:t.Rtlb.Task.release
+        ~deadline:t.Rtlb.Task.deadline ~proc:t.Rtlb.Task.proc
+        ~resources:
+          (List.concat_map
+             (fun (r, u) -> List.init (k * u) (fun _ -> r))
+             t.Rtlb.Task.demands)
+        ~preemptive:(t.Rtlb.Task.preemptive || Random.State.int rand 3 = 0)
+        ())
+
+(* Node types providing two or more units of their resources. *)
+let counted_nodes = function
+  | Rtlb.System.Dedicated nts ->
+      Rtlb.System.dedicated
+        (List.mapi
+           (fun k (nt : Rtlb.System.node_type) ->
+             Rtlb.System.node_type ~name:nt.Rtlb.System.nt_name
+               ~proc:nt.Rtlb.System.nt_proc
+               ~provides:
+                 (List.map
+                    (fun (r, c) -> (r, (1 + (k mod 3)) * c))
+                    nt.Rtlb.System.nt_provides)
+               ~cost:nt.Rtlb.System.nt_cost ())
+           nts)
+  | system -> system
+
+let writer_matches_reference =
+  qtest ~count:300 "to_string = the Printf reference writer, every family"
+    arb_family_instance (fun (_, seed, shared, dedicated, app) ->
+      let app = with_counted seed app in
+      List.for_all
+        (fun system ->
+          Rtfmt.Appfile.to_string ?system app
+          = Appfile_ref.to_string ?system app)
+        [ None; Some shared; Some (counted_nodes dedicated) ])
+
+(* The reader's allocation is pinned per task: declarations in columns,
+   interned processor and resource names shared by every task, and
+   Task.make's one-resource path keep a frame DAG under 40 minor words
+   per task (the reader that kept a record per declaration took 80). *)
+let parse_allocation () =
+  let app = Workload.Gen.layered_frames ~seed:7 ~frames:20 () in
+  let text =
+    Rtfmt.Appfile.to_string ~system:(Workload.Gen.frame_system ()) app
+  in
+  let before = Gc.minor_words () in
+  ignore (Rtfmt.Appfile.parse text : Rtfmt.Appfile.t);
+  let per_task =
+    (Gc.minor_words () -. before) /. float_of_int (Rtlb.App.n_tasks app)
+  in
+  if per_task > 40.0 then
+    Alcotest.failf "Appfile.parse allocated %.1f minor words per task" per_task
 
 (* A periodic file unrolls to jobs; their rendering reads back the same. *)
 let periodic_roundtrips () =
@@ -253,8 +287,12 @@ let suite =
           blanks_separate_words;
         Alcotest.test_case "periodic file round-trips" `Quick
           periodic_roundtrips;
+        Alcotest.test_case "error precedence with duplicate edges" `Quick
+          error_precedence;
         differential;
         total;
         families_roundtrip;
+        writer_matches_reference;
+        Alcotest.test_case "parse allocation per task" `Quick parse_allocation;
       ] );
   ]

@@ -186,6 +186,40 @@ let repeat_query_hits_cache () =
   check_bool "repeat query still = cold run" true
     (analyses_identical q (Oracle.run system app'))
 
+(* A handle answering many distinct what-ifs (a serve daemon's) keeps its
+   base results and at most [max 64 b] more: each distinct edit rescans
+   the blocks it touches, and keeping them all would grow the handle
+   without end.  Answers stay equal to cold runs across the points where
+   the query results are dropped. *)
+let query_cache_bounded () =
+  let config =
+    { Workload.Gen.default with Workload.Gen.n_tasks = 30; seed = 11 }
+  in
+  let app = Workload.Gen.generate config in
+  let system = Workload.Gen.shared_system config in
+  let handle = Rtlb.Incremental.create system app in
+  let base = Rtlb.Incremental.cached_blocks handle in
+  let limit = base + max 64 base in
+  let st = Random.State.make [| 11 |] in
+  let most = ref 0 in
+  for k = 1 to 400 do
+    let edits = [ gen_edit st app ] in
+    let q = Rtlb.Incremental.edit handle edits in
+    most := max !most (Rtlb.Incremental.cached_blocks handle);
+    if k mod 40 = 0 then
+      check_bool
+        (Printf.sprintf "query %d = cold run" k)
+        true
+        (analyses_identical q
+           (Oracle.run system (Rtlb.Incremental.apply app edits)))
+  done;
+  check_bool
+    (Printf.sprintf "at most %d results held (saw %d)" limit !most)
+    true (!most <= limit);
+  check_bool
+    (Printf.sprintf "query results were kept (base %d, saw %d)" base !most)
+    true (!most > base + 32)
+
 let apply_validates () =
   let app = chain_app () in
   Alcotest.check_raises "task id out of range"
@@ -284,6 +318,8 @@ let suite =
           cone_counter_pins_est_reuse;
         Alcotest.test_case "repeated query served from cache" `Quick
           repeat_query_hits_cache;
+        Alcotest.test_case "query results held stay bounded" `Quick
+          query_cache_bounded;
         Alcotest.test_case "apply validates edits" `Quick apply_validates;
         Alcotest.test_case "reshaped query falls back to cold run" `Quick
           reshape_falls_back;

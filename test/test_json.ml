@@ -193,8 +193,93 @@ let tree_gen =
   in
   wrap wrappers t
 
+(* Byte mutations of printed trees: mostly JSON's own alphabet, and
+   fragments that reach the escape, surrogate and number paths. *)
+let json_fragments =
+  [| "\\"; "\\u"; "\\uD83D"; "\\uDE00"; "\\u00e9"; "\""; ","; ":"; "["; "]";
+     "{"; "}"; " "; "\n"; "\t"; "\r"; "-"; "0"; "7"; "99999999999999999999";
+     "-4611686018427387904"; "true"; "fals"; "null"; "nul"; "x"; "\000" |]
+
+let mutate_json rand text =
+  let fragment () =
+    if Random.State.int rand 4 = 0 then
+      String.make 1 (Char.chr (Random.State.int rand 256))
+    else json_fragments.(Random.State.int rand (Array.length json_fragments))
+  in
+  let edit t =
+    let n = String.length t in
+    let at = if n = 0 then 0 else Random.State.int rand (n + 1) in
+    match Random.State.int rand 3 with
+    | 0 when at < n ->
+        String.sub t 0 at ^ fragment () ^ String.sub t (at + 1) (n - at - 1)
+    | 1 -> String.sub t 0 at ^ fragment () ^ String.sub t at (n - at)
+    | _ when n > 0 ->
+        let len = Random.State.int rand (min 16 (n - at) + 1) in
+        String.sub t 0 at ^ String.sub t (at + len) (n - at - len)
+    | _ -> fragment ()
+  in
+  let rec go k t = if k = 0 then t else go (k - 1) (edit t) in
+  go (1 + Random.State.int rand 3) text
+
+let parse_outcome parse text =
+  match parse text with
+  | v -> Ok v
+  | exception Rtfmt.Json.Parse_error m -> Error m
+
+(* [output_analysis] into a file, read back. *)
+let streamed ?stats a =
+  let path = Filename.temp_file "rtlb_stream" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          Rtfmt.Json.output_analysis ?stats oc a);
+      In_channel.with_open_bin path In_channel.input_all)
+
+(* The streamed encoding allocates a constant, not per task: the
+   analysis is walked straight into the writer (the tree and its
+   printer took about 85 minor words per task). *)
+let stream_allocation () =
+  let app = Workload.Gen.layered_frames ~seed:7 ~frames:20 () in
+  let a = Rtlb.Analysis.run (Workload.Gen.frame_system ()) app in
+  Out_channel.with_open_bin Filename.null (fun oc ->
+      let before = Gc.minor_words () in
+      Rtfmt.Json.output_analysis oc a;
+      let per_task =
+        (Gc.minor_words () -. before) /. float_of_int (Rtlb.App.n_tasks app)
+      in
+      if per_task > 1.0 then
+        Alcotest.failf "output_analysis allocated %.2f minor words per task"
+          per_task)
+
 let prop_tests =
   [
+    qtest ~count:1000 "parse = reference parser on printed and mutated trees"
+      (QCheck.make ~print:String.escaped (fun st ->
+           let v = QCheck2.Gen.generate1 ~rand:st tree_gen in
+           let text = s ~indent:(Random.State.bool st) v in
+           if Random.State.int st 5 = 0 then text else mutate_json st text))
+      (fun text ->
+        parse_outcome Rtfmt.Json.parse text = parse_outcome Json_ref.parse text);
+    qtest ~count:150 "streamed analysis = to_string (of_analysis a)"
+      arb_family_instance (fun (_, _, shared, dedicated, app) ->
+        let tracer =
+          Rtlb_obs.Tracer.make ~clock:(Rtlb_obs.Clock.fake ()) ()
+        in
+        List.for_all
+          (fun (system, deadline_ns) ->
+            match Rtlb.System.validate_for system app with
+            | Error _ -> true
+            | Ok () ->
+                let a =
+                  Rtlb.Analysis.run ?deadline_ns ~tracer system app
+                in
+                let stats = Rtlb_obs.Stats.of_tracer tracer in
+                streamed a = s (Rtfmt.Json.of_analysis a)
+                && streamed ~stats a = s (Rtfmt.Json.of_analysis ~stats a))
+          (* an already-expired deadline makes a partial result *)
+          [ (shared, None); (dedicated, None); (shared, Some 0L);
+            (dedicated, Some 0L) ]);
     qtest ~count:200 "print/parse roundtrips analysis JSON"
       (arb_instance ~max_tasks:10 ()) (fun i ->
         let a = Rtlb.Analysis.run (shared_of i) i.app in
@@ -289,6 +374,8 @@ let suite =
         Alcotest.test_case "schedule encoding" `Quick schedule_encoding;
         Alcotest.test_case "stencil workload" `Quick stencil_shape;
         Alcotest.test_case "preemptive gantt" `Quick preemptive_gantt;
+        Alcotest.test_case "streamed encoding allocation" `Quick
+          stream_allocation;
       ]
       @ prop_tests );
   ]

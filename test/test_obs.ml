@@ -422,6 +422,19 @@ let null_tracer_noop () =
   check_bool "null records no events" true (Rtlb_obs.Tracer.events t = []);
   check_bool "null has no workers" true (Rtlb_obs.Tracer.worker_stats t = [])
 
+(* The tracer of a long-lived process that reads only counters records
+   no span, so it does not grow with the work it counts. *)
+let counters_only_tracer () =
+  let t = Rtlb_obs.Tracer.make ~spans:false () in
+  check_bool "counters-only is enabled" true (Rtlb_obs.Tracer.enabled t);
+  check_int "with_span is transparent" 41
+    (Rtlb_obs.Tracer.with_span t "x" (fun () -> 41));
+  Rtlb_obs.Tracer.add t Rtlb_obs.Tracer.Theta_evals 5;
+  Rtlb_obs.Tracer.record_chunk t ~items:3;
+  check_int "counters count" 5 (counter t Rtlb_obs.Tracer.Theta_evals);
+  check_int "chunks count" 1 (counter t Rtlb_obs.Tracer.Chunks_claimed);
+  check_bool "no events recorded" true (Rtlb_obs.Tracer.events t = [])
+
 let clocks () =
   let a = Rtlb_obs.Clock.now_ns Rtlb_obs.Clock.monotonic in
   let b = Rtlb_obs.Clock.now_ns Rtlb_obs.Clock.monotonic in
@@ -459,6 +472,8 @@ let suite =
         Alcotest.test_case "stats sink aggregation and rendering" `Quick
           stats_aggregation;
         Alcotest.test_case "null tracer is a no-op" `Quick null_tracer_noop;
+        Alcotest.test_case "counters-only tracer records no span" `Quick
+          counters_only_tracer;
         Alcotest.test_case "clocks: monotonic and fake" `Quick clocks;
         counters_prop;
         traced_identical_prop;

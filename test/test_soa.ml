@@ -258,6 +258,23 @@ let systhreads_identical () =
   | None -> check_bool "some runs were made" true (Atomic.get runs > 0)
   | Some m -> Alcotest.failf "after %d runs: %s" (Atomic.get runs) m
 
+(* The EST/LCT sweep is first-order over the packed arrays and reuses
+   its instance's scratch: on a frame DAG it allocates no minor word, on
+   a shared and on a dedicated system alike (5.7 M words at 10^5 tasks
+   when the directions were closures). *)
+let sweep_allocates_nothing () =
+  let app = Workload.Gen.layered_frames ~seed:7 ~frames:20 () in
+  List.iter
+    (fun (what, system) ->
+      let packed = Rtlb.Soa.pack system app in
+      let before = Gc.minor_words () in
+      Rtlb.Soa.compute_windows packed;
+      let words = Gc.minor_words () -. before in
+      if words <> 0.0 then
+        Alcotest.failf "%s: compute_windows allocated %.0f minor words" what
+          words)
+    [ ("shared", Workload.Gen.frame_system ()); ("dedicated", frame_nodes) ]
+
 let suite =
   [
     ( "soa",
@@ -276,5 +293,7 @@ let suite =
         Alcotest.test_case "pool path identity" `Quick pool_identical;
         Alcotest.test_case "systhreads of one domain = sequential" `Quick
           systhreads_identical;
+        Alcotest.test_case "sweep allocates no minor words" `Quick
+          sweep_allocates_nothing;
       ] );
   ]
