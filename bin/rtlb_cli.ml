@@ -57,18 +57,18 @@ let jobs_arg =
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
+let resolve_jobs = function
+  | Some n -> max 1 n
+  | None -> (
+      match Sys.getenv_opt "RTLB_JOBS" with
+      | Some s -> (
+          match int_of_string_opt (String.trim s) with
+          | Some n when n >= 1 -> n
+          | _ -> 1)
+      | None -> 1)
+
 let with_jobs jobs f =
-  let jobs =
-    match jobs with
-    | Some n -> max 1 n
-    | None -> (
-        match Sys.getenv_opt "RTLB_JOBS" with
-        | Some s -> (
-            match int_of_string_opt (String.trim s) with
-            | Some n when n >= 1 -> n
-            | _ -> 1)
-        | None -> 1)
-  in
+  let jobs = resolve_jobs jobs in
   if jobs <= 1 then f None
   else Rtlb_par.Pool.with_pool ~jobs (fun pool -> f (Some pool))
 
@@ -1285,17 +1285,6 @@ let serve_cmd =
         | breaker ->
             (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
              with Invalid_argument _ | Sys_error _ -> ());
-            let jobs =
-              match jobs with
-              | Some n -> max 1 n
-              | None -> (
-                  match Sys.getenv_opt "RTLB_JOBS" with
-                  | Some s -> (
-                      match int_of_string_opt (String.trim s) with
-                      | Some n when n >= 1 -> n
-                      | _ -> 2)
-                  | None -> 2)
-            in
             (* First SIGINT/SIGTERM: graceful drain, exit 0; second:
                exit 128+signum.  Installed per serving process — under
                --supervised that is the forked child, while the parent
@@ -1318,7 +1307,7 @@ let serve_cmd =
                 cache_capacity = max 0 cache;
                 queue_capacity = max 1 queue;
                 workers = max 1 workers;
-                jobs;
+                jobs = resolve_jobs jobs;
                 (* the daemon reads only counters (the stats op); spans
                    recorded over its lifetime would be kept forever *)
                 tracer = Rtlb_obs.Tracer.make ~spans:false ();

@@ -1,27 +1,29 @@
-(* Fingerprint-keyed LRU cache of warm incremental handles.
+(* Text-keyed LRU cache of warm incremental handles, with per-key
+   claims (cache.mli states the discipline).  A checked-out handle is
+   out of [entries] and its key is in [held]; a crash-isolation discard
+   drops the handle, so the cache cannot hold a half-mutated one. *)
 
-   Handles are *checked out* (removed) while a request uses them and
-   checked back in afterwards, so a handle is only ever touched by one
-   worker at a time — required because a query adds to the handle's
-   block cache (a hash table).  A request that crashes mid-use simply
-   never checks its handle back in: the cache cannot be poisoned by a
-   half-mutated handle, at the price of rebuilding it on the next miss
-   (counted as an eviction). *)
-
-type entry = { e_key : string; e_handle : Rtlb.Incremental.t }
+type entry = { e_key : string; e_text : string; e_handle : Rtlb.Incremental.t }
 
 type t = {
   capacity : int;
   tracer : Rtlb_obs.Tracer.t;
   mutex : Mutex.t;
+  freed : Condition.t;  (* broadcast whenever a claim ends *)
   mutable entries : entry list;  (* most recently used first *)
+  mutable held : string list;  (* claimed keys: checked out or being built *)
 }
 
 let create ?(tracer = Rtlb_obs.Tracer.null) ~capacity () =
   if capacity < 0 then invalid_arg "Cache.create: negative capacity";
-  { capacity; tracer; mutex = Mutex.create (); entries = [] }
-
-let capacity t = t.capacity
+  {
+    capacity;
+    tracer;
+    mutex = Mutex.create ();
+    freed = Condition.create ();
+    entries = [];
+    held = [];
+  }
 
 let length t =
   Mutex.lock t.mutex;
@@ -29,32 +31,40 @@ let length t =
   Mutex.unlock t.mutex;
   n
 
-let key = Rtlb.Incremental.instance_fingerprint
-
 let mem t k =
   Mutex.lock t.mutex;
-  let found = List.exists (fun e -> e.e_key = k) t.entries in
+  let found =
+    List.exists (String.equal k) t.held
+    || List.exists (fun e -> String.equal e.e_key k) t.entries
+  in
   Mutex.unlock t.mutex;
   found
 
-let checkout t k =
+let checkout t k ~text =
   Mutex.lock t.mutex;
-  let found = ref None in
-  t.entries <-
-    List.filter
-      (fun e ->
-        if !found = None && e.e_key = k then (
-          found := Some e.e_handle;
-          false)
-        else true)
-      t.entries;
+  while List.exists (String.equal k) t.held do
+    Condition.wait t.freed t.mutex
+  done;
+  t.held <- k :: t.held;
+  let hit =
+    List.find_opt
+      (fun e -> String.equal e.e_key k && String.equal e.e_text text)
+      t.entries
+  in
+  Option.iter (fun e -> t.entries <- List.filter (fun x -> x != e) t.entries) hit;
   Mutex.unlock t.mutex;
-  !found
+  Option.map (fun e -> e.e_handle) hit
 
-let checkin t k handle =
+(* Callers hold [t.mutex]. *)
+let unclaim t k =
+  t.held <- List.filter (fun h -> not (String.equal h k)) t.held;
+  Condition.broadcast t.freed
+
+let checkin t k ~text handle =
   Mutex.lock t.mutex;
-  let survivors = List.filter (fun e -> e.e_key <> k) t.entries in
-  let entries = { e_key = k; e_handle = handle } :: survivors in
+  unclaim t k;
+  let survivors = List.filter (fun e -> not (String.equal e.e_key k)) t.entries in
+  let entries = { e_key = k; e_text = text; e_handle = handle } :: survivors in
   let rec take n = function
     | [] -> ([], 0)
     | _ :: rest when n = 0 -> ([], 1 + List.length rest)
@@ -67,5 +77,11 @@ let checkin t k handle =
   Mutex.unlock t.mutex;
   if evicted > 0 then Rtlb_obs.Tracer.add t.tracer Rtlb_obs.Tracer.Evictions evicted
 
-let discard t =
+let release t k =
+  Mutex.lock t.mutex;
+  unclaim t k;
+  Mutex.unlock t.mutex
+
+let discard t k =
+  release t k;
   Rtlb_obs.Tracer.add t.tracer Rtlb_obs.Tracer.Evictions 1

@@ -1,12 +1,22 @@
-(** Fingerprint-keyed LRU cache of warm {!Rtlb.Incremental} handles.
+(** Text-keyed LRU cache of warm {!Rtlb.Incremental} handles.
 
-    Checkout/checkin discipline: {!checkout} {e removes} the handle, so
-    at most one request ever touches a handle (a query adds to the
-    handle's block cache); {!checkin} reinserts it most-recently-used
-    and evicts the least-recently-used entries beyond [capacity]
-    (bumping the [Evictions] counter).  A request that crashes mid-use
-    never checks its handle back in — crash isolation by construction:
-    the cache cannot hold a half-mutated handle. *)
+    A key is the digest of a request's application text (the daemon's
+    [job_digest]); each entry also keeps the text, and a hit requires
+    the request's text to be byte-equal to it, so a digest collision
+    can never serve another instance's handle.  Two texts of one
+    instance are two entries.
+
+    Claims: {!checkout} {e claims} its key, hit or miss, and the caller
+    holds the claim until it ends in exactly one {!checkin}, {!release}
+    or {!discard}.  A checked-out handle is out of the LRU, so at most
+    one request ever touches a handle (a query adds to the handle's
+    block cache).  A {!checkout} of a key another caller holds waits
+    for that claim to end; every end wakes the waiters, and each then
+    hits, or misses and builds the handle itself if nothing was checked
+    in.  So one instance is never built twice at once.  A request that
+    crashes mid-use {!discard}s its claim and never checks the handle
+    back in — crash isolation by construction: the cache cannot hold a
+    half-mutated handle. *)
 
 type t
 
@@ -14,28 +24,35 @@ val create : ?tracer:Rtlb_obs.Tracer.t -> capacity:int -> unit -> t
 (** [capacity] may be [0] (caching disabled: every checkin evicts).
     @raise Invalid_argument when [capacity < 0]. *)
 
-val capacity : t -> int
-
 val length : t -> int
 (** Entries currently resident (checked-out handles are not counted). *)
 
-val key : Rtlb.System.t -> Rtlb.App.t -> string
-(** Cache key: {!Rtlb.Incremental.instance_fingerprint}. *)
-
 val mem : t -> string -> bool
-(** Is a handle for this key resident right now?  Advisory only — a
-    concurrent {!checkout} can win the race; used for warm/cold
-    priority classification, where a stale answer merely misfiles one
-    request. *)
+(** Is a handle for this key resident, or the key claimed right now?
+    Advisory only — the answer can be stale by the time it is used;
+    priority admission reads it, where a stale answer merely misfiles
+    one request. *)
 
-val checkout : t -> string -> Rtlb.Incremental.t option
-(** Remove and return the handle for a key, if resident. *)
+val checkout : t -> string -> text:string -> Rtlb.Incremental.t option
+(** Claim a key, first waiting while another caller holds it.  [Some]:
+    the resident handle built from [text], removed from the LRU.
+    [None]: a miss (nothing resident under the key, or an entry of
+    another text) — the caller builds the handle.  Either way the
+    caller now holds the claim and must end it.  A caller must not
+    check out a key it already holds: it would wait for itself. *)
 
-val checkin : t -> string -> Rtlb.Incremental.t -> unit
-(** Insert (or reinsert) as most-recently-used; evicts beyond capacity.
-    Never check in a handle whose base analysis is partial — budget-cut
-    results must not serve later requests as if exhaustive. *)
+val checkin : t -> string -> text:string -> Rtlb.Incremental.t -> unit
+(** End the claim on the key (if any) and insert the handle built from
+    [text] as most-recently-used, replacing any entry under the key;
+    evicts beyond capacity.  Never check in a handle whose base analysis
+    is partial — budget-cut results must not serve later requests as if
+    exhaustive. *)
 
-val discard : t -> unit
-(** Record a crash-isolation drop (a checked-out handle that will not
-    be checked back in) in the [Evictions] counter. *)
+val release : t -> string -> unit
+(** End the claim on the key with nothing to check in: a build that
+    failed, or whose result is partial. *)
+
+val discard : t -> string -> unit
+(** End the claim on the key of a checked-out handle that will not be
+    checked back in (a crash-isolation drop), and record it in the
+    [Evictions] counter. *)

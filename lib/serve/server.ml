@@ -10,7 +10,8 @@
               hint; warm/cheap -> high queue, cold -> low queue)
            -> worker thread: compatible queued what-ifs are batched
               onto one pass over the shared warm handle (coalescing);
-              prepare (app parse; S302)
+              checkout of the text's handle (waits while another
+              worker holds it); on a miss, app parse (S302)
            -> Supervisor.supervise over the request body (retry with
               backoff; worker death heals through the full -> reduced ->
               sequential ladder; survivors are bit-identical answers,
@@ -22,8 +23,8 @@
    worker thread (run_job catches everything) and never leaves a
    half-mutated handle in the cache (checkout/checkin discipline,
    lib/serve/cache.ml).  Coalesced jobs keep exactly the solo execution
-   path (same checkout/checkin, same supervision) — they only share the
-   parsed application and run back-to-back on one worker, so their
+   path (same checkout/checkin, same supervision) — they only run
+   back-to-back on one worker and share a parse if one misses, so their
    replies are byte-identical to sequential one-shot execution. *)
 
 module Json = Rtfmt.Json
@@ -60,7 +61,7 @@ let default_config =
     cache_capacity = 8;
     queue_capacity = 64;
     workers = 2;
-    jobs = 2;
+    jobs = 1;
     policy = Supervisor.default_policy;
     tracer = Tracer.null;
     quota = None;
@@ -77,7 +78,9 @@ type job = {
   j_req : Protocol.request;
   j_deadline_ns : int64 option;  (* absolute; fixed at admission *)
   j_seq : int;  (* admitted-request sequence number (chaos replay key) *)
-  j_digest : string;  (* app text digest (coalescing/warmth key) *)
+  j_digest : string;
+      (* app text digest: the key of coalescing, the handle cache and
+         the breakers *)
   j_high : bool;  (* which queue admitted it (stats bookkeeping) *)
   mutable j_taken : bool;
       (* claimed into an earlier batch; still physically queued (a
@@ -101,9 +104,6 @@ type t = {
   mutable n_low : int;
   mutex : Mutex.t;
   cond : Condition.t;
-  warm : (string, unit) Hashtbl.t;
-      (* digests whose handle was warm at least once — the cheap
-         admission-side stand-in for a fingerprint cache probe *)
   mutable draining : bool;
   mutable seq : int;
   mutable threads : Thread.t list;
@@ -114,128 +114,131 @@ let job_digest (req : Protocol.request) = Digest.string req.Protocol.app
 
 (* ---- request execution (worker side) ----------------------------- *)
 
-type prepared =
-  | P_analysis of { system : Rtlb.System.t; app : Rtlb.App.t }
-  | P_check of Rtlb.Validate.diag list
+(* Analyze and what-if run on a warm handle: they claim their key in
+   the handle cache, coalesce, and are journaled. *)
+let uses_handle = function
+  | Protocol.Analyze | Protocol.Whatif -> true
+  | Protocol.Sensitivity | Protocol.Check | Protocol.Ping | Protocol.Stats
+  | Protocol.Health ->
+      false
 
-let prepare (req : Protocol.request) =
-  match req.Protocol.op with
-  | Protocol.Check -> (
-      try Ok (P_check (Rtfmt.Appfile.check (Rtfmt.Appfile.parse_spec req.app)))
-      with Rtfmt.Appfile.Parse_error (l, m) ->
-        Ok
-          (P_check
-             [
-               {
-                 Rtlb.Validate.d_code = "E100";
-                 d_severity = Rtlb.Validate.Error;
-                 d_subject = "application";
-                 d_message = m;
-                 d_line = (if l > 0 then Some l else None);
-               };
-             ]))
-  | Protocol.Analyze | Protocol.Whatif | Protocol.Sensitivity -> (
-      try
-        let { Rtfmt.Appfile.app; system } = Rtfmt.Appfile.parse req.app in
-        let system =
-          match system with
-          | Some s -> s
-          | None ->
-              Rtlb.System.shared_uniform
-                ~resources:(Rtlb.App.resource_set app)
-        in
-        Ok (P_analysis { system; app })
-      with Rtfmt.Appfile.Parse_error (l, m) ->
-        Error
-          ( Protocol.Invalid_app,
-            if l > 0 then Printf.sprintf "line %d: %s" l m else m ))
-  | Protocol.Ping | Protocol.Stats | Protocol.Health ->
-      (* answered inline at admission, never queued *)
-      assert false
+(* The instance an analysis op runs on.  The system comes from the text
+   alone (the uniform shared model when it declares none), so the text
+   fixes the whole instance — which is why the handle cache can key by
+   the text. *)
+let parse_instance text =
+  try
+    let { Rtfmt.Appfile.app; system } = Rtfmt.Appfile.parse text in
+    let system =
+      match system with
+      | Some s -> s
+      | None ->
+          Rtlb.System.shared_uniform ~resources:(Rtlb.App.resource_set app)
+    in
+    Ok (system, app)
+  with Rtfmt.Appfile.Parse_error (l, m) ->
+    Error
+      (Protocol.Invalid_app, if l > 0 then Printf.sprintf "line %d: %s" l m else m)
 
-(* Checkout a warm handle or build one cold.  A cold build under an
-   expired budget yields a partial base analysis, which must never be
-   checked back in — [use] receives [cacheable = false] for it. *)
-let with_handle t ?pool ?deadline_ns system app use =
-  let key = Cache.key system app in
-  match Cache.checkout t.cache key with
+let check_diags text =
+  try Rtfmt.Appfile.check (Rtfmt.Appfile.parse_spec text)
+  with Rtfmt.Appfile.Parse_error (l, m) ->
+    [
+      {
+        Rtlb.Validate.d_code = "E100";
+        d_severity = Rtlb.Validate.Error;
+        d_subject = "application";
+        d_message = m;
+        d_line = (if l > 0 then Some l else None);
+      };
+    ]
+
+(* Run [use] on the job's handle: the hit [checkout ()] returns, or a
+   cold build of [instance ()] on a miss.  [checkout] claims the key; the
+   claim ends here in exactly one checkin, release or discard — on
+   success, on a partial (budget-cut) build and on any exception — so a
+   supervised retry never waits on its own claim.  A partial base
+   analysis is never checked in. *)
+let with_handle t ?pool ?deadline_ns ~checkout job instance use =
+  let key = job.j_digest and text = job.j_req.Protocol.app in
+  match checkout () with
   | Some handle -> (
-      match use ~cacheable:true handle with
+      match use handle with
       | result ->
-          Cache.checkin t.cache key handle;
+          Cache.checkin t.cache key ~text handle;
           result
       | exception e ->
-          Cache.discard t.cache;
+          Cache.discard t.cache key;
           raise e)
   | None -> (
-      Tracer.add t.cfg.tracer Tracer.Cold_builds 1;
-      let handle =
-        Rtlb.Incremental.create ?pool ?deadline_ns ~tracer:t.cfg.tracer
-          system app
-      in
-      let cacheable =
-        not (Rtlb.Analysis.is_partial (Rtlb.Incremental.base handle))
-      in
-      match use ~cacheable handle with
-      | result ->
-          if cacheable then Cache.checkin t.cache key handle;
+      match
+        let system, app = instance () in
+        Tracer.add t.cfg.tracer Tracer.Cold_builds 1;
+        let handle =
+          Rtlb.Incremental.create ?pool ?deadline_ns ~tracer:t.cfg.tracer
+            system app
+        in
+        (use handle, handle)
+      with
+      | result, handle ->
+          if Rtlb.Analysis.is_partial (Rtlb.Incremental.base handle) then
+            Cache.release t.cache key
+          else Cache.checkin t.cache key ~text handle;
           result
-      | exception e -> raise e)
+      | exception e ->
+          Cache.release t.cache key;
+          raise e)
 
-let exec_prepared t ?pool job prepared =
+let exec t ?pool ~checkout job instance =
   let req = job.j_req in
   let deadline_ns = job.j_deadline_ns in
-  match prepared with
-  | P_check diags ->
+  (* A miss forces [instance] in run_job, which answers a parse error
+     before supervision; only a retry after a crashed hit parses here. *)
+  let instance () =
+    match Lazy.force instance with
+    | Ok i -> i
+    | Error (code, msg) -> raise (Protocol.Reject (code, msg))
+  in
+  match req.Protocol.op with
+  | Protocol.Check ->
+      let diags = check_diags req.Protocol.app in
       let errors = List.length (List.filter (fun d -> d.Rtlb.Validate.d_severity = Rtlb.Validate.Error) diags) in
       Json.Obj
         [
           ("diags", Json.List (List.map Protocol.json_of_diag diags));
           ("errors", Json.Int errors);
         ]
-  | P_analysis { system; app } -> (
-      match req.Protocol.op with
-      | Protocol.Analyze ->
-          with_handle t ?pool ?deadline_ns system app
-            (fun ~cacheable:_ handle ->
-              Json.of_analysis (Rtlb.Incremental.base handle))
-      | Protocol.Whatif ->
-          with_handle t ?pool ?deadline_ns system app
-            (fun ~cacheable:_ handle ->
-              let edited =
-                try
-                  Rtlb.Incremental.edit ?pool ?deadline_ns
-                    ~tracer:t.cfg.tracer handle req.Protocol.edits
-                with Invalid_argument m ->
-                  (* bad task id / constraint-breaking edit: the request
-                     is at fault, not the application *)
-                  raise (Protocol.Reject (Protocol.Bad_request, m))
-              in
-              Json.of_whatif ~base:(Rtlb.Incremental.base handle) ~edited)
-      | Protocol.Sensitivity ->
-          let samples =
-            Rtlb.Sensitivity.deadline_sweep ?pool ?deadline_ns
-              ~tracer:t.cfg.tracer system app ~factors:req.Protocol.factors
+  | Protocol.Analyze ->
+      with_handle t ?pool ?deadline_ns ~checkout job instance (fun handle ->
+          Json.of_analysis (Rtlb.Incremental.base handle))
+  | Protocol.Whatif ->
+      with_handle t ?pool ?deadline_ns ~checkout job instance (fun handle ->
+          let edited =
+            try
+              Rtlb.Incremental.edit ?pool ?deadline_ns ~tracer:t.cfg.tracer
+                handle req.Protocol.edits
+            with Invalid_argument m ->
+              (* bad task id / constraint-breaking edit: the request
+                 is at fault, not the application *)
+              raise (Protocol.Reject (Protocol.Bad_request, m))
           in
-          Json.Obj
-            [
-              ("samples", Json.List (List.map Protocol.json_of_sample samples));
-              ( "partial",
-                Json.Bool
-                  (List.exists
-                     (fun s -> s.Rtlb.Sensitivity.s_partial)
-                     samples) );
-            ]
-      | Protocol.Check | Protocol.Ping | Protocol.Stats | Protocol.Health ->
-          assert false)
-
-(* Bounded memory of instances that were warm at least once — stale
-   entries merely misfile one request into the high queue. *)
-let mark_warm t digest =
-  Mutex.lock t.mutex;
-  if Hashtbl.length t.warm > 4096 then Hashtbl.reset t.warm;
-  Hashtbl.replace t.warm digest ();
-  Mutex.unlock t.mutex
+          Json.of_whatif ~base:(Rtlb.Incremental.base handle) ~edited)
+  | Protocol.Sensitivity ->
+      let system, app = instance () in
+      let samples =
+        Rtlb.Sensitivity.deadline_sweep ?pool ?deadline_ns ~tracer:t.cfg.tracer
+          system app ~factors:req.Protocol.factors
+      in
+      Json.Obj
+        [
+          ("samples", Json.List (List.map Protocol.json_of_sample samples));
+          ( "partial",
+            Json.Bool
+              (List.exists (fun s -> s.Rtlb.Sensitivity.s_partial) samples) );
+        ]
+  | Protocol.Ping | Protocol.Stats | Protocol.Health ->
+      (* answered inline at admission, never queued *)
+      assert false
 
 let breaker_applies op =
   match op with
@@ -255,29 +258,67 @@ let note_breaker t job verdict =
       | `Failure _ -> ())
   | _ -> ()
 
-let run_job t ?pool ?prepared job =
+let run_job t ?pool ?instance job =
   (* killserver@I: an armed crash directive takes the whole process
      down right here — abruptly, like the SIGKILL it stands in for.
      The watchdog (holding the listening sockets) restarts a fresh
      child; failover clients resend whatever was never answered. *)
   if Chaos.server_kill job.j_seq then t.cfg.die ();
-  let id = job.j_req.Protocol.id in
+  let req = job.j_req in
+  let id = req.Protocol.id in
   let reply json = job.j_reply (Protocol.to_line json) in
+  let instance =
+    match instance with
+    | Some i -> i
+    | None -> lazy (parse_instance req.Protocol.app)
+  in
   let outcome_reply () =
-    let prepared =
-      match prepared with Some p -> p | None -> prepare job.j_req
+    (* Claim the key before anything else: a request whose instance is
+       in use waits here for its handle, and a hit needs no parse.  The
+       first supervised attempt takes this checkout over, later attempts
+       check out afresh, and a checkout that no attempt took ends in
+       [unclaimed]. *)
+    let first =
+      ref
+        (if uses_handle req.Protocol.op then
+           Some (Cache.checkout t.cache job.j_digest ~text:req.Protocol.app)
+         else None)
     in
-    match prepared with
+    let checkout () =
+      match !first with
+      | Some found ->
+          first := None;
+          found
+      | None -> Cache.checkout t.cache job.j_digest ~text:req.Protocol.app
+    in
+    let unclaimed () =
+      Option.iter
+        (fun found ->
+          first := None;
+          match found with
+          | Some handle ->
+              Cache.checkin t.cache job.j_digest ~text:req.Protocol.app handle
+          | None -> Cache.release t.cache job.j_digest)
+        !first
+    in
+    Fun.protect ~finally:unclaimed @@ fun () ->
+    (* a miss or a sensitivity sweep parses here, outside supervision *)
+    let parsed =
+      match (req.Protocol.op, !first) with
+      | Protocol.Check, _ | _, Some (Some _) -> Ok ()
+      | _ -> Result.map ignore (Lazy.force instance)
+    in
+    match parsed with
     | Error (code, msg) ->
         note_breaker t job (`Failure code);
         Protocol.error_reply ~id code msg
-    | Ok prepared -> (
+    | Ok () -> (
         (* The supervised body returns request-level faults as values so
            the supervisor only retries genuine crashes (and worker
            deaths, which walk the heal/degrade ladder). *)
         let body () =
           Chaos.on_request job.j_seq;
-          try Ok (exec_prepared t ?pool job prepared) with
+          try Ok (exec t ?pool ~checkout job instance) with
           | Protocol.Reject (code, msg) -> Error (code, msg)
           | Invalid_argument msg -> Error (Protocol.Invalid_app, msg)
         in
@@ -292,19 +333,15 @@ let run_job t ?pool ?prepared job =
               || outcome.Supervisor.o_level <> Supervisor.Full
             in
             if degraded then Tracer.add t.cfg.tracer Tracer.Degraded_replies 1;
-            (match job.j_req.Protocol.op with
-            | Protocol.Analyze | Protocol.Whatif ->
-                mark_warm t job.j_digest;
-                if job.j_replay then
-                  Tracer.add t.cfg.tracer Tracer.Journal_replays 1
-                else
-                  Option.iter
-                    (fun journal ->
-                      Journal.record journal ~app:job.j_req.Protocol.app)
-                    t.cfg.journal
-            | _ -> ());
+            if uses_handle req.Protocol.op then
+              if job.j_replay then
+                Tracer.add t.cfg.tracer Tracer.Journal_replays 1
+              else
+                Option.iter
+                  (fun journal -> Journal.record journal ~app:req.Protocol.app)
+                  t.cfg.journal;
             note_breaker t job `Success;
-            Protocol.ok_reply ~id ~op:job.j_req.Protocol.op ~degraded result
+            Protocol.ok_reply ~id ~op:req.Protocol.op ~degraded result
         | Some (Error (code, msg)) ->
             note_breaker t job (`Failure code);
             Protocol.error_reply ~id code msg
@@ -328,28 +365,20 @@ let run_job t ?pool ?prepared job =
   try reply json
   with _ -> () (* client hung up; the reply has nowhere to go *)
 
-(* A coalesced batch shares one parse of the common application text;
-   each job then runs the unchanged solo path (own supervision, own
-   checkout/checkin), back-to-back on this worker — so the second and
-   later jobs find the handle the first one warmed instead of racing
-   other workers into redundant cold builds, and every reply is
-   byte-identical to sequential one-shot execution. *)
+(* A coalesced batch runs back-to-back on this worker, each job on the
+   unchanged solo path (own claim, own supervision), so every reply is
+   byte-identical to sequential one-shot execution.  The jobs share one
+   parse of the common text, made only if a job misses the cache: the
+   first job's cold build warms the handle for the rest. *)
 let run_batch t ?pool = function
   | [] -> ()
   | [ job ] -> run_job t ?pool job
   | first :: _ as jobs ->
       Tracer.add t.cfg.tracer Tracer.Coalesced_queries (List.length jobs - 1);
-      let prepared = prepare first.j_req in
-      List.iter (fun job -> run_job t ?pool ~prepared job) jobs
+      let instance = lazy (parse_instance first.j_req.Protocol.app) in
+      List.iter (fun job -> run_job t ?pool ~instance job) jobs
 
 (* ---- worker threads ---------------------------------------------- *)
-
-let coalescible op =
-  match op with
-  | Protocol.Whatif | Protocol.Analyze -> true
-  | Protocol.Sensitivity | Protocol.Check | Protocol.Ping | Protocol.Stats
-  | Protocol.Health ->
-      false
 
 let batch_key (req : Protocol.request) digest =
   Protocol.op_name req.Protocol.op ^ ":" ^ digest
@@ -490,7 +519,6 @@ let create ?(config = default_config) () =
       n_low = 0;
       mutex = Mutex.create ();
       cond = Condition.create ();
-      warm = Hashtbl.create 64;
       draining = false;
       seq = 0;
       threads = [];
@@ -680,10 +708,12 @@ let submit t line reply_line =
                         | Some Protocol.Low -> false
                         | None ->
                             (* cheap or warm goes first: check never
-                               analyzes, and a digest seen warm means the
-                               handle cache probably still has it *)
+                               analyzes, and a text whose handle is
+                               resident or in use needs no cold build
+                               (the cache never takes [t.mutex], so
+                               asking it here cannot deadlock) *)
                             req.Protocol.op = Protocol.Check
-                            || Hashtbl.mem t.warm j_digest
+                            || Cache.mem t.cache j_digest
                       in
                       let job =
                         {
@@ -705,7 +735,7 @@ let submit t line reply_line =
                         Queue.push job t.q_low;
                         t.n_low <- t.n_low + 1
                       end;
-                      if t.cfg.coalesce && coalescible req.Protocol.op then begin
+                      if t.cfg.coalesce && uses_handle req.Protocol.op then begin
                         let key = batch_key req j_digest in
                         match Hashtbl.find_opt t.by_key key with
                         | Some l -> l := job :: !l

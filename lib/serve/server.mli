@@ -10,18 +10,21 @@
       [S307 quota_exceeded] and a [retry_after_ms] hint — one noisy
       tenant cannot starve the rest.
     - {e priority admission}: two queues.  Explicit ["priority"] wins;
-      otherwise [check] requests and requests whose instance digest has
-      been warm before go high, cold analyses go low — a 40-task
-      warm-cache what-if is never stuck behind a million-task cold
-      build.
+      otherwise [check] requests and requests whose application text
+      the handle cache holds (resident or in use) go high, cold
+      analyses go low — a 40-task warm-cache what-if is never stuck
+      behind a million-task cold build.
     - {e what-if coalescing}: compatible queued [whatif] requests (same
       op and application text) are batched onto one worker pass —
-      they share one parse and run back-to-back against the same warm
-      handle, while keeping the solo execution path per job, so replies
-      are byte-identical to sequential one-shot execution.
-    - {e warm handles}: per-instance {!Rtlb.Incremental} handles in a
-      fingerprint-keyed LRU ({!Cache}), so repeat tenants skip the cold
-      analysis.
+      they run back-to-back against the same warm handle, and share
+      one parse if a job misses the cache, while keeping the solo
+      execution path per job, so replies are byte-identical to
+      sequential one-shot execution.
+    - {e warm handles}: {!Rtlb.Incremental} handles in an LRU keyed by
+      the digest of the request's application text ({!Cache}).  A hit
+      skips the parse and the cold analysis; a request whose text's
+      handle another worker holds waits for it rather than building a
+      second one, so each text is built once.
     - {e isolation}: every request failure — malformed frame, invalid
       application, crash inside the analysis — becomes a structured
       error reply on its own connection; worker threads never unwind
@@ -57,8 +60,9 @@ type config = {
           until {!run_pending} runs them on the calling thread
           (deterministic tests). *)
   jobs : int;
-      (** Pool domains per worker (default 2); [<= 1] runs requests on
-          the worker thread itself — no heal/degrade ladder. *)
+      (** Pool domains per worker (default 1: requests run on the
+          worker thread itself, with no heal/degrade ladder).  Above 1,
+          each worker carries its own pool of that many domains. *)
   policy : Rtlb_par.Supervisor.policy;
   tracer : Rtlb_obs.Tracer.t;
   quota : Quota.t option;  (** [None] (default): no rate limiting. *)

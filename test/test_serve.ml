@@ -118,17 +118,22 @@ let cache_lru () =
   let cache = Cache.create ~tracer ~capacity:2 () in
   let system = uniform paper in
   let handle () = Rtlb.Incremental.create system paper in
-  Cache.checkin cache "a" (handle ());
-  Cache.checkin cache "b" (handle ());
-  Cache.checkin cache "c" (handle ());
+  Cache.checkin cache "a" ~text:"a" (handle ());
+  Cache.checkin cache "b" ~text:"b" (handle ());
+  Cache.checkin cache "c" ~text:"c" (handle ());
   check_int "capacity bound holds" 2 (Cache.length cache);
   check_int "one eviction counted" 1 (Tracer.counter tracer Tracer.Evictions);
   check_bool "least-recently-used key evicted" true
-    (Cache.checkout cache "a" = None);
-  check_bool "fresh key resident" true (Cache.checkout cache "c" <> None);
-  (* checkout removes: a second checkout misses (single-user handles) *)
+    (Cache.checkout cache "a" ~text:"a" = None);
+  Cache.release cache "a";
+  check_bool "fresh key resident" true
+    (Cache.checkout cache "c" ~text:"c" <> None);
+  (* checkout removes: once the claim ends without a checkin, a second
+     checkout misses (single-user handles) *)
+  Cache.release cache "c";
   check_bool "checkout removes the entry" true
-    (Cache.checkout cache "c" = None);
+    (Cache.checkout cache "c" ~text:"c" = None);
+  Cache.release cache "c";
   check_int "only b left" 1 (Cache.length cache)
 
 (* The deprecated "engine" field: both of its names are accepted and
@@ -1419,7 +1424,8 @@ let cache_race_ops =
     let tracer = Tracer.make () in
     let cache = Cache.create ~tracer ~capacity:2 () in
     (* model state: LRU order (most recent first) and checked-out
-       handles, both tagged with physical identity *)
+       handles, both tagged with physical identity; the checked-out
+       keys are exactly the keys the cache holds claims on *)
     let resident = ref [] (* (key, handle) *) in
     let out = ref [] in
     let discarded = ref [] in
@@ -1429,11 +1435,11 @@ let cache_race_ops =
     List.iter
       (fun (op, ki) ->
         let k = keys.(ki mod Array.length keys) in
-        match op mod 3 with
+        (match op mod 3 with
         | 0 -> (
             (* acquire: checkout, cold-build on miss *)
             if not (List.mem_assoc k !out) then
-              match Cache.checkout cache k with
+              match Cache.checkout cache k ~text:k with
               | Some h ->
                   assert_ (List.mem_assoc k !resident);
                   assert_ (not (List.exists (fun d -> d == h) !discarded));
@@ -1452,7 +1458,7 @@ let cache_race_ops =
             match List.assoc_opt k !out with
             | Some h ->
                 out := List.remove_assoc k !out;
-                Cache.checkin cache k h;
+                Cache.checkin cache k ~text:k h;
                 resident := (k, h) :: List.remove_assoc k !resident;
                 let rec split n = function
                   | [] -> ([], [])
@@ -1474,10 +1480,17 @@ let cache_race_ops =
             match List.assoc_opt k !out with
             | Some h ->
                 out := List.remove_assoc k !out;
-                Cache.discard cache;
+                Cache.discard cache k;
                 discarded := h :: !discarded;
                 incr evictions
-            | None -> ()))
+            | None -> ()));
+        (* a key is a member while resident or held *)
+        Array.iter
+          (fun k ->
+            assert_
+              (Cache.mem cache k
+              = (List.mem_assoc k !resident || List.mem_assoc k !out)))
+          keys)
       ops;
     assert_ (Cache.length cache = List.length !resident);
     assert_ (Tracer.counter tracer Tracer.Evictions = !evictions);
@@ -1485,7 +1498,7 @@ let cache_race_ops =
        handle, never a discarded one *)
     List.iter
       (fun (k, h) ->
-        match Cache.checkout cache k with
+        match Cache.checkout cache k ~text:k with
         | Some got -> assert_ (got == h)
         | None -> assert_ false)
       !resident;
@@ -1495,6 +1508,382 @@ let cache_race_ops =
     QCheck.(
       list_of_size Gen.(int_range 1 40) (pair (int_bound 2) (int_bound 3)))
     interp
+
+(* ------------------------------------------------------------------ *)
+(* Claims: a handle per text, one cold build per text                  *)
+(* ------------------------------------------------------------------ *)
+
+(* An entry is a hit only for its own text, a claim makes a second
+   checkout of the key wait, and ending the claim wakes it. *)
+let cache_text_and_claims () =
+  let tracer = Tracer.make () in
+  let cache = Cache.create ~tracer ~capacity:2 () in
+  let handle = Rtlb.Incremental.create (uniform paper) paper in
+  Cache.checkin cache "k" ~text:"text A" handle;
+  check_bool "another text under the same key is a miss" true
+    (Cache.checkout cache "k" ~text:"text B" = None);
+  check_bool "a claimed key is a member" true (Cache.mem cache "k");
+  Cache.release cache "k";
+  check_bool "the stored text still hits" true
+    (match Cache.checkout cache "k" ~text:"text A" with
+    | Some h -> h == handle
+    | None -> false);
+  check_int "a checked-out handle is not resident" 0 (Cache.length cache);
+  check_bool "a checked-out key is a member" true (Cache.mem cache "k");
+  (* a second checkout of the held key waits for the checkin *)
+  let got = Atomic.make None in
+  let waiter =
+    Thread.create
+      (fun () -> Atomic.set got (Some (Cache.checkout cache "k" ~text:"text A")))
+      ()
+  in
+  Thread.delay 0.05;
+  check_bool "a checkout of a held key waits" true (Atomic.get got = None);
+  Cache.checkin cache "k" ~text:"text A" handle;
+  Thread.join waiter;
+  check_bool "the checkin wakes it with the handle" true
+    (match Atomic.get got with Some (Some h) -> h == handle | _ -> false);
+  (* a discard ends the claim too, and the next checkout misses *)
+  Cache.discard cache "k";
+  check_int "the discard counts an eviction" 1
+    (Tracer.counter tracer Tracer.Evictions);
+  check_bool "nothing is resident after a discard" true
+    (Cache.checkout cache "k" ~text:"text A" = None);
+  Cache.release cache "k";
+  check_bool "no claim, no entry: not a member" false (Cache.mem cache "k");
+  (* a checkin under the key replaces the other text's entry *)
+  Cache.checkin cache "k" ~text:"text A" handle;
+  Cache.checkin cache "k" ~text:"text B" handle;
+  check_int "one entry per key" 1 (Cache.length cache);
+  check_bool "the replaced text misses" true
+    (Cache.checkout cache "k" ~text:"text A" = None);
+  Cache.release cache "k"
+
+(* A 300-task frame instance and its text, system included. *)
+let frames_text seed =
+  let app = Workload.Gen.layered_frames ~seed ~frames:3 () in
+  let system = Workload.Gen.frame_system () in
+  (system, app, Rtfmt.Appfile.to_string ~system app)
+
+let edit_json = function
+  | Rtlb.Incremental.Set_deadline { task; deadline } ->
+      Json.Obj [ ("task", Json.Int task); ("deadline", Json.Int deadline) ]
+  | Rtlb.Incremental.Set_release { task; release } ->
+      Json.Obj [ ("task", Json.Int task); ("release", Json.Int release) ]
+  | Rtlb.Incremental.Set_compute { task; compute } ->
+      Json.Obj [ ("task", Json.Int task); ("compute", Json.Int compute) ]
+
+let whatif_frame ~id text edits =
+  frame
+    [
+      ("id", Json.Int id);
+      ("op", Json.Str "whatif");
+      ("app", Json.Str text);
+      ("edits", Json.List (List.map edit_json edits));
+    ]
+
+(* The reply a what-if must get: a cold analysis of the base and of the
+   edited instance, through the daemon's encoders. *)
+let whatif_reference ~id system app edits =
+  Protocol.to_line
+    (Protocol.ok_reply ~id:(Json.Int id) ~op:Protocol.Whatif
+       (Json.of_whatif
+          ~base:(Rtlb.Analysis.run system app)
+          ~edited:(Rtlb.Analysis.run system (Rtlb.Incremental.apply app edits))))
+
+let submit_async t line =
+  let slot = Atomic.make None in
+  Server.submit t line (fun r -> Atomic.set slot (Some r));
+  slot
+
+(* Poll [cond] every millisecond for up to [timeout_s]. *)
+let poll ~timeout_s cond =
+  let t0 = Unix.gettimeofday () in
+  let rec go () =
+    cond ()
+    || (Unix.gettimeofday () -. t0 <= timeout_s && (Thread.delay 0.001; go ()))
+  in
+  go ()
+
+(* Fail rather than hang: a claim that never ends blocks its waiters
+   for good. *)
+let wait_until what cond =
+  if not (poll ~timeout_s:30.0 cond) then Alcotest.failf "%s: not after 30 s" what
+
+let await what slot =
+  wait_until what (fun () -> Atomic.get slot <> None);
+  Option.get (Atomic.get slot)
+
+let queue_empty t () =
+  Json.member "queue_depth" (Server.stats_snapshot t) = Json.Int 0
+
+(* With two workers, the first what-if of a new text is held inside its
+   cold build until the other worker has taken a second what-if of the
+   same text.  The second must wait for the handle: a daemon that
+   cold-builds on every miss builds the text twice here. *)
+let race_one_cold_build () =
+  let system, app, text = frames_text 21 in
+  let d0 = (Rtlb.App.task app 0).Rtlb.Task.deadline in
+  let edits k = [ Rtlb.Incremental.Set_deadline { task = 0; deadline = d0 + k } ] in
+  let tracer = Tracer.make () in
+  let config =
+    { Server.default_config with Server.workers = 2; jobs = 1; tracer }
+  in
+  (* the first thread to run a work item is held there; any other
+     thread's item while it is held is a duplicate build *)
+  let m = Mutex.create () and c = Condition.create () in
+  let holder = ref None and released = ref false and duplicate = ref false in
+  let locked f =
+    Mutex.lock m;
+    Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+  in
+  Rtlb_par.Pool.For_testing.inject :=
+    Some
+      (fun _ ->
+        let self = Thread.id (Thread.self ()) in
+        locked (fun () ->
+            match !holder with
+            | None ->
+                holder := Some self;
+                while not !released do
+                  Condition.wait c m
+                done
+            | Some h when h = self -> ()
+            | Some _ -> if not !released then duplicate := true));
+  let release () =
+    locked (fun () ->
+        released := true;
+        Condition.broadcast c)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      release ();
+      Rtlb_par.Pool.For_testing.reset ())
+  @@ fun () ->
+  let t = Server.create ~config () in
+  let r1 = submit_async t (whatif_frame ~id:1 text (edits 1)) in
+  wait_until "request 1 is inside its cold build" (fun () ->
+      locked (fun () -> !holder <> None));
+  let r2 = submit_async t (whatif_frame ~id:2 text (edits 2)) in
+  wait_until "the other worker took request 2" (queue_empty t);
+  (* time to reach the checkout; a duplicate build shows at once *)
+  ignore (poll ~timeout_s:0.3 (fun () -> locked (fun () -> !duplicate)) : bool);
+  release ();
+  let l1 = await "reply 1" r1 and l2 = await "reply 2" r2 in
+  Server.shutdown t;
+  check_int "one cold build for the text" 1
+    (Tracer.counter tracer Tracer.Cold_builds);
+  check_bool "no duplicate build ran while the first was held" false !duplicate;
+  check_string "reply 1 = cold reference" (whatif_reference ~id:1 system app (edits 1)) l1;
+  check_string "reply 2 = cold reference" (whatif_reference ~id:2 system app (edits 2)) l2
+
+(* The test thread holds a text's claim while two workers take one
+   frame each for that text, then releases it with nothing checked in.
+   The workers claim in turn; whichever holds the key second must be
+   woken when the first ends its claim.  Returns both replies. *)
+let behind_claim t text f1 f2 =
+  let key = Digest.string text in
+  ignore (Cache.checkout (Server.cache t) key ~text : Rtlb.Incremental.t option);
+  let r1 = submit_async t f1 and r2 = submit_async t f2 in
+  wait_until "both workers took a frame" (queue_empty t);
+  Thread.delay 0.05;
+  check_bool "no reply while the claim is held" true
+    (Atomic.get r1 = None && Atomic.get r2 = None);
+  Cache.release (Server.cache t) key;
+  (await "reply 1" r1, await "reply 2" r2)
+
+let race_holder_fails () =
+  let tracer = Tracer.make () in
+  let config =
+    { Server.default_config with Server.workers = 2; jobs = 1; tracer }
+  in
+  let t = Server.create ~config () in
+  let text = "task T1 oops\n" in
+  let analyze id =
+    frame [ ("id", Json.Int id); ("op", Json.Str "analyze"); ("app", Json.Str text) ]
+  in
+  let l1, l2 = behind_claim t text (analyze 1) (analyze 2) in
+  Server.shutdown t;
+  check_string "holder answered S302" "S302" (error_code (Json.parse l1));
+  check_string "waiter answered S302" "S302" (error_code (Json.parse l2));
+  check_int "nothing was built" 0 (Tracer.counter tracer Tracer.Cold_builds);
+  check_int "nothing was cached" 0 (Cache.length (Server.cache t))
+
+let race_holder_budget_cut () =
+  let system, app, text = frames_text 22 in
+  let tracer = Tracer.make () in
+  let config =
+    { Server.default_config with Server.workers = 2; jobs = 1; tracer }
+  in
+  let t = Server.create ~config () in
+  let analyze ?deadline_ms id =
+    frame
+      ([ ("id", Json.Int id); ("op", Json.Str "analyze"); ("app", Json.Str text) ]
+      @ List.map (fun ms -> ("deadline_ms", Json.Int ms)) (Option.to_list deadline_ms))
+  in
+  let reference id analysis =
+    Protocol.to_line
+      (Protocol.ok_reply ~id:(Json.Int id) ~op:Protocol.Analyze
+         (Json.of_analysis analysis))
+  in
+  (* an expired budget scans nothing: the partial base is deterministic *)
+  let cut = Rtlb.Incremental.base (Rtlb.Incremental.create ~deadline_ns:0L system app) in
+  check_bool "the reference is partial" true (Rtlb.Analysis.is_partial cut);
+  let l1, l2 =
+    behind_claim t text (analyze ~deadline_ms:0 1) (analyze ~deadline_ms:0 2)
+  in
+  check_string "holder: budget-cut reply" (reference 1 cut) l1;
+  check_string "waiter: woken, its own budget-cut reply" (reference 2 cut) l2;
+  check_int "each built (partial handles are never checked in)" 2
+    (Tracer.counter tracer Tracer.Cold_builds);
+  check_int "nothing was cached" 0 (Cache.length (Server.cache t));
+  let full = request_line t (analyze 3) in
+  Server.shutdown t;
+  check_string "a full request then builds and answers in full"
+    (reference 3 (Rtlb.Analysis.run system app)) full;
+  check_int "with a third build" 3 (Tracer.counter tracer Tracer.Cold_builds)
+
+(* raise@0 crashes the first work item anywhere.  In a cold
+   build it crashes the attempt that holds the text's claim; in a warm
+   edit, the attempt that checked the handle out.  Each supervised
+   retry must claim the key again, not wait on its own claim. *)
+let race_retry_holds_key () =
+  let system, app, text = frames_text 23 in
+  let d0 = (Rtlb.App.task app 0).Rtlb.Task.deadline in
+  let edits k = [ Rtlb.Incremental.Set_deadline { task = 0; deadline = d0 + k } ] in
+  let tracer = Tracer.make () in
+  let config =
+    { Server.default_config with Server.workers = 2; jobs = 1; tracer }
+  in
+  let t = Server.create ~config () in
+  let raise_once f =
+    match Chaos.parse "raise@0" with
+    | Ok plan -> with_chaos plan f
+    | Error m -> Alcotest.fail m
+  in
+  let cold =
+    raise_once (fun () -> await "cold reply" (submit_async t (whatif_frame ~id:1 text (edits 1))))
+  in
+  check_string "cold what-if retried to the reference"
+    (whatif_reference ~id:1 system app (edits 1)) cold;
+  check_int "the crashed build and its retry" 2
+    (Tracer.counter tracer Tracer.Cold_builds);
+  (* a smaller compute rescans a block, so the warm edit runs an item *)
+  let shrink =
+    [
+      Rtlb.Incremental.Set_compute
+        { task = 0; compute = (Rtlb.App.task app 0).Rtlb.Task.compute - 1 };
+    ]
+  in
+  let warm =
+    raise_once (fun () -> await "warm reply" (submit_async t (whatif_frame ~id:2 text shrink)))
+  in
+  Server.shutdown t;
+  check_string "warm what-if retried to the reference"
+    (whatif_reference ~id:2 system app shrink) warm;
+  check_int "two retries" 2 (Tracer.counter tracer Tracer.Retries);
+  check_int "the crashed warm handle was discarded" 1
+    (Tracer.counter tracer Tracer.Evictions);
+  check_int "and rebuilt by the retry" 3
+    (Tracer.counter tracer Tracer.Cold_builds)
+
+(* Two texts of one instance (one with a comment line and CRLF line
+   ends) get a handle each; their what-ifs, interleaved over two
+   workers, all answer exactly the cold reference. *)
+let text_keys_answers =
+  qtest ~count:25 "text keys: two texts of one instance, answers unchanged"
+    QCheck.(
+      pair (arb_instance ~max_tasks:10 ())
+        (list_of_size Gen.(int_range 2 8) (pair small_nat (int_range 1 6))))
+    (fun (i, raw) ->
+      let app = i.Helpers.app in
+      let system = uniform app in
+      let n = Rtlb.App.n_tasks app in
+      let text_a = Rtfmt.Appfile.to_string app in
+      let text_b =
+        "# the same instance\r\n"
+        ^ String.concat "\r\n" (String.split_on_char '\n' text_a)
+      in
+      let edits (k, delta) =
+        let task = Rtlb.App.task app (k mod n) in
+        let id = task.Rtlb.Task.id in
+        if delta mod 2 = 1 then
+          [ Rtlb.Incremental.Set_deadline { task = id; deadline = task.Rtlb.Task.deadline + delta } ]
+        else
+          [
+            Rtlb.Incremental.Set_compute
+              { task = id; compute = max 0 (task.Rtlb.Task.compute - 1) };
+            Rtlb.Incremental.Set_deadline { task = id; deadline = task.Rtlb.Task.deadline + delta };
+          ]
+      in
+      let tracer = Tracer.make () in
+      let config =
+        { Server.default_config with Server.workers = 2; jobs = 1; tracer }
+      in
+      let t = Server.create ~config () in
+      let text id = if id mod 2 = 0 then text_a else text_b in
+      let slots =
+        List.mapi
+          (fun id r -> (id, edits r, submit_async t (whatif_frame ~id (text id) (edits r))))
+          raw
+      in
+      let replies = List.map (fun (id, e, slot) -> (id, e, await "reply" slot)) slots in
+      Server.shutdown t;
+      List.iter
+        (fun (id, e, line) ->
+          check_string
+            (Printf.sprintf "reply %d = cold reference" id)
+            (whatif_reference ~id system app e) line)
+        replies;
+      check_int "one cold build per text"
+        (List.length (List.sort_uniq compare (List.mapi (fun id _ -> text id) raw)))
+        (Tracer.counter tracer Tracer.Cold_builds);
+      true)
+
+(* Allocation pin for one warm what-if.  One request per
+   [run_pending], so nothing coalesces.  The edit's cone is small, so
+   the fixed per-request work weighs: on a warm 300-task handle a
+   what-if of task 10's deadline allocates 38.6 K minor words.  A parse
+   and a fingerprint of the text would add 15 K, so the 45 K bound
+   fails if a warm hit parses. *)
+let warm_whatif_alloc () =
+  let _, app, text = frames_text 5 in
+  let tracer = Tracer.make () in
+  let config =
+    { Server.default_config with Server.workers = 0; jobs = 1; tracer }
+  in
+  let t = Server.create ~config () in
+  let sink = ref "" in
+  Server.submit t
+    (frame [ ("id", Json.Int 0); ("op", Json.Str "analyze"); ("app", Json.Str text) ])
+    (fun r -> sink := r);
+  Server.run_pending t;
+  let task = Rtlb.App.task app 10 in
+  let words =
+    List.map
+      (fun k ->
+        let line =
+          whatif_frame ~id:k text
+            [
+              Rtlb.Incremental.Set_deadline
+                { task = task.Rtlb.Task.id; deadline = task.Rtlb.Task.deadline + k };
+            ]
+        in
+        let before = Gc.minor_words () in
+        Server.submit t line (fun r -> sink := r);
+        Server.run_pending t;
+        let w = Gc.minor_words () -. before in
+        check_bool "the what-if answered" true (is_ok (Json.parse !sink));
+        w)
+      [ 1; 2; 3; 4 ]
+  in
+  Server.shutdown t;
+  check_int "only the analyze built" 1 (Tracer.counter tracer Tracer.Cold_builds);
+  List.iter
+    (fun w ->
+      if w > 45_000.0 then
+        Alcotest.failf "one warm what-if allocated %.0f minor words (bound 45000)" w)
+    words
 
 let suite =
   [
@@ -1565,5 +1954,18 @@ let suite =
           `Quick journal_v1_both_tags;
         Alcotest.test_case "journal: new records keep the v1 bytes" `Quick
           journal_writes_v1;
+        Alcotest.test_case "cache: a hit needs the text; claims wait" `Quick
+          cache_text_and_claims;
+        Alcotest.test_case "race: one cold build per text" `Quick
+          race_one_cold_build;
+        Alcotest.test_case "race: holder's build fails (S302), waiter answered"
+          `Quick race_holder_fails;
+        Alcotest.test_case "race: holder's build budget-cut, waiter answered"
+          `Quick race_holder_budget_cut;
+        Alcotest.test_case "race: supervised retry never waits on its claim"
+          `Quick race_retry_holds_key;
+        text_keys_answers;
+        Alcotest.test_case "alloc: one warm what-if skips parse and fingerprint"
+          `Quick warm_whatif_alloc;
       ] );
   ]
