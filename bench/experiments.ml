@@ -1067,10 +1067,11 @@ let incremental_sweep () =
   Bench_util.section "E13: incremental cache - deadline sweeps and what-ifs";
   Printf.printf
     "A fine-grained deadline sweep (16 factors probing the margin below\n\
-     the operating point) and a 16-edit what-if series, each answered\n\
-     cold (full Analysis.run per query) and through the Incremental\n\
-     cache.  Results are asserted identical sample by sample; times are\n\
-     wall clock, best of %d.\n"
+     the operating point), a 16-edit what-if series, and 16 mixed\n\
+     release/deadline/compute what-ifs on a 300-task frame instance (the\n\
+     shape of serve-sweep), each answered cold (full Analysis.run per\n\
+     query) and through the Incremental cache.  Results are asserted\n\
+     identical sample by sample; times are wall clock, best of %d.\n"
     3;
   let best_of k f =
     let rec go k best =
@@ -1137,21 +1138,26 @@ let incremental_sweep () =
           (Rtfmt.Json.Obj [ ("row", str_row row); ("json", json) ]);
         (row, json)
   in
-  let series_row name cold incr identical =
+  let series_row ?words name cold incr identical =
     ( [
         name;
         Printf.sprintf "%.2f" cold;
         Printf.sprintf "%.2f" incr;
         Printf.sprintf "%.2fx" (cold /. incr);
+        (match words with Some w -> Printf.sprintf "%.0f" w | None -> "-");
         (if identical then "yes" else "NO");
       ],
       Rtfmt.Json.Obj
-        [
-          ("cold_ms", Rtfmt.Json.Str (Printf.sprintf "%.3f" cold));
-          ("incremental_ms", Rtfmt.Json.Str (Printf.sprintf "%.3f" incr));
-          ("speedup", Rtfmt.Json.Str (Printf.sprintf "%.2f" (cold /. incr)));
-          ("identical", Rtfmt.Json.Bool identical);
-        ] )
+        ([
+           ("cold_ms", Rtfmt.Json.Str (Printf.sprintf "%.3f" cold));
+           ("incremental_ms", Rtfmt.Json.Str (Printf.sprintf "%.3f" incr));
+           ("speedup", Rtfmt.Json.Str (Printf.sprintf "%.2f" (cold /. incr)));
+           ("identical", Rtfmt.Json.Bool identical);
+         ]
+        @ List.map
+            (fun w ->
+              ("minor_words_per_whatif", Rtfmt.Json.Str (Printf.sprintf "%.0f" w)))
+            (Option.to_list words)) )
   in
   let sweep_row, sweep_json =
     stage "sweep" (fun () ->
@@ -1214,13 +1220,83 @@ let incremental_sweep () =
         series_row "16 what-if edits" whatif_cold_ms whatif_incr_ms
           whatif_identical)
   in
+  (* serve-sweep's shape: 16 mixed release, deadline and compute
+     what-ifs on a 300-task frame instance, each answered by a fresh
+     handle's first edit of it, as a daemon's handle meets a new edit. *)
+  let frames_row, frames_json =
+    stage "whatif_frames" (fun () ->
+        let app = Workload.Gen.layered_frames ~seed:5 ~frames:3 () in
+        let system = Workload.Gen.frame_system () in
+        let n = Rtlb.App.n_tasks app in
+        let edits k =
+          let task = ((37 * k) + 5) mod n in
+          let t = Rtlb.App.task app task in
+          let r = t.Rtlb.Task.release
+          and c = t.Rtlb.Task.compute
+          and d = t.Rtlb.Task.deadline in
+          [
+            (match k mod 3 with
+            | 0 -> Rtlb.Incremental.Set_deadline { task; deadline = d + 1 + k }
+            | 1 ->
+                Rtlb.Incremental.Set_release
+                  { task; release = (if r > 0 then r - 1 else min (d - c) (r + 1)) }
+            | _ ->
+                Rtlb.Incremental.Set_compute
+                  { task; compute = (if c > 1 then c - 1 else min (d - r) (c + 1)) });
+          ]
+        in
+        let ks = List.init 16 Fun.id in
+        let cold k = Rtlb.Analysis.run system (Rtlb.Incremental.apply app (edits k)) in
+        let same (a : Rtlb.Analysis.t) (b : Rtlb.Analysis.t) =
+          a.Rtlb.Analysis.windows.Rtlb.Est_lct.est = b.Rtlb.Analysis.windows.Rtlb.Est_lct.est
+          && a.Rtlb.Analysis.windows.Rtlb.Est_lct.lct
+             = b.Rtlb.Analysis.windows.Rtlb.Est_lct.lct
+          && a.Rtlb.Analysis.bounds = b.Rtlb.Analysis.bounds
+          && a.Rtlb.Analysis.cost = b.Rtlb.Analysis.cost
+          && a.Rtlb.Analysis.completeness = b.Rtlb.Analysis.completeness
+        in
+        (* one pass: fresh handle, 16 edits; returns ms and minor words *)
+        let pass check =
+          let handle = Rtlb.Incremental.create system app in
+          let identical = ref true in
+          let words = Gc.minor_words () in
+          let (), ms =
+            Bench_util.time_ms (fun () ->
+                List.iter
+                  (fun k ->
+                    let a = Rtlb.Incremental.edit handle (edits k) in
+                    if check then identical := !identical && same a (cold k))
+                  ks)
+          in
+          (ms, Gc.minor_words () -. words, !identical)
+        in
+        let _, _, identical = pass true in
+        let incr_ms, words, _ =
+          List.fold_left
+            (fun (best, w, i) _ ->
+              let ms, w', i' = pass false in
+              if ms < best then (ms, w', i') else (best, w, i))
+            (infinity, 0.0, true) [ 1; 2; 3 ]
+        in
+        let cold_ms = best_of 3 (fun () -> List.iter (fun k -> ignore (cold k)) ks) in
+        series_row ~words:(words /. 16.0) "16 mixed what-ifs, 300-task frames"
+          cold_ms incr_ms identical)
+  in
   let t =
     Rtfmt.Table.create
-      [ "series"; "cold ms"; "incremental ms"; "speedup"; "identical" ]
+      [
+        "series"; "cold ms"; "incremental ms"; "speedup"; "words/what-if";
+        "identical";
+      ]
   in
   Rtfmt.Table.add_row t sweep_row;
   Rtfmt.Table.add_row t whatif_row;
+  Rtfmt.Table.add_row t frames_row;
   Rtfmt.Table.print t;
+  if List.exists (List.mem "NO") [ sweep_row; whatif_row; frames_row ] then begin
+    prerr_endline "e13: an incremental answer diverged from the cold path";
+    exit 1
+  end;
   let json =
     Rtfmt.Json.Obj
       [
@@ -1231,6 +1307,7 @@ let incremental_sweep () =
           Rtfmt.Json.Int (List.length distinct_deadlines) );
         ("sweep", sweep_json);
         ("whatif", whatif_json);
+        ("whatif_frames", frames_json);
       ]
   in
   Rtfmt.write_atomic "BENCH_incremental.json" (fun oc ->

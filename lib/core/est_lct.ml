@@ -230,40 +230,6 @@ let compute system app =
     (Dag.reverse_topological_order (App.graph app));
   { est; lct; est_merged; lct_merged; est_trace; lct_trace }
 
-(* Incremental re-evaluation for the dirty-cone engine (Incremental):
-   only the marked tasks are re-run through the merge search, in the
-   same topological orders as [compute], against arrays seeded with the
-   base run's values.  Correctness rests on the dirty sets being closed
-   under dependency — EST under "is a descendant of an edited task", LCT
-   under "is an ancestor" — which {!Incremental} guarantees; every clean
-   task then has exactly the inputs it had in the base run, so the
-   recomputed entries are bit-identical to a cold [compute]. *)
-let recompute system app base ~est_dirty ~lct_dirty =
-  let est = Array.copy base.est and lct = Array.copy base.lct in
-  let est_merged = Array.copy base.est_merged
-  and lct_merged = Array.copy base.lct_merged in
-  let est_trace = Array.copy base.est_trace
-  and lct_trace = Array.copy base.lct_trace in
-  Array.iter
-    (fun i ->
-      if est_dirty.(i) then begin
-        let tr = greedy est_direction system app est i in
-        est.(i) <- tr.bound;
-        est_merged.(i) <- tr.merged;
-        est_trace.(i) <- tr
-      end)
-    (Dag.topological_order (App.graph app));
-  Array.iter
-    (fun i ->
-      if lct_dirty.(i) then begin
-        let tr = greedy lct_direction system app lct i in
-        lct.(i) <- tr.bound;
-        lct_merged.(i) <- tr.merged;
-        lct_trace.(i) <- tr
-      end)
-    (Dag.reverse_topological_order (App.graph app));
-  { est; lct; est_merged; lct_merged; est_trace; lct_trace }
-
 let est_of_merge_set system app ~est i a =
   bound_of_merge_set est_direction system app est i a
 

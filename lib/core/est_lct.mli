@@ -68,18 +68,6 @@ val compute : System.t -> App.t -> t
 (** Runs both recursions ([E] in topological order, [L] in reverse
     topological order). *)
 
-val recompute :
-  System.t -> App.t -> t -> est_dirty:bool array -> lct_dirty:bool array -> t
-(** [recompute system app base ~est_dirty ~lct_dirty] re-runs the merge
-    search only for the marked tasks, reusing [base]'s values (and merge
-    sets, and traces) for every clean one.  The caller must mark dirty
-    sets closed under dependency: [est_dirty] must contain every
-    descendant of a task whose release or compute time changed,
-    [lct_dirty] every ancestor of a task whose deadline or compute time
-    changed (the edited tasks included, in both cases).  Under that
-    contract the result is bit-identical to [compute system app] — the
-    {!Incremental} engine's EST/LCT layer, qcheck-asserted there. *)
-
 val est_of_merge_set : System.t -> App.t -> est:int array -> int -> int list -> int option
 (** [est_of_merge_set sys app ~est i a] — Equation 4.5: the earliest start
     time of [i] if exactly the predecessors [a] are co-located with it;

@@ -63,9 +63,10 @@ let deadline_sweep ?pool ?deadline_ns ?tracer ?on_sample ?resume system app
     ~factors =
   let tr = Option.value tracer ~default:Rtlb_obs.Tracer.null in
   (* The factors of a sweep differ from the base application in deadlines
-     only, so each one is an incremental query: the EST arrays and merge
-     traces are computed once, the LCT pass re-runs over the dirty
-     ancestor cones, and blocks whose windows a factor leaves unchanged
+     only, so each one is an incremental query: the EST values are
+     computed once (merge traces are not kept, as in Analysis.run), the
+     LCT pass re-runs over the dirty ancestor cones, and blocks whose
+     windows a factor leaves unchanged
      (common near 1.0, where the ceil quantises small perturbations away)
      are served from the cache.  The handle is built without the tracer —
      the observable sweep trace stays one ["factor F"] span per factor,

@@ -77,6 +77,7 @@ type t = {
   est : ia;
   lct : ia;
   sweep : sweep_ws;
+  mutable flags : int array;  (* of an edit in progress; [||] before one *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -197,6 +198,7 @@ let pack system app =
     est = ia n;
     lct = ia n;
     sweep = sweep_ws ();
+    flags = [||];
   }
 
 (* Rebuild an [App.t] from the packed arrays alone — [pack] keeps no
@@ -687,10 +689,10 @@ let scan_item t ~prune ~tr blk a =
 
 (* Partition the members of resource [r_idx] exactly as
    [Partition.compute]: sort by (EST asc, LCT desc, id asc), then sweep
-   with the strict window-overlap rule.  Returns the planned blocks
-   (scannable ones carry points and theta_max) plus the partition
-   record. *)
-let plan_resource t ~prune r_idx =
+   with the strict window-overlap rule.  Returns the member slots in
+   partition order and each block as [(x0, x1, lo, hi)]: its range of
+   that order and its span. *)
+let partition_resource t r_idx =
   let m0 = t.res_off.{r_idx} and m1 = t.res_off.{r_idx + 1} in
   let nm = m1 - m0 in
   let ord = Array.init nm (fun x -> m0 + x) in
@@ -704,9 +706,8 @@ let plan_resource t ~prune r_idx =
         let c = compare t.lct.{b} t.lct.{a} in
         if c <> 0 then c else compare a b)
     ord;
-  if nm = 0 then ({ Partition.blocks = []; spans = [] }, [])
+  if nm = 0 then (ord, [])
   else begin
-    (* sweep into [start, stop) ranges of [ord] with their spans *)
     let ranges = ref [] in
     let start = ref 0 in
     let first = t.res_task.{ord.(0)} in
@@ -724,91 +725,177 @@ let plan_resource t ~prune r_idx =
         f := t.lct.{i}
       end
     done;
-    ranges := (!start, nm, !s, !f) :: !ranges;
-    let ranges = List.rev !ranges in
-    let blocks =
+    (ord, List.rev ((!start, nm, !s, !f) :: !ranges))
+  end
+
+let partition_record t ord ranges =
+  {
+    Partition.blocks =
       List.map
         (fun (x0, x1, _, _) ->
           List.init (x1 - x0) (fun k -> t.res_task.{ord.(x0 + k)}))
-        ranges
-    in
-    let spans = List.map (fun (_, _, s, f) -> (s, f)) ranges in
-    let planned =
-      List.filter_map
-        (fun (x0, x1, lo, hi) ->
-          if lo >= hi then None
-          else begin
-            let nb = x1 - x0 in
-            let ids = Array.init nb (fun k -> t.res_task.{ord.(x0 + k)}) in
-            let w = Array.init nb (fun k -> t.res_units.{ord.(x0 + k)}) in
-            (* candidate points: member EST/LCT clipped to the span, plus
-               the span bounds, sorted and deduped *)
-            let raw = Array.make ((2 * nb) + 2) lo in
-            raw.(1) <- hi;
-            let np = ref 2 in
-            for k = 0 to nb - 1 do
-              let e = t.est.{ids.(k)} and l = t.lct.{ids.(k)} in
-              if e >= lo && e <= hi then begin
-                raw.(!np) <- e;
-                incr np
-              end;
-              if l >= lo && l <= hi then begin
-                raw.(!np) <- l;
-                incr np
-              end
-            done;
-            let raw = Array.sub raw 0 !np in
-            Array.stable_sort Int.compare raw;
-            let u = ref 0 in
-            Array.iter
-              (fun p ->
-                if !u = 0 || raw.(!u - 1) <> p then begin
-                  raw.(!u) <- p;
-                  incr u
-                end)
-              raw;
-            let pts = Array.sub raw 0 !u in
-            let tmax =
-              if prune then block_theta_max t ids w nb pts else [||]
-            in
-            Some
-              {
-                b_ids = ids;
-                b_w = w;
-                b_pts = pts;
-                b_tmax = tmax;
-                b_inc = Atomic.make 0;
-                b_slot0 = -1;
-              }
-          end)
-        ranges
-    in
-    ({ Partition.blocks; spans }, planned)
-  end
+        ranges;
+    spans = List.map (fun (_, _, s, f) -> (s, f)) ranges;
+  }
+
+(* Plan one scannable block: its members and weights in partition
+   order, its candidate points (member EST/LCT clipped to the span, plus
+   the span bounds, sorted and deduped) and, with pruning, theta_max at
+   each point. *)
+let plan_block t ~prune ord (x0, x1, lo, hi) =
+  let nb = x1 - x0 in
+  let ids = Array.init nb (fun k -> t.res_task.{ord.(x0 + k)}) in
+  let w = Array.init nb (fun k -> t.res_units.{ord.(x0 + k)}) in
+  let raw = Array.make ((2 * nb) + 2) lo in
+  raw.(1) <- hi;
+  let np = ref 2 in
+  for k = 0 to nb - 1 do
+    let e = t.est.{ids.(k)} and l = t.lct.{ids.(k)} in
+    if e >= lo && e <= hi then begin
+      raw.(!np) <- e;
+      incr np
+    end;
+    if l >= lo && l <= hi then begin
+      raw.(!np) <- l;
+      incr np
+    end
+  done;
+  let raw = Array.sub raw 0 !np in
+  Array.stable_sort Int.compare raw;
+  let u = ref 0 in
+  Array.iter
+    (fun p ->
+      if !u = 0 || raw.(!u - 1) <> p then begin
+        raw.(!u) <- p;
+        incr u
+      end)
+    raw;
+  let pts = Array.sub raw 0 !u in
+  {
+    b_ids = ids;
+    b_w = w;
+    b_pts = pts;
+    b_tmax = (if prune then block_theta_max t ids w nb pts else [||]);
+    b_inc = Atomic.make 0;
+    b_slot0 = -1;
+  }
+
+(* The cache key of block [x0, x1) of [ord]: the resource, then each
+   member's id, EST, LCT and compute in partition order — all a block
+   scan reads that an edit can change. *)
+let block_key t r_idx ord x0 x1 =
+  let key = Array.make (1 + (4 * (x1 - x0))) r_idx in
+  for x = x0 to x1 - 1 do
+    let i = t.res_task.{ord.(x)} and o = 1 + (4 * (x - x0)) in
+    key.(o) <- i;
+    key.(o + 1) <- t.est.{i};
+    key.(o + 2) <- t.lct.{i};
+    key.(o + 3) <- t.compute.{i}
+  done;
+  key
 
 let default_prune () = Sys.getenv_opt "RTLB_SOA_NO_PRUNE" = None
 
-(* The full lower-bound pass: plan (partition + points + theta_max),
-   one flat work array at (block, left endpoint) granularity through
-   the pool, then a fold in plan order — the same shape, item order and
-   counters as [Lower_bound.all_within]. *)
-let bounds ?prune ?pool ?deadline_ns ?tracer t =
+type known = { k_scan : int * Lower_bound.witness option; k_items : int }
+
+type resource_scan = {
+  r_bound : Lower_bound.bound;
+  r_items : int;
+  r_blocks : int;
+  r_complete : bool;
+}
+
+type cache = {
+  c_base : resource_scan array;
+  c_find : int array -> known option;
+  c_keep : int array -> known -> unit;
+}
+
+(* A scannable block as planned: its result known, or to scan. *)
+type planned = Known of known | Live of int array * blk
+
+type resource_plan =
+  | Reused of resource_scan
+  | Planned of Partition.t * planned list
+
+(* Per-task flags of an edit in progress: [est_bit] and [lct_bit] mark
+   a task's cones, [moved_bit] an (EST, LCT, C) that differs from the
+   base.  Allocated at the first edit; all zero between edits. *)
+let est_bit = 1
+let lct_bit = 2
+let moved_bit = 4
+
+let edit_flags t =
+  if Array.length t.flags <> t.n then t.flags <- Array.make t.n 0;
+  t.flags
+
+(* Whether some [ids.(p)], [p] in [p, stop), has flag [bit]. *)
+let rec flagged_from (ids : int array) flags bit p stop =
+  p < stop
+  && (flags.(ids.(p)) land bit <> 0 || flagged_from ids flags bit (p + 1) stop)
+
+(* Whether a member in slots [p, stop) of the resource table moved. *)
+let rec moved_from t flags p stop =
+  p < stop
+  && (flags.(t.res_task.{p}) land moved_bit <> 0
+     || moved_from t flags (p + 1) stop)
+
+(* The lower-bound pass: plan (partition + points + theta_max), one
+   flat work array at (block, left endpoint) granularity through the
+   pool, then a fold in plan order — the same shape, item order and
+   counters as [Lower_bound.all_within].  With a [cache], a resource
+   whose members did not move and whose base scan ran in full is reused
+   whole, and a block found by its key is folded from the cache. *)
+let scan ?prune ?pool ?deadline_ns ?tracer ?cache t =
   let prune = match prune with Some p -> p | None -> default_prune () in
   let tr = Option.value tracer ~default:Rtlb_obs.Tracer.null in
-  let nr = Array.length t.res_names in
+  let hits = ref 0 in
+  let plan r_idx =
+    match cache with
+    | Some c
+      when r_idx < Array.length c.c_base
+           && c.c_base.(r_idx).r_complete
+           && not
+                (moved_from t (edit_flags t) t.res_off.{r_idx}
+                   t.res_off.{r_idx + 1}) ->
+        hits := !hits + c.c_base.(r_idx).r_blocks;
+        Reused c.c_base.(r_idx)
+    | _ ->
+        let ord, ranges = partition_resource t r_idx in
+        let blocks =
+          List.filter_map
+            (fun ((x0, x1, lo, hi) as range) ->
+              if lo >= hi then None
+              else
+                match cache with
+                | None -> Some (Live ([||], plan_block t ~prune ord range))
+                | Some c -> (
+                    let key = block_key t r_idx ord x0 x1 in
+                    match c.c_find key with
+                    | Some k ->
+                        incr hits;
+                        Some (Known k)
+                    | None -> Some (Live (key, plan_block t ~prune ord range))))
+            ranges
+        in
+        Planned (partition_record t ord ranges, blocks)
+  in
   let plans =
     Rtlb_obs.Tracer.with_span tr "plan" (fun () ->
-        Array.init nr (fun r_idx -> plan_resource t ~prune r_idx))
+        Array.init (Array.length t.res_names) plan)
   in
   let n_items = ref 0 in
-  Array.iter
-    (fun (_, blks) ->
-      List.iter
-        (fun b ->
-          b.b_slot0 <- !n_items;
-          n_items := !n_items + Array.length b.b_pts - 1)
-        blks)
-    plans;
+  let each_live f =
+    Array.iter
+      (function
+        | Reused _ -> ()
+        | Planned (_, blocks) ->
+            List.iter (function Known _ -> () | Live (_, b) -> f b) blocks)
+      plans
+  in
+  each_live (fun b ->
+      b.b_slot0 <- !n_items;
+      n_items := !n_items + Array.length b.b_pts - 1);
   let dummy =
     {
       b_ids = [||];
@@ -821,15 +908,10 @@ let bounds ?prune ?pool ?deadline_ns ?tracer t =
   in
   let work = Array.make (max 1 !n_items) (dummy, 0) in
   let work = if !n_items = 0 then [||] else work in
-  Array.iter
-    (fun (_, blks) ->
-      List.iter
-        (fun b ->
-          for a = 0 to Array.length b.b_pts - 2 do
-            work.(b.b_slot0 + a) <- (b, a)
-          done)
-        blks)
-    plans;
+  each_live (fun b ->
+      for a = 0 to Array.length b.b_pts - 2 do
+        work.(b.b_slot0 + a) <- (b, a)
+      done);
   if Rtlb_obs.Tracer.enabled tr then
     Rtlb_obs.Tracer.add tr Rtlb_obs.Tracer.Candidate_intervals
       (Array.fold_left
@@ -840,34 +922,132 @@ let bounds ?prune ?pool ?deadline_ns ?tracer t =
       (fun (b, a) -> scan_item t ~prune ~tr b a)
       work
   in
-  let executed = ref 0 in
-  let bounds =
-    Rtlb_obs.Tracer.with_span tr "reduce" (fun () ->
-        Array.to_list
-          (Array.mapi
-             (fun r_idx (partition, blks) ->
-               let acc = ref (0, None) in
-               List.iter
-                 (fun b ->
-                   for k = 0 to Array.length b.b_pts - 2 do
-                     match scanned.(b.b_slot0 + k) with
-                     | Some s ->
-                         incr executed;
-                         acc := Lower_bound.merge_scans !acc s
-                     | None -> ()
-                   done)
-                 blks;
-               let lb, witness = !acc in
-               {
-                 Lower_bound.resource = t.res_names.(r_idx);
-                 lb;
-                 witness;
-                 partition;
-               })
-             plans))
+  (* known and reused items count as executed *)
+  let executed = ref 0 and total = ref 0 in
+  let fold r_idx = function
+    | Reused rs ->
+        executed := !executed + rs.r_items;
+        total := !total + rs.r_items;
+        rs
+    | Planned (partition, blocks) ->
+        let acc = ref (0, None) and items = ref 0 and complete = ref true in
+        List.iter
+          (function
+            | Known k ->
+                items := !items + k.k_items;
+                executed := !executed + k.k_items;
+                acc := Lower_bound.merge_scans !acc k.k_scan
+            | Live (key, b) ->
+                let n = Array.length b.b_pts - 1 in
+                let bacc = ref (0, None) and ran = ref 0 in
+                for k = 0 to n - 1 do
+                  match scanned.(b.b_slot0 + k) with
+                  | Some s ->
+                      incr ran;
+                      bacc := Lower_bound.merge_scans !bacc s
+                  | None -> ()
+                done;
+                items := !items + n;
+                executed := !executed + !ran;
+                (* a block cut short by the budget is never cached *)
+                if !ran < n then complete := false
+                else
+                  Option.iter
+                    (fun c -> c.c_keep key { k_scan = !bacc; k_items = n })
+                    cache;
+                acc := Lower_bound.merge_scans !acc !bacc)
+          blocks;
+        total := !total + !items;
+        let lb, witness = !acc in
+        {
+          r_bound =
+            {
+              Lower_bound.resource = t.res_names.(r_idx);
+              lb;
+              witness;
+              partition;
+            };
+          r_items = !items;
+          r_blocks = List.length blocks;
+          r_complete = !complete;
+        }
   in
+  let results =
+    Rtlb_obs.Tracer.with_span tr "reduce" (fun () -> Array.mapi fold plans)
+  in
+  if Option.is_some cache && Rtlb_obs.Tracer.enabled tr then
+    Rtlb_obs.Tracer.add tr Rtlb_obs.Tracer.Cache_hits !hits;
   let completeness =
-    if !executed = !n_items then `Complete
-    else `Partial (float_of_int !executed /. float_of_int !n_items)
+    if !executed = !total then `Complete
+    else `Partial (float_of_int !executed /. float_of_int !total)
   in
-  (bounds, completeness)
+  (results, completeness)
+
+let bounds ?prune ?pool ?deadline_ns ?tracer t =
+  let results, completeness = scan ?prune ?pool ?deadline_ns ?tracer t in
+  (Array.to_list (Array.map (fun r -> r.r_bound) results), completeness)
+
+(* ------------------------------------------------------------------ *)
+(* In-place what-ifs                                                    *)
+(*                                                                     *)
+(* An edit writes its scalars into the packed arrays, re-sweeps the    *)
+(* EST cone (the edited releases and computes, closed over successors, *)
+(* in topological order) and the LCT cone (deadlines and computes,     *)
+(* closed over predecessors, in reverse order), and [restore] puts the *)
+(* base back.                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let edit_task t i ~release ~deadline ~compute =
+  let flags = edit_flags t in
+  (* a compute enters both cones and is part of the block key *)
+  let compute_bits = est_bit lor lct_bit lor moved_bit in
+  flags.(i) <-
+    flags.(i)
+    lor (if release <> t.release.{i} then est_bit else 0)
+    lor (if deadline <> t.deadline.{i} then lct_bit else 0)
+    lor if compute <> t.compute.{i} then compute_bits else 0;
+  t.release.{i} <- release;
+  t.deadline.{i} <- deadline;
+  t.compute.{i} <- compute
+
+(* Re-sweep task [i] in one direction if it is in that cone: marked
+   already, or a neighbour it reads is.  Returns 1 if it was. *)
+let resweep t flags ~is_est i =
+  let bit = if is_est then est_bit else lct_bit in
+  let rows = if is_est then t.pred else t.succ in
+  if
+    flags.(i) land bit <> 0
+    || flagged_from rows.Dag.adj flags bit rows.Dag.off.(i) rows.Dag.off.(i + 1)
+  then begin
+    let v = sweep_task t t.sweep ~is_est i in
+    let w = if is_est then t.est else t.lct in
+    flags.(i) <- flags.(i) lor bit lor if v <> w.{i} then moved_bit else 0;
+    w.{i} <- v;
+    1
+  end
+  else 0
+
+let sweep_cone t =
+  let flags = edit_flags t in
+  let cone = ref 0 in
+  for k = 0 to t.n - 1 do
+    cone := !cone + resweep t flags ~is_est:true t.topo.(k)
+  done;
+  for k = t.n - 1 downto 0 do
+    cone := !cone + resweep t flags ~is_est:false t.topo.(k)
+  done;
+  !cone
+
+let restore t app (w : Est_lct.t) =
+  let flags = t.flags in
+  for i = 0 to Array.length flags - 1 do
+    if flags.(i) <> 0 then begin
+      let task = App.task app i in
+      t.release.{i} <- task.Task.release;
+      t.deadline.{i} <- task.Task.deadline;
+      t.compute.{i} <- task.Task.compute;
+      t.est.{i} <- w.Est_lct.est.(i);
+      t.lct.{i} <- w.Est_lct.lct.(i);
+      flags.(i) <- 0
+    end
+  done

@@ -158,33 +158,39 @@ let check_diags text =
    claim ends here in exactly one checkin, release or discard — on
    success, on a partial (budget-cut) build and on any exception — so a
    supervised retry never waits on its own claim.  A partial base
-   analysis is never checked in. *)
+   analysis is never checked in.  An edit validates before it changes
+   its handle and restores the handle when it raises, so a request
+   rejected by [use] ([Protocol.Reject], S301) keeps the handle; any
+   other exception discards a hit. *)
 let with_handle t ?pool ?deadline_ns ~checkout job instance use =
   let key = job.j_digest and text = job.j_req.Protocol.app in
+  let keep handle =
+    if Rtlb.Analysis.is_partial (Rtlb.Incremental.base handle) then
+      Cache.release t.cache key
+    else Cache.checkin t.cache key ~text handle
+  in
+  let run handle ~drop =
+    match use handle with
+    | result ->
+        keep handle;
+        result
+    | exception (Protocol.Reject _ as e) ->
+        keep handle;
+        raise e
+    | exception e ->
+        drop key;
+        raise e
+  in
   match checkout () with
-  | Some handle -> (
-      match use handle with
-      | result ->
-          Cache.checkin t.cache key ~text handle;
-          result
-      | exception e ->
-          Cache.discard t.cache key;
-          raise e)
+  | Some handle -> run handle ~drop:(Cache.discard t.cache)
   | None -> (
       match
         let system, app = instance () in
         Tracer.add t.cfg.tracer Tracer.Cold_builds 1;
-        let handle =
-          Rtlb.Incremental.create ?pool ?deadline_ns ~tracer:t.cfg.tracer
-            system app
-        in
-        (use handle, handle)
+        Rtlb.Incremental.create ?pool ?deadline_ns ~tracer:t.cfg.tracer system
+          app
       with
-      | result, handle ->
-          if Rtlb.Analysis.is_partial (Rtlb.Incremental.base handle) then
-            Cache.release t.cache key
-          else Cache.checkin t.cache key ~text handle;
-          result
+      | handle -> run handle ~drop:(Cache.release t.cache)
       | exception e ->
           Cache.release t.cache key;
           raise e)

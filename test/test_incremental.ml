@@ -1,31 +1,21 @@
-(* The incremental engine's contract is bit-identity: a query against a
-   cached (record) handle must equal a cold run of the record oracle
-   (test/oracle.ml) on the perturbed application in every observable
-   field — windows (values, merge sets, traces), bounds (values,
-   witnesses, partitions), cost and completeness — and so match
-   Analysis.run value for value.  The properties below drive random
-   instances through random edit sequences, the sweep through random
+(* The incremental engine's contract: a query against a cached handle
+   equals a cold run on the perturbed application in every value —
+   windows, bounds (values, witnesses, partitions), cost and
+   completeness — against both the record oracle (test/oracle.ml) and
+   Analysis.run.  Merge sets and traces are left empty, as in
+   Analysis.run; Est_lct.compute alone fills them (test_est_lct pins
+   them).  The properties below drive random instances on both system
+   models through random edit sequences, the sweep through random
    factor lists, and the budgeted path through an expired deadline, all
-   against the cold reference; units pin the dirty-cone and cache
-   counters. *)
+   against the cold references; units pin the dirty-cone and cache
+   counters, and that an edit — answered or raised — leaves its handle
+   at its base. *)
 
 open Helpers
 
-let windows_identical (a : Rtlb.Est_lct.t) (b : Rtlb.Est_lct.t) =
-  a.Rtlb.Est_lct.est = b.Rtlb.Est_lct.est
-  && a.Rtlb.Est_lct.lct = b.Rtlb.Est_lct.lct
-  && a.Rtlb.Est_lct.est_merged = b.Rtlb.Est_lct.est_merged
-  && a.Rtlb.Est_lct.lct_merged = b.Rtlb.Est_lct.lct_merged
-  && a.Rtlb.Est_lct.est_trace = b.Rtlb.Est_lct.est_trace
-  && a.Rtlb.Est_lct.lct_trace = b.Rtlb.Est_lct.lct_trace
-
-let analyses_identical (a : Rtlb.Analysis.t) (b : Rtlb.Analysis.t) =
-  List.length a.Rtlb.Analysis.bounds = List.length b.Rtlb.Analysis.bounds
-  && List.for_all2 Oracle.bound_equal a.Rtlb.Analysis.bounds
-       b.Rtlb.Analysis.bounds
-  && windows_identical a.Rtlb.Analysis.windows b.Rtlb.Analysis.windows
-  && a.Rtlb.Analysis.cost = b.Rtlb.Analysis.cost
-  && a.Rtlb.Analysis.completeness = b.Rtlb.Analysis.completeness
+let matches_cold system app (q : Rtlb.Analysis.t) =
+  Oracle.values_identical q (Oracle.run system app)
+  && Oracle.values_identical q (Rtlb.Analysis.run system app)
 
 (* One random well-formed edit against the current application state:
    choosing each edit valid for the app accumulated so far keeps the
@@ -49,26 +39,24 @@ let gen_edit st app =
         { task = i; compute = Random.State.int st (deadline - release + 1) }
 
 (* Random instances, random cumulative edit sequences: every query
-   bit-identical to a cold run on the same perturbed application. *)
-let edits_equal_cold =
-  qtest ~count:100 "Incremental.query = cold Analysis.run under random edits"
+   equal to cold runs on the same perturbed application.  Dedicated
+   systems exercise the node-type host masks of the cone sweep. *)
+let edits_equal_cold ?(label = "") system_of =
+  qtest ~count:100
+    ("Incremental.query = cold Analysis.run under random edits" ^ label)
     QCheck.(pair (arb_instance ~max_tasks:10 ()) small_int)
     (fun (i, salt) ->
-      let system = shared_of i in
+      let system = system_of i in
       let st = Random.State.make [| i.config.Workload.Gen.seed; salt |] in
       let handle = Rtlb.Incremental.create system i.app in
-      assert (
-        analyses_identical
-          (Rtlb.Incremental.base handle)
-          (Oracle.run system i.app));
+      assert (matches_cold system i.app (Rtlb.Incremental.base handle));
       let rec go k edits =
         k = 0
         ||
         let edits = edits @ [ gen_edit st (Rtlb.Incremental.apply i.app edits) ] in
         let app' = Rtlb.Incremental.apply i.app edits in
-        let q = Rtlb.Incremental.query handle app' in
-        analyses_identical q (Oracle.run system app')
-        && Oracle.values_identical q (Rtlb.Analysis.run system app')
+        matches_cold system app' (Rtlb.Incremental.query handle app')
+        && matches_cold system app' (Rtlb.Incremental.edit handle edits)
         && go (k - 1) edits
       in
       go (1 + (salt mod 4)) [])
@@ -120,8 +108,7 @@ let partial_base_never_poisons () =
   let q1 = Rtlb.Incremental.query ~deadline_ns:expired handle app' in
   check_bool "budgeted query is partial" true (Rtlb.Analysis.is_partial q1);
   let q2 = Rtlb.Incremental.query handle app' in
-  check_bool "unbudgeted query = cold run" true
-    (analyses_identical q2 (Oracle.run system app'))
+  check_bool "unbudgeted query = cold run" true (matches_cold system app' q2)
 
 (* A chain 0 -> 1 -> 2 -> 3.  Editing the source's deadline dirties only
    the LCT of the source itself (its ancestor cone is a singleton), so
@@ -145,9 +132,7 @@ let cone_counter_pins_est_reuse () =
     let tracer = Rtlb_obs.Tracer.make () in
     let analysis = Rtlb.Incremental.edit ~tracer handle edits in
     check_bool "edit = cold run" true
-      (analyses_identical analysis
-         (Oracle.run system
-            (Rtlb.Incremental.apply app edits)));
+      (matches_cold system (Rtlb.Incremental.apply app edits) analysis);
     Rtlb_obs.Tracer.counter tracer Rtlb_obs.Tracer.Cone_tasks
   in
   check_int "source deadline edit: 1 LCT recompute, 0 EST" 1
@@ -183,8 +168,7 @@ let repeat_query_hits_cache () =
     (Rtlb_obs.Tracer.counter tracer Rtlb_obs.Tracer.Theta_evals);
   check_bool "repeat query reuses blocks" true
     (Rtlb_obs.Tracer.counter tracer Rtlb_obs.Tracer.Cache_hits > 0);
-  check_bool "repeat query still = cold run" true
-    (analyses_identical q (Oracle.run system app'))
+  check_bool "repeat query still = cold run" true (matches_cold system app' q)
 
 (* A handle answering many distinct what-ifs (a serve daemon's) keeps its
    base results and at most [max 64 b] more: each distinct edit rescans
@@ -210,8 +194,7 @@ let query_cache_bounded () =
       check_bool
         (Printf.sprintf "query %d = cold run" k)
         true
-        (analyses_identical q
-           (Oracle.run system (Rtlb.Incremental.apply app edits)))
+        (matches_cold system (Rtlb.Incremental.apply app edits) q)
   done;
   check_bool
     (Printf.sprintf "at most %d results held (saw %d)" limit !most)
@@ -248,9 +231,7 @@ let reshape_falls_back () =
         if t.Rtlb.Task.id = 1 then Rtlb.Task.with_preemptive t true else t)
   in
   check_bool "preemptability change answered via cold path" true
-    (analyses_identical
-       (Rtlb.Incremental.query handle reshaped)
-       (Oracle.run system reshaped))
+    (matches_cold system reshaped (Rtlb.Incremental.query handle reshaped))
 
 (* The instance digest keys checkpoints and the serve cache, so its
    bytes must not drift: these hex digests were taken from the
@@ -284,8 +265,7 @@ let equal_graphs_stay_incremental () =
   let cone app' =
     let tracer = Rtlb_obs.Tracer.make () in
     let q = Rtlb.Incremental.query ~tracer handle app' in
-    check_bool "query = cold run" true
-      (analyses_identical q (Oracle.run system app'));
+    check_bool "query = cold run" true (matches_cold system app' q);
     Rtlb_obs.Tracer.counter tracer Rtlb_obs.Tracer.Cone_tasks
   in
   let reread =
@@ -306,11 +286,93 @@ let equal_graphs_stay_incremental () =
   in
   check_int "changed edge weight: cold run" 0 (cone reweighted)
 
+(* An edit writes the handle's packed instance and restores it: after
+   50 random what-ifs the base analysis is what it was, and later edits
+   still equal cold runs. *)
+let base_survives_edits () =
+  let config =
+    { Workload.Gen.default with Workload.Gen.n_tasks = 30; seed = 13 }
+  in
+  let app = Workload.Gen.generate config in
+  let system = Workload.Gen.shared_system config in
+  let handle = Rtlb.Incremental.create system app in
+  let before = Rtlb.Incremental.base handle in
+  let est = Array.copy before.Rtlb.Analysis.windows.Rtlb.Est_lct.est
+  and lct = Array.copy before.Rtlb.Analysis.windows.Rtlb.Est_lct.lct in
+  let st = Random.State.make [| 13 |] in
+  for _ = 1 to 50 do
+    ignore (Rtlb.Incremental.edit handle [ gen_edit st app ] : Rtlb.Analysis.t)
+  done;
+  let after = Rtlb.Incremental.base handle in
+  check_bool "base windows unchanged" true
+    (after.Rtlb.Analysis.windows.Rtlb.Est_lct.est = est
+    && after.Rtlb.Analysis.windows.Rtlb.Est_lct.lct = lct);
+  check_bool "base = cold run" true (matches_cold system app after);
+  check_bool "the unedited app = cold run" true
+    (matches_cold system app (Rtlb.Incremental.query handle app));
+  for k = 1 to 5 do
+    let edits = [ gen_edit st app ] in
+    check_bool
+      (Printf.sprintf "edit %d after 50 = cold run" k)
+      true
+      (matches_cold system (Rtlb.Incremental.apply app edits)
+         (Rtlb.Incremental.edit handle edits))
+  done
+
+(* A scan item that raises aborts the edit; the handle is restored on
+   the way out, so the next edit — the same one, then another — equals
+   a cold run, with and without a pool. *)
+let raised_edit_restores () =
+  let config =
+    { Workload.Gen.default with Workload.Gen.n_tasks = 30; seed = 11 }
+  in
+  let app = Workload.Gen.generate config in
+  let system = Workload.Gen.shared_system config in
+  (* a smaller compute changes the task's block key, so its block is
+     scanned live *)
+  let task =
+    List.find
+      (fun t -> t.Rtlb.Task.compute > 1)
+      (Array.to_list (Rtlb.App.tasks app))
+  in
+  let shrink =
+    [
+      Rtlb.Incremental.Set_compute
+        { task = task.Rtlb.Task.id; compute = task.Rtlb.Task.compute - 1 };
+    ]
+  in
+  let relax =
+    [
+      Rtlb.Incremental.Set_deadline
+        { task = task.Rtlb.Task.id; deadline = task.Rtlb.Task.deadline + 7 };
+    ]
+  in
+  let run ?pool label =
+    let handle = Rtlb.Incremental.create ?pool system app in
+    Rtlb_par.Pool.For_testing.inject := Some (fun _ -> failwith "injected");
+    let raised =
+      Fun.protect ~finally:Rtlb_par.Pool.For_testing.reset (fun () ->
+          match Rtlb.Incremental.edit ?pool handle shrink with
+          | _ -> false
+          | exception _ -> true)
+    in
+    check_bool (label ^ ": the scan raised") true raised;
+    List.iter
+      (fun edits ->
+        check_bool (label ^ ": next edit = cold run") true
+          (matches_cold system (Rtlb.Incremental.apply app edits)
+             (Rtlb.Incremental.edit ?pool handle edits)))
+      [ shrink; relax; shrink ]
+  in
+  run "no pool";
+  Rtlb_par.Pool.with_pool ~jobs:2 (fun pool -> run ~pool "pool of 2")
+
 let suite =
   [
     ( "incremental",
       [
-        edits_equal_cold;
+        edits_equal_cold shared_of;
+        edits_equal_cold ~label:" (dedicated)" dedicated_of;
         sweep_equals_cold;
         Alcotest.test_case "partial base never poisons the cache" `Quick
           partial_base_never_poisons;
@@ -327,5 +389,9 @@ let suite =
           fingerprint_pinned;
         Alcotest.test_case "equal graphs stay incremental" `Quick
           equal_graphs_stay_incremental;
+        Alcotest.test_case "base unchanged after 50 edits" `Quick
+          base_survives_edits;
+        Alcotest.test_case "an edit that raises leaves the handle at its base"
+          `Quick raised_edit_restores;
       ] );
   ]
