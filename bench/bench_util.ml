@@ -15,6 +15,39 @@ let time_ms f =
   let t1 = Rtlb_obs.Clock.now_ns Rtlb_obs.Clock.monotonic in
   (result, Int64.to_float (Int64.sub t1 t0) /. 1e6)
 
+(* The host a bench ran on, for its JSON: core count, OCaml version and
+   the checkout's git revision (read from .git in the working directory,
+   without running git). *)
+let git_revision () =
+  let read p =
+    try Some (String.trim (In_channel.with_open_bin p In_channel.input_all))
+    with Sys_error _ -> None
+  in
+  match read ".git/HEAD" with
+  | None -> "unknown (not a git checkout)"
+  | Some head when String.starts_with ~prefix:"ref: " head -> (
+      let ref_ = String.sub head 5 (String.length head - 5) in
+      match read (Filename.concat ".git" ref_) with
+      | Some rev -> rev
+      | None -> (
+          let packed = Option.value ~default:"" (read ".git/packed-refs") in
+          match
+            List.find_opt
+              (fun l -> String.ends_with ~suffix:(" " ^ ref_) l)
+              (String.split_on_char '\n' packed)
+          with
+          | Some l -> List.hd (String.split_on_char ' ' l)
+          | None -> "unknown"))
+  | Some rev -> rev
+
+let host_json () =
+  Rtfmt.Json.Obj
+    [
+      ("nproc", Rtfmt.Json.Int (Domain.recommended_domain_count ()));
+      ("ocaml", Rtfmt.Json.Str Sys.ocaml_version);
+      ("git_revision", Rtfmt.Json.Str (git_revision ()));
+    ]
+
 (* Run a list of (name, thunk) micro-benchmarks under bechamel and return
    [(name, ns_per_run)] in input order. *)
 let bechamel_ns tests =

@@ -14,7 +14,11 @@
      out machine speed: the smallest common size serves as a
      calibration point, and each larger size is compared through its
      ratio to that calibration — so a uniformly slower runner passes
-     while a superlinear slowdown of the big sizes fails.
+     while a superlinear slowdown of the big sizes fails;
+   - the per-layer p50s [plan_ms] and [scan_ms], where both files carry
+     them for a point, are gated the same way, through the same
+     calibration (the smallest size's total p50) and slack, so a layer
+     that slows while another speeds up is still caught.
 
    Only sizes present in BOTH files are gated, so the CI job can run a
    pinned subset of the committed trajectory.  Exit 0 = pass, 1 =
@@ -56,7 +60,11 @@ let get_int j name =
   | Some n -> n
   | None -> die "missing integer field %S" name
 
-(* (tasks, counters, [(domains, p50_ms)]) per workload entry. *)
+(* The timings a curve point may carry: the total, then the layers. *)
+let layers = [ "plan_ms"; "scan_ms" ]
+let timings = "p50_ms" :: layers
+
+(* (tasks, counters, [(domains, [(timing, ms)])]) per workload entry. *)
 let workloads path =
   let json =
     match Rtfmt.Json.parse (read_file path) with
@@ -84,12 +92,17 @@ let workloads path =
         | Some (Rtfmt.Json.List pts) ->
             List.filter_map
               (fun p ->
-                match
-                  ( Option.bind (member "domains" p) as_int,
-                    Option.bind (member "p50_ms" p) as_float )
-                with
-                | Some d, Some ms -> Some (d, ms)
-                | _ -> None)
+                match Option.bind (member "domains" p) as_int with
+                | Some d ->
+                    Some
+                      ( d,
+                        List.filter_map
+                          (fun name ->
+                            Option.map
+                              (fun ms -> (name, ms))
+                              (Option.bind (member name p) as_float))
+                          timings )
+                | None -> None)
               pts
         | _ -> die "%s: workload without curve" path
       in
@@ -139,7 +152,10 @@ let () =
   in
   List.iter
     (fun dom ->
-      let p50 curve = List.assoc_opt dom curve in
+      let timing name curve =
+        Option.bind (List.assoc_opt dom curve) (List.assoc_opt name)
+      in
+      let p50 = timing "p50_ms" in
       let cal =
         List.find_map
           (fun (n, (_, bcurve), (_, fcurve)) ->
@@ -150,24 +166,35 @@ let () =
             else None)
           common
       in
+      let gate n name b f ~bcal ~fcal =
+        let what = if name = "p50_ms" then "" else " " ^ name in
+        let bratio = b /. bcal and fratio = f /. fcal in
+        if fratio > bratio *. (1.0 +. slack) then
+          fail
+            "%d tasks, %dd%s: %.1fms (%.1fx calibration) exceeds baseline \
+             %.1fms (%.1fx) by more than %.0f%%"
+            n dom what f fratio b bratio (slack *. 100.0)
+        else
+          ok "%d tasks, %dd%s: %.1fx calibration (baseline %.1fx)" n dom what
+            fratio bratio
+      in
       match cal with
       | None -> ()
       | Some (bcal, fcal) ->
           List.iter
             (fun (n, (_, bcurve), (_, fcurve)) ->
-              if n <> smallest then
-                match (p50 bcurve, p50 fcurve) with
-                | Some b, Some f ->
-                    let bratio = b /. bcal and fratio = f /. fcal in
-                    if fratio > bratio *. (1.0 +. slack) then
-                      fail
-                        "%d tasks, %dd: %.1fms (%.1fx calibration) exceeds \
-                         baseline %.1fms (%.1fx) by more than %.0f%%"
-                        n dom f fratio b bratio (slack *. 100.0)
-                    else
-                      ok "%d tasks, %dd: %.1fx calibration (baseline %.1fx)" n
-                        dom fratio bratio
-                | _ -> fail "%d tasks: missing %dd timing" n dom)
+              if n <> smallest then begin
+                (match (p50 bcurve, p50 fcurve) with
+                | Some b, Some f -> gate n "p50_ms" b f ~bcal ~fcal
+                | _ -> fail "%d tasks: missing %dd timing" n dom);
+                (* layers only where both files carry them *)
+                List.iter
+                  (fun name ->
+                    match (timing name bcurve, timing name fcurve) with
+                    | Some b, Some f -> gate n name b f ~bcal ~fcal
+                    | _ -> ())
+                  layers
+              end)
             common)
     [ 1; 4 ];
   if !failures > 0 then begin

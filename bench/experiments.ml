@@ -1340,18 +1340,40 @@ let soa_scaling () =
   Printf.printf
     "Frame-structured layered DAGs (100-task frames) analysed by the\n\
      packed engine on 1 and 4 domains; p50 of 5 repetitions of sweep +\n\
-     scan over the packed arrays.  Counters come from one single-domain\n\
-     traced Analysis.run (deterministic); at sizes up to 10^4 its result\n\
-     is checked against the record composition.  Results land in\n\
-     BENCH_soa.json for the CI perf gate.\n";
+     scan over the packed arrays.  At 1 domain the repetitions run under\n\
+     a tracer, and the p50s of their sweep, plan and scan spans (scan =\n\
+     bounds - plan - reduce) are the per-layer columns.  Counters come\n\
+     from one single-domain traced Analysis.run (deterministic); at sizes\n\
+     up to 10^4 its result is checked against the record composition.\n\
+     Results and the host land in BENCH_soa.json for the CI perf gate.\n";
+  let median samples =
+    List.nth (List.sort compare samples) (List.length samples / 2)
+  in
+  (* Each repetition starts from a collected heap, so a layer's time
+     does not depend on the garbage that earlier sizes or repetitions
+     left (the CI gate runs a subset of the sizes). *)
   let median_of k f =
-    let samples = List.init k (fun _ -> snd (Bench_util.time_ms f)) in
-    List.nth (List.sort compare samples) (k / 2)
+    median
+      (List.init k (fun _ ->
+           Gc.full_major ();
+           snd (Bench_util.time_ms f)))
+  in
+  let span_ms tracer name =
+    List.fold_left
+      (fun acc (e : Rtlb_obs.Tracer.event) ->
+        if String.equal e.Rtlb_obs.Tracer.ev_name name then
+          acc +. (Int64.to_float e.Rtlb_obs.Tracer.ev_dur_ns /. 1e6)
+        else acc)
+      0.0
+      (Rtlb_obs.Tracer.events tracer)
   in
   let system = Workload.Gen.frame_system () in
   let t =
     Rtfmt.Table.create
-      [ "tasks"; "1d p50 ms"; "4d p50 ms"; "record ms"; "identical" ]
+      [
+        "tasks"; "1d p50 ms"; "sweep"; "plan"; "scan"; "4d p50 ms"; "record ms";
+        "identical";
+      ]
   in
   let json_workloads =
     List.map
@@ -1364,7 +1386,29 @@ let soa_scaling () =
           Rtlb.Soa.compute_windows soa;
           Rtlb.Soa.bounds ?pool soa
         in
-        let p50_1d = median_of 5 (fun () -> run ()) in
+        (* [total; sweep; plan; scan] of each traced repetition *)
+        let reps =
+          List.init 5 (fun _ ->
+              let tracer = Rtlb_obs.Tracer.make () in
+              Gc.full_major ();
+              let (), ms =
+                Bench_util.time_ms (fun () ->
+                    Rtlb_obs.Tracer.with_span tracer "sweep" (fun () ->
+                        Rtlb.Soa.compute_windows soa);
+                    Rtlb_obs.Tracer.with_span tracer "bounds" (fun () ->
+                        ignore (Rtlb.Soa.bounds ~tracer soa)))
+              in
+              let plan = span_ms tracer "plan" in
+              [
+                ms;
+                span_ms tracer "sweep";
+                plan;
+                span_ms tracer "bounds" -. plan -. span_ms tracer "reduce";
+              ])
+        in
+        let p50 k = median (List.map (fun r -> List.nth r k) reps) in
+        let p50_1d = p50 0 in
+        let layers = [ ("sweep_ms", p50 1); ("plan_ms", p50 2); ("scan_ms", p50 3) ] in
         let p50_4d =
           Rtlb_par.Pool.with_pool ~jobs:4 (fun pool ->
               median_of 5 (fun () -> run ~pool ()))
@@ -1388,16 +1432,18 @@ let soa_scaling () =
           else (None, None)
         in
         Rtfmt.Table.add_row t
-          [
-            string_of_int n;
-            Printf.sprintf "%.2f" p50_1d;
-            Printf.sprintf "%.2f" p50_4d;
-            (match record_ms with Some ms -> Printf.sprintf "%.2f" ms | None -> "-");
-            (match identical with
-            | Some true -> "yes"
-            | Some false -> "NO"
-            | None -> "-");
-          ];
+          ([ string_of_int n; Printf.sprintf "%.2f" p50_1d ]
+          @ List.map (fun (_, ms) -> Printf.sprintf "%.2f" ms) layers
+          @ [
+              Printf.sprintf "%.2f" p50_4d;
+              (match record_ms with
+              | Some ms -> Printf.sprintf "%.2f" ms
+              | None -> "-");
+              (match identical with
+              | Some true -> "yes"
+              | Some false -> "NO"
+              | None -> "-");
+            ]);
         (match identical with
         | Some false ->
             prerr_endline
@@ -1420,10 +1466,12 @@ let soa_scaling () =
                Rtfmt.Json.List
                  [
                    Rtfmt.Json.Obj
-                     [
-                       ("domains", Rtfmt.Json.Int 1);
-                       ("p50_ms", Rtfmt.Json.Str (Printf.sprintf "%.3f" p50_1d));
-                     ];
+                     (("domains", Rtfmt.Json.Int 1)
+                     :: ("p50_ms", Rtfmt.Json.Str (Printf.sprintf "%.3f" p50_1d))
+                     :: List.map
+                          (fun (name, ms) ->
+                            (name, Rtfmt.Json.Str (Printf.sprintf "%.3f" ms)))
+                          layers);
                    Rtfmt.Json.Obj
                      [
                        ("domains", Rtfmt.Json.Int 4);
@@ -1442,6 +1490,7 @@ let soa_scaling () =
     Rtfmt.Json.Obj
       [
         ("experiment", Rtfmt.Json.Str "e14-soa-scaling");
+        ("host", Bench_util.host_json ());
         ("prune", Rtfmt.Json.Bool (Rtlb.Soa.default_prune ()));
         ("reps", Rtfmt.Json.Int 5);
         ("workloads", Rtfmt.Json.List json_workloads);

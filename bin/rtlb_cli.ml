@@ -88,14 +88,16 @@ let resolve_system file_system override app =
       Error (Printf.sprintf "unknown system override %S" other)
   | Some _, Some _ -> Error "file declares a system; drop --system"
 
-(* [resolve_system], then every task must find a host: a model that
-   cannot run some task is an input error (E103 in [check]), reported
-   like a parse error rather than raised by the analysis. *)
+(* [resolve_system], then every task must find a host and every
+   quantity must stay in integer range: a model that cannot run some
+   task (E103 in [check]) or an instance too large to sum (E104) is an
+   input error, reported like a parse error rather than raised by the
+   analysis. *)
 let hosting_system path file_system override app =
   Result.bind (resolve_system file_system override app) (fun system ->
       Result.map_error
         (fun e -> path ^ ": " ^ e)
-        (Result.map (fun () -> system) (Rtlb.System.validate_for system app)))
+        (Result.map (fun () -> system) (Rtlb.Analysis.check_input system app)))
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")

@@ -7,10 +7,13 @@ type t = {
   completeness : Lower_bound.completeness;
 }
 
+let check_input system app =
+  Result.bind (System.validate_for system app) (fun () -> App.check_range app)
+
 let run ?prune ?pool ?deadline_ns ?tracer system app =
   let tr = Option.value tracer ~default:Rtlb_obs.Tracer.null in
   Rtlb_obs.Tracer.with_span tr "analyze" (fun () ->
-      (match System.validate_for system app with
+      (match check_input system app with
       | Ok () -> ()
       | Error e -> invalid_arg ("Analysis.run: " ^ e));
       let packed =

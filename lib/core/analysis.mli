@@ -52,9 +52,15 @@ val run :
     several systhreads of one domain: each call packs its own instance
     and takes its scratch space for itself (see {!Soa}), so each returns
     exactly what it would return alone.
-    @raise Invalid_argument when the system model cannot host some task
-      (see {!System.validate_for}); run {!Validate.check} first to get
-      diagnostics instead of an exception. *)
+    @raise Invalid_argument when {!check_input} fails; run
+      {!Validate.check} first to get diagnostics instead of an
+      exception. *)
+
+val check_input : System.t -> App.t -> (unit, string) result
+(** What {!run} and {!Incremental.create} require of an instance: a
+    system model that can host every task ({!System.validate_for}) and
+    quantities the analysis can sum without leaving integer range
+    ({!App.check_range}). *)
 
 val is_partial : t -> bool
 val coverage : t -> float

@@ -82,6 +82,41 @@ let horizon t =
   Array.fold_left (fun acc (task : Task.t) -> max acc task.Task.deadline) 0
     t.tasks
 
+(* An analysis forms windows within T = horizon + total compute + total
+   messages of zero (a chain of computes and messages moves an EST or
+   LCT at most that far), thresholds, sums and differences of those
+   within 4 T, and demands up to a resource's sum of units * C, which is
+   at most W = the sum over tasks of C times the units the task holds.
+   So it is exact when 4 T + W stays within [max_int].  Every quantity
+   is non-negative, so the checked sums below cannot wrap. *)
+let check_range t =
+  let add a b = if b > max_int - a then raise_notrace Exit else a + b in
+  let mul a b = if a > 0 && b > max_int / a then raise_notrace Exit else a * b in
+  let rec units acc = function [] -> acc | (_, k) :: rest -> units (add acc k) rest in
+  match
+    let horizon = ref 0 and span = ref 0 and demand = ref 0 in
+    for i = 0 to Array.length t.tasks - 1 do
+      let task = t.tasks.(i) in
+      let c = task.Task.compute in
+      if task.Task.deadline > !horizon then horizon := task.Task.deadline;
+      span := add !span c;
+      demand := add !demand (mul (units 1 task.Task.demands) c)
+    done;
+    let msgs = (Dag.succ_csr t.graph).Dag.weight in
+    for e = 0 to Array.length msgs - 1 do
+      span := add !span msgs.(e)
+    done;
+    add (mul 4 (add !horizon !span)) !demand
+  with
+  | _ -> Ok ()
+  | exception Exit ->
+      Error
+        (Printf.sprintf
+           "times or demands too large: 4 x (horizon + total compute + \
+            total messages) + total demand (compute x units held, over \
+            every task) exceeds %d"
+           max_int)
+
 let critical_time t =
   Dag.critical_path_length t.graph ~vertex_weight:(fun i ->
       t.tasks.(i).Task.compute)

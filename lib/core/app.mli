@@ -46,6 +46,17 @@ val total_work : t -> string -> int
 val horizon : t -> int
 (** The latest deadline in the application. *)
 
+val check_range : t -> (unit, string) result
+(** [Error] when the analysis could leave integer range: when
+    [4 T + W] exceeds [max_int], [T] being the horizon plus every
+    compute and every message, and [W] the sum over tasks of [C] times
+    the units the task holds (its processor and every resource unit),
+    which bounds every resource's sum of [units * C].  Every time the
+    analysis forms is then within [4 T] of zero and every demand within
+    [W].  Run where an
+    analysis or a what-if edit starts ({!Analysis.check_input},
+    {!Incremental.apply}, {!Validate.check}). *)
+
 val critical_time : t -> int
 (** Longest chain of computation times ignoring communication — the
     classical critical time [omega] used by the Fernandez–Bussell setting. *)

@@ -133,7 +133,7 @@ let bounds_of results =
 let create ?pool ?deadline_ns ?tracer system app =
   let tr = Option.value tracer ~default:Rtlb_obs.Tracer.null in
   Rtlb_obs.Tracer.with_span tr "analyze" (fun () ->
-      (match System.validate_for system app with
+      (match Analysis.check_input system app with
       | Ok () -> ()
       | Error e -> invalid_arg ("Incremental.create: " ^ e));
       let soa =
@@ -289,17 +289,22 @@ let apply app edits =
         invalid_arg
           (Printf.sprintf "Incremental.apply: task %d outside [0, %d)" task n))
     edits;
-  App.map_tasks app ~f:(fun task ->
-      List.fold_left
-        (fun acc -> function
-          | Set_release { task = i; release } when i = acc.Task.id ->
-              Task.with_release acc release
-          | Set_deadline { task = i; deadline } when i = acc.Task.id ->
-              Task.with_deadline acc deadline
-          | Set_compute { task = i; compute } when i = acc.Task.id ->
-              Task.with_compute acc compute
-          | _ -> acc)
-        task edits)
+  let edited =
+    App.map_tasks app ~f:(fun task ->
+        List.fold_left
+          (fun acc -> function
+            | Set_release { task = i; release } when i = acc.Task.id ->
+                Task.with_release acc release
+            | Set_deadline { task = i; deadline } when i = acc.Task.id ->
+                Task.with_deadline acc deadline
+            | Set_compute { task = i; compute } when i = acc.Task.id ->
+                Task.with_compute acc compute
+            | _ -> acc)
+          task edits)
+  in
+  match App.check_range edited with
+  | Ok () -> edited
+  | Error e -> invalid_arg ("Incremental.apply: " ^ e)
 
 let edit ?pool ?deadline_ns ?tracer t edits =
   let app = apply t.i_app edits in

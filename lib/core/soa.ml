@@ -25,7 +25,19 @@
    interval achieving the block maximum is always evaluated and the
    fold ([Lower_bound.merge_scans], earlier-wins on ties) returns the
    same bound and the same earliest witness as the exhaustive scan, on
-   the sequential and the pool path alike. *)
+   the sequential and the pool path alike.
+
+   Planning and the kernel avoid per-endpoint sorts and searches.  A
+   resource is ordered by two stable counting passes over its member
+   slots when its EST and LCT ranges are narrow.  Each scannable block
+   is planned once into its own columns (E, L, C, units, preemptability
+   in partition order).  A threshold applies to the right endpoints from
+   the first candidate point at or after it, its slot; a block whose span
+   is narrow marks its points on the span and keeps the slot of every
+   time in it, so theta_max events and each left endpoint's kernel
+   events go straight into per-slot buckets, and one forward cursor over
+   the buckets evaluates the ascending right endpoints.  Wide ranges and
+   spans fall back to a comparison sort and a binary search per slot. *)
 
 open Bigarray
 
@@ -409,303 +421,85 @@ let windows t =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Theta kernel over the packed arrays                                  *)
+(* Partition and block planning                                        *)
 (* ------------------------------------------------------------------ *)
 
 let ceil_div a b = (a + b - 1) / b
+let[@inline] imax (a : int) b = if a >= b then a else b
+let[@inline] imin (a : int) b = if a <= b then a else b
 
-(* Scan scratch: event buffers, the cumulative kernel arrays and a
-   bucket accumulator for the counting-sort fast path.  Reused across
-   work items so the scan allocates nothing per task. *)
-type kernel_ws = {
-  mutable kcap : int;
-  mutable ev_thr : int array;
-  mutable ev_ds : int array;
-  mutable ev_di : int array;
-  mutable thr : int array;
-  mutable slope : int array;
-  mutable icept : int array;
-  mutable kn : int;  (* kernel entries in use *)
-  mutable bcap : int;
-  mutable bds : int array;  (* bucket slope deltas, zeroed after use *)
-  mutable bdi : int array;
-}
+(* Whether [hi - lo] (with [hi >= lo]) is below [limit], without
+   overflow: a difference past [max_int] wraps negative. *)
+let[@inline] narrow ~lo ~hi limit =
+  let d = hi - lo in
+  d >= 0 && d < limit
 
-let kernel_ws () =
-  {
-    kcap = 32;
-    ev_thr = Array.make 64 0;
-    ev_ds = Array.make 64 0;
-    ev_di = Array.make 64 0;
-    thr = Array.make 64 0;
-    slope = Array.make 64 0;
-    icept = Array.make 64 0;
-    kn = 0;
-    bcap = 0;
-    bds = [||];
-    bdi = [||];
-  }
+(* One stable counting pass over member slots [src] into [dst]: by EST
+   ascending ([by_est]) or by LCT descending, keys offset by [base] into
+   [0, range). *)
+let[@inline] sort_key t by_est base p =
+  let i = t.res_task.{p} in
+  if by_est then t.est.{i} - base else base - t.lct.{i}
 
-(* Each domain keeps one spare workspace.  A scan takes it out of the
-   domain's cell for the whole work item and puts the same [Some] block
-   back afterwards (so the common path allocates nothing), and
-   systhreads of one domain never share it: a thread switch inside a
-   scan leaves the cell empty, and a scan that finds it empty builds a
-   workspace of its own. *)
-let spare_kernel =
-  Domain.DLS.new_key (fun () -> Atomic.make (Some (kernel_ws ())))
-
-let ensure_kernel ws cap =
-  if cap > ws.kcap then begin
-    let cap = max cap (2 * ws.kcap) in
-    ws.kcap <- cap;
-    ws.ev_thr <- Array.make (2 * cap) 0;
-    ws.ev_ds <- Array.make (2 * cap) 0;
-    ws.ev_di <- Array.make (2 * cap) 0;
-    ws.thr <- Array.make (2 * cap) 0;
-    ws.slope <- Array.make (2 * cap) 0;
-    ws.icept <- Array.make (2 * cap) 0
-  end
-
-let ensure_buckets ws len =
-  if len > ws.bcap then begin
-    let len = max len (2 * ws.bcap) in
-    ws.bcap <- len;
-    ws.bds <- Array.make len 0;
-    ws.bdi <- Array.make len 0
-  end
-
-(* Build the cumulative (thr, slope, icept) arrays for the fixed left
-   endpoint [t1] over the block members [ids]/[w].  Same events as
-   [Lower_bound.Theta_kernel.make]; equal thresholds collapse into one
-   cumulative entry, so evaluations are identical. *)
-let build_kernel t ws ids w nb ~t1 =
-  ensure_kernel ws (2 * nb);
-  let nev = ref 0 in
-  let push thr ds di =
-    let k = !nev in
-    ws.ev_thr.(k) <- thr;
-    ws.ev_ds.(k) <- ds;
-    ws.ev_di.(k) <- di;
-    nev := k + 1
-  in
-  for x = 0 to nb - 1 do
-    let i = ids.(x) in
-    let wi = w.(x) in
-    let c = t.compute.{i} in
-    let l = t.lct.{i} in
-    if wi > 0 && c > 0 && l > t1 then begin
-      let e = t.est.{i} in
-      let k = if t1 <= e then c else c - (t1 - e) in
-      if k > 0 then begin
-        let m =
-          if t.preempt.{i} = 1 then l - c + max 0 (t1 - e) else max (l - c) t1
-        in
-        if e >= m + k then push (e + 1) 0 (wi * k)
-        else begin
-          push (max m (e + 1)) wi (-wi * m);
-          push (m + k) (-wi) (wi * (m + k))
-        end
-      end
-    end
+let counting_pass t ~by_est ~base ~range src dst =
+  let count = Array.make (range + 1) 0 in
+  Array.iter
+    (fun p ->
+      let k = sort_key t by_est base p + 1 in
+      count.(k) <- count.(k) + 1)
+    src;
+  for k = 1 to range do
+    count.(k) <- count.(k) + count.(k - 1)
   done;
-  let nev = !nev in
-  if nev = 0 then ws.kn <- 0
-  else begin
-    let lo = ref max_int and hi = ref min_int in
-    for k = 0 to nev - 1 do
-      if ws.ev_thr.(k) < !lo then lo := ws.ev_thr.(k);
-      if ws.ev_thr.(k) > !hi then hi := ws.ev_thr.(k)
-    done;
-    let span = !hi - !lo + 1 in
-    let kn = ref 0 in
-    if span <= (4 * nev) + 64 then begin
-      (* counting sort over the threshold span *)
-      ensure_buckets ws span;
-      for k = 0 to nev - 1 do
-        let o = ws.ev_thr.(k) - !lo in
-        ws.bds.(o) <- ws.bds.(o) + ws.ev_ds.(k);
-        ws.bdi.(o) <- ws.bdi.(o) + ws.ev_di.(k)
-      done;
-      let s = ref 0 and ic = ref 0 in
-      for o = 0 to span - 1 do
-        if ws.bds.(o) <> 0 || ws.bdi.(o) <> 0 then begin
-          s := !s + ws.bds.(o);
-          ic := !ic + ws.bdi.(o);
-          ws.bds.(o) <- 0;
-          ws.bdi.(o) <- 0;
-          ws.thr.(!kn) <- !lo + o;
-          ws.slope.(!kn) <- !s;
-          ws.icept.(!kn) <- !ic;
-          incr kn
-        end
-      done
-    end
-    else begin
-      (* sparse thresholds: comparison sort of the event triples *)
-      let evs =
-        Array.init nev (fun k -> (ws.ev_thr.(k), ws.ev_ds.(k), ws.ev_di.(k)))
-      in
-      Array.sort (fun (a, _, _) (b, _, _) -> compare a b) evs;
-      let s = ref 0 and ic = ref 0 in
-      Array.iter
-        (fun (thr, ds, di) ->
-          s := !s + ds;
-          ic := !ic + di;
-          if !kn > 0 && ws.thr.(!kn - 1) = thr then begin
-            ws.slope.(!kn - 1) <- !s;
-            ws.icept.(!kn - 1) <- !ic
-          end
-          else begin
-            ws.thr.(!kn) <- thr;
-            ws.slope.(!kn) <- !s;
-            ws.icept.(!kn) <- !ic;
-            incr kn
-          end)
-        evs
-    end;
-    ws.kn <- !kn
-  end
-
-let eval_kernel ws ~t2 =
-  let n = ws.kn in
-  if n = 0 || t2 < ws.thr.(0) then 0
-  else begin
-    let lo = ref 0 and hi = ref (n - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
-      if ws.thr.(mid) <= t2 then lo := mid else hi := mid - 1
-    done;
-    (ws.slope.(!lo) * t2) + ws.icept.(!lo)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Partition, candidate points and the dominance-pruned interval scan   *)
-(* ------------------------------------------------------------------ *)
-
-(* One scannable partition block, fully planned. *)
-type blk = {
-  b_ids : int array;  (* member ids, partition order *)
-  b_w : int array;  (* member weights for the resource *)
-  b_pts : int array;  (* candidate points, ascending, deduped *)
-  b_tmax : int array;  (* theta_max at each left endpoint *)
-  b_inc : int Atomic.t;  (* incumbent block bound for pruning *)
-  mutable b_slot0 : int;  (* first work slot of the block *)
-}
-
-(* theta_max(t1) for every candidate point of a block, by an event sweep
-   over t1: a member contributes the constant w*C up to its EST, then a
-   ramp of slope -w, and nothing once t1 reaches min(E + C, L).  An
-   event at threshold thr applies from the first point >= thr on, so
-   the events are bucketed by that point (a binary search) and summed
-   in point order — no sort. *)
-let block_theta_max t ids w nb pts =
-  let np = Array.length pts in
-  let dslope = Array.make (np + 1) 0 and dicept = Array.make (np + 1) 0 in
-  let event thr ds di =
-    let lo = ref 0 and hi = ref np in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if pts.(mid) < thr then lo := mid + 1 else hi := mid
-    done;
-    dslope.(!lo) <- dslope.(!lo) + ds;
-    dicept.(!lo) <- dicept.(!lo) + di
-  in
-  let base = ref 0 in
-  for x = 0 to nb - 1 do
-    let i = ids.(x) in
-    let wi = w.(x) in
-    let c = t.compute.{i} in
-    if wi > 0 && c > 0 then begin
-      let e = t.est.{i} in
-      let stop = min (e + c) t.lct.{i} in
-      base := !base + (wi * c);
-      if stop <= e then event stop 0 (-wi * c)
-      else begin
-        event (e + 1) (-wi) (wi * e);
-        event stop wi (-wi * (c + e))
-      end
-    end
-  done;
-  let slope = ref 0 and icept = ref !base in
-  Array.init np (fun a ->
-      slope := !slope + dslope.(a);
-      icept := !icept + dicept.(a);
-      (!slope * pts.(a)) + !icept)
-
-let rec atomic_max a v =
-  let cur = Atomic.get a in
-  if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
-
-(* Scan the intervals with left endpoint [pts.(a)], pruned against the
-   block incumbent.  Mirrors [Lower_bound.scan_from]; counters follow
-   the record path's convention (tasks per executed kernel, executed
-   evaluations). *)
-let scan_item t ~prune ~tr blk a =
-  let pts = blk.b_pts in
-  let np = Array.length pts in
-  let t1 = pts.(a) in
-  (* [b_tmax] is only populated when the plan was built with pruning. *)
-  let tmax = if prune then blk.b_tmax.(a) else 0 in
-  let inc0 = if prune then Atomic.get blk.b_inc else 0 in
-  if
-    prune
-    && (tmax <= 0 || (inc0 > 0 && ceil_div tmax (pts.(a + 1) - t1) < inc0))
-  then (0, None)
-  else begin
-    let spare = Domain.DLS.get spare_kernel in
-    let held = Atomic.exchange spare None in
-    let ws = match held with Some ws -> ws | None -> kernel_ws () in
-    let nb = Array.length blk.b_ids in
-    build_kernel t ws blk.b_ids blk.b_w nb ~t1;
-    let best = ref 0 and wit = ref None and evals = ref 0 in
-    (try
-       for b = a + 1 to np - 1 do
-         let t2 = pts.(b) in
-         if prune then begin
-           let inc = max !best (Atomic.get blk.b_inc) in
-           if inc > 0 && ceil_div tmax (t2 - t1) < inc then raise Exit
-         end;
-         incr evals;
-         let demand = eval_kernel ws ~t2 in
-         if demand > 0 then begin
-           let units = ceil_div demand (t2 - t1) in
-           if units > !best then begin
-             best := units;
-             wit :=
-               Some { Lower_bound.w_t1 = t1; w_t2 = t2; w_theta = demand };
-             if prune then atomic_max blk.b_inc units
-           end
-         end
-       done
-     with Exit -> ());
-    if Option.is_some held then Atomic.set spare held;
-    if Rtlb_obs.Tracer.enabled tr then begin
-      Rtlb_obs.Tracer.add tr Rtlb_obs.Tracer.Tasks_scanned nb;
-      Rtlb_obs.Tracer.add tr Rtlb_obs.Tracer.Theta_evals !evals
-    end;
-    (!best, !wit)
-  end
+  Array.iter
+    (fun p ->
+      let k = sort_key t by_est base p in
+      dst.(count.(k)) <- p;
+      count.(k) <- count.(k) + 1)
+    src
 
 (* Partition the members of resource [r_idx] exactly as
-   [Partition.compute]: sort by (EST asc, LCT desc, id asc), then sweep
-   with the strict window-overlap rule.  Returns the member slots in
-   partition order and each block as [(x0, x1, lo, hi)]: its range of
-   that order and its span. *)
+   [Partition.compute]: order them by (EST asc, LCT desc, id asc), then
+   sweep with the strict window-overlap rule.  The member slots are in
+   ascending id order already, so two stable counting passes (LCT
+   descending, then EST ascending) give the order when both ranges are
+   below [4 nm + 1024]; wider ranges take a comparison sort.  Returns
+   the member slots in partition order and each block as
+   [(x0, x1, lo, hi)]: its range of that order and its span. *)
 let partition_resource t r_idx =
   let m0 = t.res_off.{r_idx} and m1 = t.res_off.{r_idx + 1} in
   let nm = m1 - m0 in
   let ord = Array.init nm (fun x -> m0 + x) in
-  (* a total order, so the (faster) merge sort gives the same result *)
-  Array.stable_sort
-    (fun pa pb ->
-      let a = t.res_task.{pa} and b = t.res_task.{pb} in
-      let c = compare t.est.{a} t.est.{b} in
-      if c <> 0 then c
-      else
-        let c = compare t.lct.{b} t.lct.{a} in
-        if c <> 0 then c else compare a b)
-    ord;
+  let emin = ref max_int and emax = ref min_int in
+  let lmin = ref max_int and lmax = ref min_int in
+  for p = m0 to m1 - 1 do
+    let i = t.res_task.{p} in
+    emin := imin !emin t.est.{i};
+    emax := imax !emax t.est.{i};
+    lmin := imin !lmin t.lct.{i};
+    lmax := imax !lmax t.lct.{i}
+  done;
+  let limit = (4 * nm) + 1024 in
+  if
+    narrow ~lo:!emin ~hi:!emax limit && narrow ~lo:!lmin ~hi:!lmax limit
+  then begin
+    let by_lct = Array.make nm 0 in
+    counting_pass t ~by_est:false ~base:!lmax ~range:(!lmax - !lmin + 1) ord
+      by_lct;
+    counting_pass t ~by_est:true ~base:!emin ~range:(!emax - !emin + 1) by_lct
+      ord
+  end
+  else
+    (* a total order, so the (faster) merge sort gives the same result *)
+    Array.stable_sort
+      (fun pa pb ->
+        let a = t.res_task.{pa} and b = t.res_task.{pb} in
+        let c = compare t.est.{a} t.est.{b} in
+        if c <> 0 then c
+        else
+          let c = compare t.lct.{b} t.lct.{a} in
+          if c <> 0 then c else compare a b)
+      ord;
   if nm = 0 then (ord, [])
   else begin
     let ranges = ref [] in
@@ -738,47 +532,300 @@ let partition_record t ord ranges =
     spans = List.map (fun (_, _, s, f) -> (s, f)) ranges;
   }
 
-(* Plan one scannable block: its members and weights in partition
-   order, its candidate points (member EST/LCT clipped to the span, plus
-   the span bounds, sorted and deduped) and, with pruning, theta_max at
-   each point. *)
-let plan_block t ~prune ord (x0, x1, lo, hi) =
+(* One scannable partition block, fully planned.  A threshold [thr]
+   applies to the right endpoints from the first candidate point
+   [>= thr] on: its {e slot}.  A block whose span [hi - lo] is below
+   [8 nb + 64] keeps the slot of every time in its span in [b_rank]; a
+   wider one finds slots by binary search over its points. *)
+type blk = {
+  b_nb : int;  (* members, for [Tasks_scanned] *)
+  b_cols : int array;
+      (* per member with units and compute, partition order: E, L, C,
+         units, preemptive (0/1) *)
+  b_pts : int array;  (* candidate points, ascending, deduped *)
+  b_rank : int array;  (* slot of [lo + o] at [o]; [||] when wide *)
+  b_tmax : int array;  (* theta_max at each left endpoint *)
+  b_inc : int Atomic.t;  (* incumbent block bound for pruning *)
+  mutable b_slot0 : int;  (* first work slot of the block *)
+}
+
+let stride = 5  (* words per member in [b_cols] *)
+
+(* The slot of [thr] for [lo < thr <= hi], [lo] and [hi] being the
+   first and last points. *)
+let search pts thr =
+  let lo = ref 0 and hi = ref (Array.length pts - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if pts.(mid) < thr then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let[@inline] slot rank pts thr =
+  if Array.length rank > 0 then rank.(thr - pts.(0)) else search pts thr
+
+(* The candidate points of a block (member EST/LCT clipped to its span,
+   plus the span bounds) and its slot map: on a narrow span, marked on
+   the span and read off in order; on a wide one, sorted and deduped. *)
+let block_points t ord x0 x1 lo hi =
   let nb = x1 - x0 in
-  let ids = Array.init nb (fun k -> t.res_task.{ord.(x0 + k)}) in
-  let w = Array.init nb (fun k -> t.res_units.{ord.(x0 + k)}) in
-  let raw = Array.make ((2 * nb) + 2) lo in
-  raw.(1) <- hi;
-  let np = ref 2 in
-  for k = 0 to nb - 1 do
-    let e = t.est.{ids.(k)} and l = t.lct.{ids.(k)} in
-    if e >= lo && e <= hi then begin
-      raw.(!np) <- e;
-      incr np
-    end;
-    if l >= lo && l <= hi then begin
-      raw.(!np) <- l;
-      incr np
+  if narrow ~lo ~hi ((8 * nb) + 64) then begin
+    let rank = Array.make (hi - lo + 1) 0 in
+    let np = ref 0 in
+    let mark v =
+      if v >= lo && v <= hi && rank.(v - lo) = 0 then begin
+        rank.(v - lo) <- 1;
+        incr np
+      end
+    in
+    mark lo;
+    mark hi;
+    for x = x0 to x1 - 1 do
+      let i = t.res_task.{ord.(x)} in
+      mark t.est.{i};
+      mark t.lct.{i}
+    done;
+    let pts = Array.make !np 0 in
+    let k = ref 0 in
+    for o = 0 to hi - lo do
+      let marked = rank.(o) in
+      rank.(o) <- !k;
+      if marked = 1 then begin
+        pts.(!k) <- lo + o;
+        incr k
+      end
+    done;
+    (pts, rank)
+  end
+  else begin
+    let raw = Array.make ((2 * nb) + 2) lo in
+    raw.(1) <- hi;
+    let np = ref 2 in
+    let add v =
+      if v >= lo && v <= hi then begin
+        raw.(!np) <- v;
+        incr np
+      end
+    in
+    for x = x0 to x1 - 1 do
+      let i = t.res_task.{ord.(x)} in
+      add t.est.{i};
+      add t.lct.{i}
+    done;
+    let raw = Array.sub raw 0 !np in
+    Array.sort Int.compare raw;
+    let u = ref 1 in
+    for k = 1 to !np - 1 do
+      if raw.(k) <> raw.(!u - 1) then begin
+        raw.(!u) <- raw.(k);
+        incr u
+      end
+    done;
+    (Array.sub raw 0 !u, [||])
+  end
+
+(* theta_max(t1) for every candidate point of a block, by an event sweep
+   over t1: a member contributes the constant w*C up to its EST, then a
+   ramp of slope -w, and nothing once t1 reaches min(E + C, L).  An
+   event at threshold thr applies from its slot on — the first point
+   when thr is at or before it (an infeasible window's L < E), none
+   past the last — so the events are bucketed by slot and summed in
+   point order, with no sort. *)
+let block_theta_max cls pts rank =
+  let np = Array.length pts in
+  let lo = pts.(0) and hi = pts.(np - 1) in
+  let dslope = Array.make np 0 and dicept = Array.make np 0 in
+  let event thr ds di =
+    if thr <= hi then begin
+      let s = if thr <= lo then 0 else slot rank pts thr in
+      dslope.(s) <- dslope.(s) + ds;
+      dicept.(s) <- dicept.(s) + di
+    end
+  in
+  let base = ref 0 in
+  for x = 0 to (Array.length cls / stride) - 1 do
+    let o = stride * x in
+    let e = cls.(o) and l = cls.(o + 1) and c = cls.(o + 2) in
+    let wi = cls.(o + 3) in
+    let stop = imin (e + c) l in
+    base := !base + (wi * c);
+    if stop <= e then event stop 0 (-wi * c)
+    else begin
+      event (e + 1) (-wi) (wi * e);
+      event stop wi (-wi * (c + e))
     end
   done;
-  let raw = Array.sub raw 0 !np in
-  Array.stable_sort Int.compare raw;
-  let u = ref 0 in
-  Array.iter
-    (fun p ->
-      if !u = 0 || raw.(!u - 1) <> p then begin
-        raw.(!u) <- p;
-        incr u
-      end)
-    raw;
-  let pts = Array.sub raw 0 !u in
+  let slope = ref 0 and icept = ref !base in
+  Array.init np (fun a ->
+      slope := !slope + dslope.(a);
+      icept := !icept + dicept.(a);
+      (!slope * pts.(a)) + !icept)
+
+(* Plan one scannable block: its member columns, its candidate points
+   and slot map and, with pruning, theta_max at each point. *)
+let plan_block t ~prune ord (x0, x1, lo, hi) =
+  let nb = x1 - x0 in
+  let cls = Array.make (stride * nb) 0 in
+  let used = ref 0 in
+  for x = x0 to x1 - 1 do
+    let p = ord.(x) in
+    let i = t.res_task.{p} and w = t.res_units.{p} in
+    let c = t.compute.{i} in
+    if w > 0 && c > 0 then begin
+      let o = !used in
+      cls.(o) <- t.est.{i};
+      cls.(o + 1) <- t.lct.{i};
+      cls.(o + 2) <- c;
+      cls.(o + 3) <- w;
+      cls.(o + 4) <- t.preempt.{i};
+      used := o + stride
+    end
+  done;
+  let cls = if !used < Array.length cls then Array.sub cls 0 !used else cls in
+  let pts, rank = block_points t ord x0 x1 lo hi in
   {
-    b_ids = ids;
-    b_w = w;
+    b_nb = nb;
+    b_cols = cls;
     b_pts = pts;
-    b_tmax = (if prune then block_theta_max t ids w nb pts else [||]);
+    b_rank = rank;
+    b_tmax = (if prune then block_theta_max cls pts rank else [||]);
     b_inc = Atomic.make 0;
     b_slot0 = -1;
   }
+
+(* ------------------------------------------------------------------ *)
+(* Theta kernel and the dominance-pruned interval scan                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Kernel buckets: slope and intercept deltas by slot, all zero between
+   work items.  Reused across items so the scan allocates nothing per
+   task. *)
+type kernel_ws = { mutable bds : int array; mutable bdi : int array }
+
+let kernel_ws () = { bds = Array.make 64 0; bdi = Array.make 64 0 }
+
+(* Each domain keeps one spare workspace.  A scan takes it out of the
+   domain's cell for the whole work item and puts the same [Some] block
+   back afterwards (so the common path allocates nothing), and
+   systhreads of one domain never share it: a thread switch inside a
+   scan leaves the cell empty, and a scan that finds it empty builds a
+   workspace of its own. *)
+let spare_kernel =
+  Domain.DLS.new_key (fun () -> Atomic.make (Some (kernel_ws ())))
+
+let ensure_buckets ws len =
+  if len > Array.length ws.bds then begin
+    let len = imax len (2 * Array.length ws.bds) in
+    ws.bds <- Array.make len 0;
+    ws.bdi <- Array.make len 0
+  end
+
+(* Add one kernel event at threshold [thr] for the left endpoint
+   [pts.(a)] = [t1]: a threshold at or before t1 applies from the first
+   right endpoint, one past the last point never applies. *)
+let[@inline] bucket ws rank pts a t1 hi thr ds di =
+  if thr <= hi then begin
+    let s = if thr <= t1 then a + 1 else slot rank pts thr in
+    ws.bds.(s) <- ws.bds.(s) + ds;
+    ws.bdi.(s) <- ws.bdi.(s) + di
+  end
+
+(* Build the Theta kernel of the left endpoint [pts.(a)] in the
+   buckets: the events of [Lower_bound.Theta_kernel.make], each added at
+   its slot, so the cumulative sums up to slot [b] are the kernel at
+   [pts.(b)]. *)
+let build_kernel ws blk a =
+  let cls = blk.b_cols and pts = blk.b_pts and rank = blk.b_rank in
+  let t1 = pts.(a) and hi = pts.(Array.length pts - 1) in
+  for x = 0 to (Array.length cls / stride) - 1 do
+    let o = stride * x in
+    let l = cls.(o + 1) in
+    if l > t1 then begin
+      let e = cls.(o) and c = cls.(o + 2) in
+      let k = if t1 <= e then c else c - (t1 - e) in
+      if k > 0 then begin
+        let wi = cls.(o + 3) in
+        let m =
+          if cls.(o + 4) = 1 then l - c + imax 0 (t1 - e) else imax (l - c) t1
+        in
+        if e >= m + k then bucket ws rank pts a t1 hi (e + 1) 0 (wi * k)
+        else begin
+          bucket ws rank pts a t1 hi (imax m (e + 1)) wi (-wi * m);
+          bucket ws rank pts a t1 hi (m + k) (-wi) (wi * (m + k))
+        end
+      end
+    end
+  done
+
+let rec atomic_max a v =
+  let cur = Atomic.get a in
+  if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
+
+(* Scan the intervals with left endpoint [pts.(a)], pruned against the
+   block incumbent: the right endpoints ascend, so one cursor over the
+   kernel buckets accumulates each Theta from the last.  Mirrors
+   [Lower_bound.scan_from]; counters follow the record path's
+   convention (tasks per executed kernel, executed evaluations). *)
+let scan_item ~prune ~tr blk a =
+  let pts = blk.b_pts in
+  let np = Array.length pts in
+  let t1 = pts.(a) in
+  (* [b_tmax] is only populated when the plan was built with pruning. *)
+  let tmax = if prune then blk.b_tmax.(a) else 0 in
+  let inc0 = if prune then Atomic.get blk.b_inc else 0 in
+  if
+    prune
+    && (tmax <= 0 || (inc0 > 0 && ceil_div tmax (pts.(a + 1) - t1) < inc0))
+  then (0, None)
+  else begin
+    let spare = Domain.DLS.get spare_kernel in
+    let held = Atomic.exchange spare None in
+    let ws = match held with Some ws -> ws | None -> kernel_ws () in
+    ensure_buckets ws np;
+    build_kernel ws blk a;
+    let bds = ws.bds and bdi = ws.bdi in
+    let best = ref 0 and wit = ref None and evals = ref 0 in
+    let slope = ref 0 and icept = ref 0 in
+    let b = ref (a + 1) in
+    while !b < np do
+      let t2 = pts.(!b) in
+      if
+        prune
+        &&
+        let inc = imax !best (Atomic.get blk.b_inc) in
+        inc > 0 && ceil_div tmax (t2 - t1) < inc
+      then begin
+        (* cut short: clear the buckets the cursor did not reach *)
+        Array.fill bds !b (np - !b) 0;
+        Array.fill bdi !b (np - !b) 0;
+        b := np
+      end
+      else begin
+        slope := !slope + bds.(!b);
+        icept := !icept + bdi.(!b);
+        bds.(!b) <- 0;
+        bdi.(!b) <- 0;
+        incr evals;
+        let demand = (!slope * t2) + !icept in
+        if demand > 0 then begin
+          let units = ceil_div demand (t2 - t1) in
+          if units > !best then begin
+            best := units;
+            wit :=
+              Some { Lower_bound.w_t1 = t1; w_t2 = t2; w_theta = demand };
+            if prune then atomic_max blk.b_inc units
+          end
+        end;
+        incr b
+      end
+    done;
+    if Option.is_some held then Atomic.set spare held;
+    if Rtlb_obs.Tracer.enabled tr then begin
+      Rtlb_obs.Tracer.add tr Rtlb_obs.Tracer.Tasks_scanned blk.b_nb;
+      Rtlb_obs.Tracer.add tr Rtlb_obs.Tracer.Theta_evals !evals
+    end;
+    (!best, !wit)
+  end
 
 (* The cache key of block [x0, x1) of [ord]: the resource, then each
    member's id, EST, LCT and compute in partition order — all a block
@@ -898,9 +945,10 @@ let scan ?prune ?pool ?deadline_ns ?tracer ?cache t =
       n_items := !n_items + Array.length b.b_pts - 1);
   let dummy =
     {
-      b_ids = [||];
-      b_w = [||];
+      b_nb = 0;
+      b_cols = [||];
       b_pts = [||];
+      b_rank = [||];
       b_tmax = [||];
       b_inc = Atomic.make 0;
       b_slot0 = 0;
@@ -919,7 +967,7 @@ let scan ?prune ?pool ?deadline_ns ?tracer ?cache t =
          0 work);
   let scanned, _status =
     Rtlb_par.Pool.map_array_partial ?pool ?deadline_ns ~tracer:tr
-      (fun (b, a) -> scan_item t ~prune ~tr b a)
+      (fun (b, a) -> scan_item ~prune ~tr b a)
       work
   in
   (* known and reused items count as executed *)

@@ -13,9 +13,12 @@
     them.
 
     The interval scan adds {e candidate-interval dominance pruning}: an
-    O(n log p) precomputation bounds the kernel total for every left
-    endpoint, and intervals whose ceiling density upper bound falls
-    strictly below the block's incumbent are skipped.  Pruning is
+    O(n + span) precomputation per block (O(n log p) on a block too wide
+    to bucket) bounds the kernel total for every left endpoint, and
+    intervals whose ceiling density upper bound falls strictly below the
+    block's incumbent are skipped.  Each left endpoint's Theta kernel is
+    built in O(n) per-slot buckets over the block's candidate points and
+    read by one forward cursor, O(1) amortised per right endpoint.  Pruning is
     strict-inequality only and incumbents are per partition block, so
     the earliest winning witness of the exhaustive fold always survives
     — on the sequential and the {!Rtlb_par.Pool} path alike.  Set

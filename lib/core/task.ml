@@ -10,12 +10,18 @@ type t = {
   preemptive : bool;
 }
 
+(* Whether [compute] fits in [release, deadline], for non-negative
+   [release] and [compute].  [release + compute] would wrap past
+   [max_int]; [deadline - release] cannot once [deadline >= release]. *)
+let window_holds ~release ~compute ~deadline =
+  deadline >= release && compute <= deadline - release
+
 let make ?name ~id ?(release = 0) ~compute ~deadline ~proc ?(resources = [])
     ?(preemptive = false) () =
   if id < 0 then invalid_arg "Task.make: negative id";
   if compute < 0 then invalid_arg "Task.make: negative computation time";
   if release < 0 then invalid_arg "Task.make: negative release time";
-  if release + compute > deadline then
+  if not (window_holds ~release ~compute ~deadline) then
     invalid_arg
       (Printf.sprintf "Task.make: task %d cannot meet deadline (%d + %d > %d)"
          id release compute deadline);
@@ -59,19 +65,19 @@ let laxity t = t.deadline - t.release - t.compute
 let with_preemptive t preemptive = { t with preemptive }
 
 let with_deadline t deadline =
-  if t.release + t.compute > deadline then
+  if not (window_holds ~release:t.release ~compute:t.compute ~deadline) then
     invalid_arg "Task.with_deadline: deadline too tight";
   { t with deadline }
 
 let with_release t release =
   if release < 0 then invalid_arg "Task.with_release: negative release time";
-  if release + t.compute > t.deadline then
+  if not (window_holds ~release ~compute:t.compute ~deadline:t.deadline) then
     invalid_arg "Task.with_release: release too late for the deadline";
   { t with release }
 
 let with_compute t compute =
   if compute < 0 then invalid_arg "Task.with_compute: negative computation time";
-  if t.release + compute > t.deadline then
+  if not (window_holds ~release:t.release ~compute ~deadline:t.deadline) then
     invalid_arg "Task.with_compute: computation does not fit the window";
   { t with compute }
 

@@ -40,6 +40,11 @@ val make :
     @raise Invalid_argument when [compute < 0], [release < 0],
       [release + compute > deadline], or [proc = ""]. *)
 
+val window_holds : release:int -> compute:int -> deadline:int -> bool
+(** [release + compute <= deadline] for non-negative [release] and
+    [compute], decided without forming the sum, which can wrap past
+    [max_int]. *)
+
 val needs : t -> string list
 (** [R_i] together with [phi_i] — everything the task occupies while it
     runs.  This is the per-task slice of the paper's [RES]. *)

@@ -106,7 +106,9 @@ let check_task add (ts : task_spec) =
         add ~code:"E104" ~severity:Error "negative deadline %d" ts.ts_deadline;
       if
         ts.ts_compute >= 0 && ts.ts_release >= 0 && ts.ts_deadline >= 0
-        && ts.ts_release + ts.ts_compute > ts.ts_deadline
+        && not
+             (Task.window_holds ~release:ts.ts_release ~compute:ts.ts_compute
+                ~deadline:ts.ts_deadline)
       then
         add ~code:"E102" ~severity:Error
           "window [%d, %d] cannot hold compute %d" ts.ts_release ts.ts_deadline
@@ -379,57 +381,64 @@ let check_spec ~system ~tasks ~edges =
 
 (* ---------------- post-construction window checks ---------------- *)
 
+(* The E102/W203 window diagnostics of an instance the analysis can
+   take. *)
+let window_diagnostics ~line_of ~system app =
+  let windows = Est_lct.compute system app in
+  let acc = ref [] in
+  Array.iter
+    (fun (task : Task.t) ->
+      let i = task.Task.id in
+      let e = windows.Est_lct.est.(i)
+      and l = windows.Est_lct.lct.(i)
+      and c = task.Task.compute in
+      if e + c > l then
+        acc :=
+          {
+            d_code = "E102";
+            d_severity = Error;
+            d_subject = "task " ^ task.Task.name;
+            d_message =
+              Printf.sprintf
+                "EST/LCT window [%d, %d] cannot hold compute %d \
+                 (infeasible on every system of this model)"
+                e l c;
+            d_line = line_of task.Task.name;
+          }
+          :: !acc
+      else if c > 0 && e + c = l then
+        acc :=
+          {
+            d_code = "W203";
+            d_severity = Warning;
+            d_subject = "task " ^ task.Task.name;
+            d_message =
+              Printf.sprintf
+                "zero slack: EST/LCT window [%d, %d] exactly holds \
+                 compute %d"
+                e l c;
+            d_line = line_of task.Task.name;
+          }
+          :: !acc)
+    (App.tasks app);
+  by_line (List.rev !acc)
+
+let application_error code e =
+  {
+    d_code = code;
+    d_severity = Error;
+    d_subject = "application";
+    d_message = e;
+    d_line = None;
+  }
+
 let check_windows ?(line_of = fun _ -> None) ~system app =
   match System.validate_for system app with
-  | Error e ->
-      [
-        {
-          d_code = "E103";
-          d_severity = Error;
-          d_subject = "application";
-          d_message = e;
-          d_line = None;
-        };
-      ]
-  | Ok () ->
-      let windows = Est_lct.compute system app in
-      let acc = ref [] in
-      Array.iter
-        (fun (task : Task.t) ->
-          let i = task.Task.id in
-          let e = windows.Est_lct.est.(i)
-          and l = windows.Est_lct.lct.(i)
-          and c = task.Task.compute in
-          if e + c > l then
-            acc :=
-              {
-                d_code = "E102";
-                d_severity = Error;
-                d_subject = "task " ^ task.Task.name;
-                d_message =
-                  Printf.sprintf
-                    "EST/LCT window [%d, %d] cannot hold compute %d \
-                     (infeasible on every system of this model)"
-                    e l c;
-                d_line = line_of task.Task.name;
-              }
-              :: !acc
-          else if c > 0 && e + c = l then
-            acc :=
-              {
-                d_code = "W203";
-                d_severity = Warning;
-                d_subject = "task " ^ task.Task.name;
-                d_message =
-                  Printf.sprintf
-                    "zero slack: EST/LCT window [%d, %d] exactly holds \
-                     compute %d"
-                    e l c;
-                d_line = line_of task.Task.name;
-              }
-              :: !acc)
-        (App.tasks app);
-      by_line (List.rev !acc)
+  | Error e -> [ application_error "E103" e ]
+  | Ok () -> (
+      match App.check_range app with
+      | Error e -> [ application_error "E104" e ]
+      | Ok () -> window_diagnostics ~line_of ~system app)
 
 let check ?system app =
   let system =

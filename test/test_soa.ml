@@ -125,6 +125,136 @@ let families_identical =
                   (Some pool, false) ])
             [ f.f_shared; f.f_dedicated ]))
 
+(* --- every scan path ------------------------------------------------ *)
+
+(* The packed scan picks its path per block and per resource from the
+   observed ranges: a block whose span [hi - lo] is below [8 nb + 64]
+   keeps a dense slot map (marked points, theta_max and kernel events
+   bucketed through it), a wider one sorts its points and binary-searches
+   its slots; a resource whose EST and LCT ranges are both below
+   [4 nm + 1024] is ordered by two counting passes, a wider one by a
+   comparison sort.  Generated instances are small and narrow, so each
+   family instance also runs with every time and message scaled by 10^6
+   (wide spans and ranges), and with every deadline cut to release +
+   compute, which the declared windows still hold but the propagated
+   ones do not: E + C > L, and L < E across a message.  Those squeezed
+   windows put kernel thresholds before the left endpoint and past the
+   block's last point, and theta_max events before its first point. *)
+let transform ~k ~tight app =
+  let task (t : Rtlb.Task.t) =
+    let c = k * t.Rtlb.Task.compute and r = k * t.Rtlb.Task.release in
+    Rtlb.Task.make ~id:t.Rtlb.Task.id ~name:t.Rtlb.Task.name ~compute:c
+      ~release:r
+      ~deadline:(if tight then r + c else k * t.Rtlb.Task.deadline)
+      ~proc:t.Rtlb.Task.proc
+      ~resources:
+        (List.concat_map
+           (fun (r, u) -> List.init u (fun _ -> r))
+           t.Rtlb.Task.demands)
+      ~preemptive:t.Rtlb.Task.preemptive ()
+  in
+  Rtlb.App.make
+    ~tasks:(List.map task (Array.to_list (Rtlb.App.tasks app)))
+    ~edges:
+      (Dag.fold_edges (Rtlb.App.graph app) ~init:[]
+         ~f:(fun acc ~src ~dst m -> (src, dst, k * m) :: acc))
+
+(* Which paths a result's blocks and resources take, by the scan's own
+   range rules, and which squeezed windows it holds. *)
+type coverage = {
+  mutable dense : int;
+  mutable wide : int;
+  mutable counting : int;
+  mutable comparison : int;
+  mutable squeezed : int;  (* E + C > L *)
+  mutable inverted : int;  (* L < E *)
+}
+
+let tally cov (a : Rtlb.Analysis.t) =
+  let est = a.Rtlb.Analysis.windows.Rtlb.Est_lct.est
+  and lct = a.Rtlb.Analysis.windows.Rtlb.Est_lct.lct in
+  Array.iteri
+    (fun i e ->
+      let c = (Rtlb.App.task a.Rtlb.Analysis.app i).Rtlb.Task.compute in
+      if e + c > lct.(i) then cov.squeezed <- cov.squeezed + 1;
+      if lct.(i) < e then cov.inverted <- cov.inverted + 1)
+    est;
+  List.iter
+    (fun (b : Rtlb.Lower_bound.bound) ->
+      let p = b.Rtlb.Lower_bound.partition in
+      let members = List.concat p.Rtlb.Partition.blocks in
+      let range v =
+        List.fold_left (fun acc i -> max acc v.(i)) min_int members
+        - List.fold_left (fun acc i -> min acc v.(i)) max_int members
+      in
+      let limit = (4 * List.length members) + 1024 in
+      if members <> [] then
+        if range est < limit && range lct < limit then
+          cov.counting <- cov.counting + 1
+        else cov.comparison <- cov.comparison + 1;
+      List.iter2
+        (fun block (lo, hi) ->
+          if lo < hi then
+            if hi - lo < (8 * List.length block) + 64 then
+              cov.dense <- cov.dense + 1
+            else cov.wide <- cov.wide + 1)
+        p.Rtlb.Partition.blocks p.Rtlb.Partition.spans)
+    a.Rtlb.Analysis.bounds
+
+let every_path_identical () =
+  let cov =
+    {
+      dense = 0;
+      wide = 0;
+      counting = 0;
+      comparison = 0;
+      squeezed = 0;
+      inverted = 0;
+    }
+  in
+  let rand = Random.State.make [| 23 |] in
+  Rtlb_par.Pool.with_pool ~jobs:2 (fun pool ->
+      for _ = 1 to 100 do
+        let f = QCheck2.Gen.generate1 ~rand family_gen in
+        List.iter
+          (fun (k, tight) ->
+            let app = transform ~k ~tight f.f_app in
+            List.iter
+              (fun system ->
+                let reference = Oracle.run system app in
+                tally cov reference;
+                List.iter
+                  (fun (pool, prune) ->
+                    if
+                      not
+                        (Oracle.values_identical
+                           (Rtlb.Analysis.run ?pool ~prune system app)
+                           reference)
+                    then
+                      Alcotest.failf
+                        "%s (times x%d%s, %s, prune %b): Analysis.run <> \
+                         record oracle\n%s"
+                        f.label k
+                        (if tight then ", tight" else "")
+                        (if pool = None then "sequential" else "2 domains")
+                        prune
+                        (Rtfmt.Appfile.to_string app))
+                  [ (None, true); (None, false); (Some pool, true);
+                    (Some pool, false) ])
+              [ f.f_shared; f.f_dedicated ])
+          [ (1, false); (1_000_000, false); (1, true); (1_000_000, true) ]
+      done);
+  List.iter
+    (fun (what, n) -> check_bool (what ^ " exercised") true (n > 0))
+    [
+      ("dense block", cov.dense);
+      ("wide block", cov.wide);
+      ("counting partition", cov.counting);
+      ("comparison partition", cov.comparison);
+      ("E + C > L window", cov.squeezed);
+      ("L < E window", cov.inverted);
+    ]
+
 (* A dedicated catalogue wider than one host-mask word (61 node types
    on 64-bit): 70 decoy nodes first, so the paper's own three node
    types sit in the second word.  Analysis.run once refused this with
@@ -287,6 +417,8 @@ let suite =
           many_node_types;
         families_identical;
         pruned_equals_unpruned;
+        Alcotest.test_case "every scan path, squeezed windows = record oracle"
+          `Quick every_path_identical;
         Alcotest.test_case "frame workload identity" `Quick frames_identical;
         Alcotest.test_case "frame workload determinism" `Quick
           frames_deterministic;

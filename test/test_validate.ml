@@ -91,6 +91,67 @@ let code_negative_quantity () =
   check_int "negative compute and negative message both reported" 2
     (List.length es)
 
+(* Quantities near max_int.  A declared window whose release + compute
+   wraps is refused like any window too small for its task, and an
+   instance whose demand sums leave int range is refused before any
+   analysis sums them — where both once passed, the second with a lower
+   bound of 0 against the paper's ceil(6e18 / 4e18) = 2. *)
+let big = 3_000_000_000_000_000_000
+let bigger = 4_000_000_000_000_000_000
+
+let overflow_refused () =
+  (match
+     Rtlb.Task.make ~id:0 ~compute:big ~release:big ~deadline:bigger ~proc:"P"
+       ()
+   with
+  | _ -> Alcotest.fail "Task.make accepted a window that wraps"
+  | exception Invalid_argument _ -> ());
+  let ds =
+    check_src
+      (Printf.sprintf "task a compute=%d release=%d deadline=%d proc=P\n" big
+         big bigger)
+  in
+  Alcotest.(check (option int))
+    "wrapping window: E102 at its line" (Some 1)
+    (find_code "E102" ds).Rtlb.Validate.d_line;
+  let task id =
+    Rtlb.Task.make ~id ~compute:big ~deadline:bigger ~proc:"P" ()
+  in
+  let app = Rtlb.App.make ~tasks:[ task 0; task 1 ] ~edges:[] in
+  let system = Rtlb.System.shared ~costs:[ ("P", 1) ] in
+  check_bool "demand past max_int: check_range refuses" true
+    (Result.is_error (Rtlb.App.check_range app));
+  check_bool "demand past max_int: E104" true
+    (has_code "E104" (Rtlb.Validate.check ~system app));
+  (match Rtlb.Analysis.run system app with
+  | a ->
+      Alcotest.failf "Analysis.run answered lb %d"
+        (Rtlb.Analysis.bound_for a "P")
+  | exception Invalid_argument _ -> ());
+  (* a what-if that pushes an instance in range out of it is refused
+     by the edit (serve's S301), and leaves the handle as it was *)
+  let fits = 600_000_000_000_000_000 in
+  let app =
+    Rtlb.App.make
+      ~tasks:
+        [
+          Rtlb.Task.make ~id:0 ~compute:1 ~deadline:fits ~proc:"P" ();
+          Rtlb.Task.make ~id:1 ~compute:1 ~deadline:fits ~proc:"P" ();
+        ]
+      ~edges:[]
+  in
+  check_bool "in range" true (Result.is_ok (Rtlb.App.check_range app));
+  let handle = Rtlb.Incremental.create system app in
+  (match
+     Rtlb.Incremental.edit handle
+       [ Rtlb.Incremental.Set_compute { task = 0; compute = fits } ]
+   with
+  | _ -> Alcotest.fail "a what-if past max_int was answered"
+  | exception Invalid_argument _ -> ());
+  check_bool "handle unchanged" true
+    (Oracle.values_identical (Rtlb.Incremental.base handle)
+       (Oracle.run system app))
+
 let code_duplicate_task () =
   let ds =
     check_src
@@ -299,6 +360,8 @@ let suite =
           code_dangling_proc;
         Alcotest.test_case "E104 negative quantities" `Quick
           code_negative_quantity;
+        Alcotest.test_case "times near max_int are refused, not wrapped"
+          `Quick overflow_refused;
         Alcotest.test_case "E105 duplicate task" `Quick code_duplicate_task;
         Alcotest.test_case "E105 duplicate edge" `Quick code_duplicate_edge;
         Alcotest.test_case "E106 mixed periodic/one-shot" `Quick
