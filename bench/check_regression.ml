@@ -18,7 +18,11 @@
    - the per-layer p50s [plan_ms] and [scan_ms], where both files carry
      them for a point, are gated the same way, through the same
      calibration (the smallest size's total p50) and slack, so a layer
-     that slows while another speeds up is still caught.
+     that slows while another speeds up is still caught;
+   - the peak RSS of the CLI process ([cli.peak_rss_mb]), at every size
+     whose baseline carries a CLI row, must stay within 15% of the
+     baseline.  Memory is not normalised: a runner does not change how
+     much the analysis keeps.
 
    Only sizes present in BOTH files are gated, so the CI job can run a
    pinned subset of the committed trajectory.  Exit 0 = pass, 1 =
@@ -64,7 +68,8 @@ let get_int j name =
 let layers = [ "plan_ms"; "scan_ms" ]
 let timings = "p50_ms" :: layers
 
-(* (tasks, counters, [(domains, [(timing, ms)])]) per workload entry. *)
+(* (tasks, counters, [(domains, [(timing, ms)])], CLI peak RSS) per
+   workload entry. *)
 let workloads path =
   let json =
     match Rtfmt.Json.parse (read_file path) with
@@ -106,8 +111,14 @@ let workloads path =
               pts
         | _ -> die "%s: workload without curve" path
       in
-      (get_int w "tasks", counters, curve))
+      let cli_rss =
+        Option.bind (member "cli" w) (fun c ->
+            Option.bind (member "peak_rss_mb" c) as_float)
+      in
+      (get_int w "tasks", counters, curve, cli_rss))
     entries
+
+let rss_slack = 0.15
 
 let () =
   let baseline_path, fresh_path =
@@ -127,16 +138,17 @@ let () =
   let fresh = workloads fresh_path in
   let common =
     List.filter_map
-      (fun (n, fc, fcurve) ->
-        match List.find_opt (fun (bn, _, _) -> bn = n) baseline with
-        | Some (_, bc, bcurve) -> Some (n, (bc, bcurve), (fc, fcurve))
+      (fun (n, fc, fcurve, frss) ->
+        match List.find_opt (fun (bn, _, _, _) -> bn = n) baseline with
+        | Some (_, bc, bcurve, brss) ->
+            Some (n, (bc, bcurve, brss), (fc, fcurve, frss))
         | None -> None)
       fresh
   in
   if common = [] then die "no common sizes between %s and %s" baseline_path fresh_path;
   (* Counters: exact. *)
   List.iter
-    (fun (n, (bc, _), (fc, _)) ->
+    (fun (n, (bc, _, _), (fc, _, _)) ->
       List.iter
         (fun (name, bv) ->
           match List.assoc_opt name fc with
@@ -144,6 +156,20 @@ let () =
           | Some fv -> fail "%d tasks: %s drifted (baseline %d, fresh %d)" n name bv fv
           | None -> fail "%d tasks: %s missing from fresh run" n name)
         bc)
+    common;
+  (* CLI peak RSS: within the slack of the baseline's. *)
+  List.iter
+    (fun (n, (_, _, brss), (_, _, frss)) ->
+      match (brss, frss) with
+      | None, _ -> ()
+      | Some _, None -> fail "%d tasks: CLI row missing from fresh run" n
+      | Some b, Some f ->
+          if f > b *. (1.0 +. rss_slack) then
+            fail
+              "%d tasks: CLI peak RSS %.1f MB exceeds baseline %.1f MB by \
+               more than %.0f%%"
+              n f b (rss_slack *. 100.0)
+          else ok "%d tasks: CLI peak RSS %.1f MB (baseline %.1f MB)" n f b)
     common;
   (* Time: normalise machine speed through the smallest common size,
      then gate every larger size's ratio-to-calibration. *)
@@ -158,7 +184,7 @@ let () =
       let p50 = timing "p50_ms" in
       let cal =
         List.find_map
-          (fun (n, (_, bcurve), (_, fcurve)) ->
+          (fun (n, (_, bcurve, _), (_, fcurve, _)) ->
             if n = smallest then
               match (p50 bcurve, p50 fcurve) with
               | Some b, Some f when b > 0.0 && f > 0.0 -> Some (b, f)
@@ -182,7 +208,7 @@ let () =
       | None -> ()
       | Some (bcal, fcal) ->
           List.iter
-            (fun (n, (_, bcurve), (_, fcurve)) ->
+            (fun (n, (_, bcurve, _), (_, fcurve, _)) ->
               if n <> smallest then begin
                 (match (p50 bcurve, p50 fcurve) with
                 | Some b, Some f -> gate n "p50_ms" b f ~bcal ~fcal

@@ -1248,9 +1248,9 @@ let incremental_sweep () =
         let ks = List.init 16 Fun.id in
         let cold k = Rtlb.Analysis.run system (Rtlb.Incremental.apply app (edits k)) in
         let same (a : Rtlb.Analysis.t) (b : Rtlb.Analysis.t) =
-          a.Rtlb.Analysis.windows.Rtlb.Est_lct.est = b.Rtlb.Analysis.windows.Rtlb.Est_lct.est
-          && a.Rtlb.Analysis.windows.Rtlb.Est_lct.lct
-             = b.Rtlb.Analysis.windows.Rtlb.Est_lct.lct
+          a.Rtlb.Analysis.windows.Rtlb.Windows.est = b.Rtlb.Analysis.windows.Rtlb.Windows.est
+          && a.Rtlb.Analysis.windows.Rtlb.Windows.lct
+             = b.Rtlb.Analysis.windows.Rtlb.Windows.lct
           && a.Rtlb.Analysis.bounds = b.Rtlb.Analysis.bounds
           && a.Rtlb.Analysis.cost = b.Rtlb.Analysis.cost
           && a.Rtlb.Analysis.completeness = b.Rtlb.Analysis.completeness
@@ -1335,6 +1335,102 @@ let record_analysis system app =
   in
   (w, bounds, Rtlb.Cost.compute system app bounds)
 
+let median samples =
+  List.nth (List.sort compare samples) (List.length samples / 2)
+
+(* The CLI rows: one [rtlb analyze FILE --json] process per run, on the
+   sizes where the whole process is worth a row. *)
+let cli_sizes = [ 100_000; 1_000_000 ]
+
+external wait4 : int -> int * int = "bench_wait4"
+
+(* The CLI this bench was built beside: [_build/default/bin/rtlb_cli.exe]
+   for [_build/default/bench/main.exe]. *)
+let cli_path () =
+  let root = Filename.dirname (Filename.dirname Sys.executable_name) in
+  let cli = Filename.concat (Filename.concat root "bin") "rtlb_cli.exe" in
+  if not (Sys.file_exists cli) then begin
+    Printf.eprintf
+      "e14: %s not found; build it first (dune build bin/rtlb_cli.exe)\n" cli;
+    exit 1
+  end;
+  cli
+
+(* Total duration in ms of the spans named [name] in a Chrome trace. *)
+let trace_span_ms trace name =
+  match Rtfmt.Json.member "traceEvents" trace with
+  | Rtfmt.Json.List events ->
+      List.fold_left
+        (fun acc e ->
+          match (Rtfmt.Json.member "name" e, Rtfmt.Json.member "dur" e) with
+          | Rtfmt.Json.Str n, Rtfmt.Json.Int us when String.equal n name ->
+              acc +. (float_of_int us /. 1000.0)
+          | _ -> acc
+          | exception Not_found -> acc)
+        0.0 events
+  | _ -> 0.0
+
+(* [main.exe peak-rss PROG ARGS..] (bench/main.ml): run PROG ARGS.. with
+   its stdout on /dev/null and print its exit code, its peak RSS in KB
+   and its wall time in ms.  E14 runs the CLI through this second, small
+   bench process because a process that a large one spawns reports the
+   large one's peak as its own: ru_maxrss keeps the spawner's high-water
+   mark across the vfork and the exec. *)
+let peak_rss_launcher prog args =
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let (code, kb), ms =
+    Bench_util.time_ms (fun () ->
+        wait4
+          (Unix.create_process prog
+             (Array.of_list (prog :: args))
+             Unix.stdin devnull Unix.stderr))
+  in
+  Printf.printf "%d %d %.3f\n" code kb ms;
+  exit 0
+
+(* Median over 5 processes of [rtlb analyze FILE --json --trace]: wall
+   time from spawn to exit, the CLI's [cli], [parse], [analyze] and
+   [encode] spans, and the peak RSS wait4 reports. *)
+let cli_row system app =
+  let cli = cli_path () in
+  let file = Filename.temp_file "e14-" ".app"
+  and trace = Filename.temp_file "e14-" ".trace.json" in
+  Out_channel.with_open_bin file (fun oc ->
+      output_string oc (Rtfmt.Appfile.to_string ~system app));
+  let spans = [ "cli"; "parse"; "analyze"; "encode" ] in
+  let run () =
+    Gc.full_major ();
+    let out, into = Unix.pipe ~cloexec:true () in
+    let launcher =
+      Unix.create_process Sys.executable_name
+        [|
+          Sys.executable_name; "peak-rss"; cli; "analyze"; file; "--json";
+          "--trace"; trace;
+        |]
+        Unix.stdin into Unix.stderr
+    in
+    Unix.close into;
+    let ic = Unix.in_channel_of_descr out in
+    let report = In_channel.input_all ic in
+    close_in ic;
+    ignore (Unix.waitpid [] launcher);
+    let code, rss_kb, wall =
+      Scanf.sscanf report "%d %d %f" (fun c k ms -> (c, k, ms))
+    in
+    if code <> 0 then begin
+      Printf.eprintf "e14: %s analyze %s exited %d\n" cli file code;
+      exit 1
+    end;
+    let t = Rtfmt.Json.parse (In_channel.with_open_bin trace In_channel.input_all) in
+    (wall :: List.map (trace_span_ms t) spans) @ [ float_of_int rss_kb /. 1024.0 ]
+  in
+  let runs = List.init 5 (fun _ -> run ()) in
+  Sys.remove file;
+  Sys.remove trace;
+  List.mapi
+    (fun k name -> (name, median (List.map (fun r -> List.nth r k) runs)))
+    (("wall_ms" :: List.map (fun s -> s ^ "_ms") spans) @ [ "peak_rss_mb" ])
+
 let soa_scaling () =
   Bench_util.section "E14: SoA scaling - packed engine on frame workloads";
   Printf.printf
@@ -1345,10 +1441,10 @@ let soa_scaling () =
      bounds - plan - reduce) are the per-layer columns.  Counters come\n\
      from one single-domain traced Analysis.run (deterministic); at sizes\n\
      up to 10^4 its result is checked against the record composition.\n\
+     At 10^5 and 10^6 tasks a CLI row times whole `rtlb analyze FILE\n\
+     --json` processes: medians of 5 of wall time, the CLI's spans and\n\
+     the peak RSS wait4 reports.\n\
      Results and the host land in BENCH_soa.json for the CI perf gate.\n";
-  let median samples =
-    List.nth (List.sort compare samples) (List.length samples / 2)
-  in
   (* Each repetition starts from a collected heap, so a layer's time
      does not depend on the garbage that earlier sizes or repetitions
      left (the CI gate runs a subset of the sizes). *)
@@ -1375,11 +1471,22 @@ let soa_scaling () =
         "identical";
       ]
   in
+  let cli_table =
+    Rtfmt.Table.create
+      [ "tasks"; "wall ms"; "cli"; "parse"; "analyze"; "encode"; "peak MB" ]
+  in
   let json_workloads =
     List.map
       (fun n ->
         let frames = max 1 (n / 100) in
         let app = Workload.Gen.layered_frames ~seed:7 ~frames () in
+        let cli = if List.mem n cli_sizes then Some (cli_row system app) else None in
+        Option.iter
+          (fun row ->
+            Rtfmt.Table.add_row cli_table
+              (string_of_int n
+              :: List.map (fun (_, v) -> Printf.sprintf "%.1f" v) row))
+          cli;
         (* the timed region the committed baseline was measured on *)
         let soa = Rtlb.Soa.pack system app in
         let run ?pool () =
@@ -1424,8 +1531,8 @@ let soa_scaling () =
             in
             ( Some ms,
               Some
-                (a.Rtlb.Analysis.windows.Rtlb.Est_lct.est = w.Rtlb.Est_lct.est
-                && a.Rtlb.Analysis.windows.Rtlb.Est_lct.lct = w.Rtlb.Est_lct.lct
+                (a.Rtlb.Analysis.windows.Rtlb.Windows.est = w.Rtlb.Est_lct.est
+                && a.Rtlb.Analysis.windows.Rtlb.Windows.lct = w.Rtlb.Est_lct.lct
                 && a.Rtlb.Analysis.bounds = bounds
                 && a.Rtlb.Analysis.cost = cost) )
           end
@@ -1479,13 +1586,28 @@ let soa_scaling () =
                      ];
                  ] );
            ]
+          @ (match identical with
+            | Some b -> [ ("identical", Rtfmt.Json.Bool b) ]
+            | None -> [])
           @
-          match identical with
-          | Some b -> [ ("identical", Rtfmt.Json.Bool b) ]
+          match cli with
+          | Some row ->
+              [
+                ( "cli",
+                  Rtfmt.Json.Obj
+                    (List.map
+                       (fun (name, v) ->
+                         (name, Rtfmt.Json.Str (Printf.sprintf "%.1f" v)))
+                       row) );
+              ]
           | None -> []))
       !soa_sizes
   in
   Rtfmt.Table.print t;
+  if List.exists (fun n -> List.mem n cli_sizes) !soa_sizes then begin
+    Bench_util.subsection "CLI process: rtlb analyze FILE --json";
+    Rtfmt.Table.print cli_table
+  end;
   let json =
     Rtfmt.Json.Obj
       [

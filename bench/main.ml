@@ -43,6 +43,10 @@ let experiment_names =
   List.filter (fun n -> String.length n > 1 && n.[0] = 'e') (List.map fst sections)
 
 let () =
+  (* E14's launcher for its CLI processes, not a section. *)
+  (match Array.to_list Sys.argv with
+  | _ :: "peak-rss" :: prog :: args -> Experiments.peak_rss_launcher prog args
+  | _ -> ());
   (* RTLB_CHAOS arms the deterministic fault harness (docs/ROBUSTNESS.md);
      the kill-and-resume CI smoke runs bench under killckpt@N. *)
   (match Rtlb_par.Chaos.arm_from_env () with

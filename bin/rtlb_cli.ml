@@ -211,7 +211,7 @@ let analyze_cmd =
                         else begin
                           Format.printf "%a@." Rtlb.Analysis.pp analysis;
                           match
-                            Rtlb.Est_lct.feasible_windows app
+                            Rtlb.Windows.feasible app
                               analysis.Rtlb.Analysis.windows
                           with
                           | Ok () -> ()
@@ -483,8 +483,7 @@ let profile_cmd =
         match resolve_system system override app with
         | Error e -> `Error (false, e)
         | Ok system ->
-            let w = Rtlb.Est_lct.compute system app in
-            let est = w.Rtlb.Est_lct.est and lct = w.Rtlb.Est_lct.lct in
+            let { Rtlb.Windows.est; lct } = Rtlb.Analysis.windows system app in
             let window =
               if window > 0 then window
               else max 1 (Rtlb.App.horizon app / 8)
@@ -714,7 +713,7 @@ let whatif_cmd =
                   if json then
                     print_json (Rtfmt.Json.of_whatif ~base ~edited)
                   else begin
-                  let name = (Rtlb.App.task app task).Rtlb.Task.name in
+                  let name = (Rtlb.App.columns app).Rtlb.App.names.(task) in
                   Printf.printf "what-if: task %d (%s)%s%s%s\n" task name
                     (match release with
                     | Some r -> Printf.sprintf " release=%d" r

@@ -1,6 +1,6 @@
 type t = { omega : int; est : int array; lct : int array; bound : int }
 
-let compute_of app i = (Rtlb.App.task app i).Rtlb.Task.compute
+let compute_of app i = (Rtlb.App.columns app).Rtlb.App.compute.(i)
 
 (* Forward pass: E_i = min over the choice of at most one co-located
    predecessor p of max(E_p + C_p, max_{j <> p} E_j + C_j + m_ji). *)

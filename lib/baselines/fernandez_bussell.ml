@@ -3,7 +3,7 @@ type t = { omega : int; est : int array; lct : int array; bound : int }
 let analyse ?omega app =
   let graph = Rtlb.App.graph app in
   let n = Rtlb.App.n_tasks app in
-  let compute i = (Rtlb.App.task app i).Rtlb.Task.compute in
+  let compute i = (Rtlb.App.columns app).Rtlb.App.compute.(i) in
   let into = Dag.longest_path_lengths graph ~vertex_weight:compute in
   let critical = Array.fold_left max 0 into in
   let omega = Option.value ~default:critical omega in

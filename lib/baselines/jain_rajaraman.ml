@@ -15,7 +15,7 @@ let ceil_div a b = (a + b - 1) / b
 let density_feasible app ~m ~omega =
   let graph = Rtlb.App.graph app in
   let n = Rtlb.App.n_tasks app in
-  let compute i = (Rtlb.App.task app i).Rtlb.Task.compute in
+  let compute i = (Rtlb.App.columns app).Rtlb.App.compute.(i) in
   let into = Dag.longest_path_lengths graph ~vertex_weight:compute in
   let est = Array.init n (fun i -> into.(i) - compute i) in
   let tail = Array.make n 0 in
@@ -54,7 +54,7 @@ let analyse app ~m =
   if m <= 0 then invalid_arg "Jain_rajaraman.analyse: m <= 0";
   let n = Rtlb.App.n_tasks app in
   let work =
-    List.init n (fun i -> (Rtlb.App.task app i).Rtlb.Task.compute)
+    List.init n (fun i -> (Rtlb.App.columns app).Rtlb.App.compute.(i))
     |> List.fold_left ( + ) 0
   in
   let cp = Rtlb.App.critical_time app in

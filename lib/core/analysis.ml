@@ -1,7 +1,7 @@
 type t = {
   app : App.t;
   system : System.t;
-  windows : Est_lct.t;
+  windows : Windows.t;
   bounds : Lower_bound.bound list;
   cost : Cost.outcome;
   completeness : Lower_bound.completeness;
@@ -22,7 +22,7 @@ let run ?prune ?pool ?deadline_ns ?tracer system app =
       let windows =
         Rtlb_obs.Tracer.with_span tr "est_lct" (fun () ->
             Soa.compute_windows packed;
-            Soa.windows packed)
+            Soa.est_lct packed)
       in
       let bounds, completeness =
         Rtlb_obs.Tracer.with_span tr "lower_bounds" (fun () ->
@@ -33,6 +33,11 @@ let run ?prune ?pool ?deadline_ns ?tracer system app =
             Cost.compute system app bounds)
       in
       { app; system; windows; bounds; cost; completeness })
+
+let windows system app =
+  let packed = Soa.pack system app in
+  Soa.compute_windows packed;
+  Soa.est_lct packed
 
 let is_partial t =
   match t.completeness with `Partial _ -> true | `Complete -> false
@@ -51,14 +56,12 @@ let bound_for t r =
 
 let total_processors t =
   let procs =
-    Array.to_list (App.tasks t.app)
-    |> List.map (fun (task : Task.t) -> task.Task.proc)
-    |> List.sort_uniq String.compare
+    Array.to_list (App.columns t.app).App.proc |> List.sort_uniq String.compare
   in
   List.fold_left (fun acc p -> acc + bound_for t p) 0 procs
 
 let is_infeasible t =
-  match Est_lct.feasible_windows t.app t.windows with
+  match Windows.feasible t.app t.windows with
   | Ok () -> false
   | Error _ -> true
 
@@ -66,12 +69,12 @@ let pp ppf t =
   let open Format in
   fprintf ppf "@[<v>== lower-bound analysis ==@,%a@,@,-- task windows --"
     System.pp t.system;
+  let names = (App.columns t.app).App.names in
   Array.iteri
-    (fun i (task : Task.t) ->
-      fprintf ppf "@,%-6s E=%-4d L=%-4d" task.Task.name
-        t.windows.Est_lct.est.(i)
-        t.windows.Est_lct.lct.(i))
-    (App.tasks t.app);
+    (fun i name ->
+      fprintf ppf "@,%-6s E=%-4d L=%-4d" name t.windows.Windows.est.(i)
+        t.windows.Windows.lct.(i))
+    names;
   fprintf ppf "@,@,-- bounds --";
   (match t.completeness with
   | `Complete -> ()
@@ -80,7 +83,7 @@ let pp ppf t =
         "@,PARTIAL: time budget exhausted after %.1f%% of the interval \
          scans; bounds are valid but may be below the exhaustive values"
         (100.0 *. f));
-  let names i = (App.task t.app i).Task.name in
+  let names = Array.get names in
   List.iter
     (fun (b : Lower_bound.bound) ->
       fprintf ppf "@,%a@,   partition: %a" Lower_bound.pp_bound b

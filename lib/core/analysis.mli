@@ -3,10 +3,9 @@
 type t = {
   app : App.t;
   system : System.t;
-  windows : Est_lct.t;
-      (** Step 1: EST/LCT values.  Merge sets and merge traces are left
-          empty (each trace carries its task's bound and no steps); run
-          {!Est_lct.compute} for the traces. *)
+  windows : Windows.t;
+      (** Step 1: EST/LCT values, the arrays the packed sweep filled.
+          Run {!Est_lct.compute} for the merge sets and traces. *)
   bounds : Lower_bound.bound list;
       (** Steps 2 and 3: per-resource partitions and bounds, in [RES]
           order. *)
@@ -55,6 +54,11 @@ val run :
     @raise Invalid_argument when {!check_input} fails; run
       {!Validate.check} first to get diagnostics instead of an
       exception. *)
+
+val windows : System.t -> App.t -> Windows.t
+(** Step 1 alone: the windows {!run} returns, from the packed sweep,
+    without the bounds.  Unlike {!run} it does not run {!check_input};
+    callers that may hold an out-of-range instance run it first. *)
 
 val check_input : System.t -> App.t -> (unit, string) result
 (** What {!run} and {!Incremental.create} require of an instance: a

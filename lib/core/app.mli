@@ -5,6 +5,21 @@
 
 type t
 
+type columns = {
+  names : string array;
+  compute : int array;  (** [C_i]. *)
+  release : int array;  (** [rel_i]. *)
+  deadline : int array;  (** [D_i]. *)
+  proc : string array;  (** [phi_i]. *)
+  demands : (string * int) list array;
+      (** [R_i] with units, as {!Task.t}'s [demands]: names strictly
+          ascending, units positive.  Tasks with equal demands may share
+          one list. *)
+  preemptive : bool array;
+}
+(** The tasks as columns: entry [i] of each array belongs to the task
+    with id [i], and every array has one entry per task. *)
+
 val make : tasks:Task.t list -> edges:(int * int * int) list -> t
 (** [make ~tasks ~edges] builds an application.  Task ids must be exactly
     [0 .. n-1]; edges are [(pred, succ, message_size)].
@@ -18,9 +33,37 @@ val of_arrays :
     [(src.(k), dst.(k), msg.(k))]; the arrays are read, not kept.  Same
     checks, in the same order, with the same messages. *)
 
+val of_columns :
+  columns -> src:int array -> dst:int array -> msg:int array -> t
+(** {!of_arrays} with the tasks given as columns, which are kept, not
+    copied: the caller must not write to them afterwards.  Each task
+    passes {!Task.check} with its id, in id order; then the edges are
+    checked as {!of_arrays} checks them.
+    @raise Invalid_argument when the columns differ in length, as
+      {!Task.check} does, or as {!of_arrays} does for the edges.
+    @raise Dag.Cycle as {!make} does. *)
+
 val n_tasks : t -> int
+
+val columns : t -> columns
+(** The task columns.  Shared, not copied: callers must not write to
+    the arrays. *)
+
 val task : t -> int -> Task.t
+(** Task [i] as the record {!Task.make} builds, made on each call from
+    the columns; loops over many tasks read {!columns} instead. *)
+
 val tasks : t -> Task.t array
+(** Every task as a record, in id order; a fresh array of fresh
+    records. *)
+
+val with_times :
+  t -> compute:int array -> release:int array -> deadline:int array -> t
+(** The application with its compute, release and deadline columns
+    replaced by the given arrays, which are kept, not copied; names,
+    processors, demands, preemptability and the graph are shared.
+    @raise Invalid_argument as {!of_columns} does for the tasks. *)
+
 val graph : t -> Dag.t
 
 val preds : t -> int -> int list
@@ -39,6 +82,9 @@ val resource_set : t -> string list
 val tasks_using : t -> string -> int list
 (** [ST_r]: ids of tasks that occupy resource (or processor type) [r],
     in increasing id order. *)
+
+val units : t -> int -> string -> int
+(** [Task.units] of task [i], read from the columns. *)
 
 val total_work : t -> string -> int
 (** Total computation time of [tasks_using]. *)

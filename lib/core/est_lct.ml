@@ -19,7 +19,7 @@ type t = {
   lct_trace : trace array;
 }
 
-let compute_time app i = (App.task app i).Task.compute
+let compute_time app i = (App.columns app).App.compute.(i)
 
 let lms app ~lct ~src ~dst =
   lct.(dst) - compute_time app dst - App.message app ~src ~dst
@@ -34,7 +34,7 @@ let emr app ~est ~src ~dst =
 
 type direction = {
   neighbours : App.t -> int -> int list;  (* Pred_i or Succ_i *)
-  boundary : Task.t -> int;  (* rel_i or D_i *)
+  boundary : App.t -> int -> int;  (* rel_i or D_i *)
   msg_of : App.t -> int array -> center:int -> other:int -> int;
   (* emr or lms *)
   combine : int -> int -> int;  (* max for EST, min for LCT *)
@@ -49,7 +49,7 @@ type direction = {
 let est_direction =
   {
     neighbours = App.preds;
-    boundary = (fun t -> t.Task.release);
+    boundary = (fun app i -> (App.columns app).App.release.(i));
     msg_of = (fun app est ~center ~other -> emr app ~est ~src:other ~dst:center);
     combine = max;
     identity = min_int;
@@ -62,7 +62,7 @@ let est_direction =
 let lct_direction =
   {
     neighbours = App.succs;
-    boundary = (fun t -> t.Task.deadline);
+    boundary = (fun app i -> (App.columns app).App.deadline.(i));
     msg_of = (fun app lct ~center ~other -> lms app ~lct ~src:center ~dst:other);
     combine = min;
     identity = max_int;
@@ -79,7 +79,7 @@ let bound_of_merge_set dir system app values i a =
   if not (List.for_all (fun j -> List.mem j nbrs) a) then None
   else if not (System.mergeable system app (i :: a)) then None
   else
-    let boundary = dir.boundary (App.task app i) in
+    let boundary = dir.boundary app i in
     let unmerged = List.filter (fun j -> not (List.mem j a)) nbrs in
     let msg =
       List.fold_left
@@ -110,7 +110,7 @@ let scan_merges dir system app values i =
   let nbrs = dir.neighbours app i in
   match nbrs with
   | [] ->
-      let bound = dir.boundary (App.task app i) in
+      let bound = dir.boundary app i in
       { center = i; no_merge_bound = bound; steps = []; bound; merged = [] }
   | _ ->
       let no_merge =
@@ -236,21 +236,10 @@ let est_of_merge_set system app ~est i a =
 let lct_of_merge_set system app ~lct i a =
   bound_of_merge_set lct_direction system app lct i a
 
-let feasible_windows app result =
-  let bad = ref [] in
-  Array.iteri
-    (fun i (task : Task.t) ->
-      if result.est.(i) + task.Task.compute > result.lct.(i) then
-        bad := task.Task.name :: !bad)
-    (App.tasks app);
-  if !bad = [] then Ok ()
-  else
-    Error
-      (Printf.sprintf "window too small for task(s): %s"
-         (String.concat ", " (List.rev !bad)))
+let windows t = { Windows.est = t.est; lct = t.lct }
 
 let pp_trace app ppf tr =
-  let name i = (App.task app i).Task.name in
+  let name i = (App.columns app).App.names.(i) in
   Format.fprintf ppf "@[<v>%s: no-merge bound %d" (name tr.center)
     tr.no_merge_bound;
   List.iter

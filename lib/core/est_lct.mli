@@ -78,9 +78,8 @@ val est_of_merge_set : System.t -> App.t -> est:int array -> int -> int list -> 
 val lct_of_merge_set : System.t -> App.t -> lct:int array -> int -> int list -> int option
 (** Equation 4.1, mirror of {!est_of_merge_set} (Theorem 1). *)
 
-val feasible_windows : App.t -> t -> (unit, string) Stdlib.result
-(** Checks the necessary condition [E_i + C_i <= L_i] for every task; an
-    [Error] lists the tasks whose windows are too small — the application
-    cannot be feasible on any system of the given model. *)
+val windows : t -> Windows.t
+(** The EST and LCT arrays alone, shared, not copied; {!Windows.feasible}
+    checks them. *)
 
 val pp_trace : App.t -> Format.formatter -> trace -> unit

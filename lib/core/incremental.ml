@@ -96,24 +96,24 @@ let instance_fingerprint system app =
           int nt.System.nt_cost;
           List.iter (pair ',') nt.System.nt_provides)
         nts);
+  let c = App.columns app in
   for i = 0 to App.n_tasks app - 1 do
-    let t = App.task app i in
     (* "\nT<id>|<name>|<compute>|<release>|<deadline>|<proc>|<preemptive>" *)
     str "\nT";
-    int t.Task.id;
+    int i;
     chr '|';
-    str t.Task.name;
+    str c.App.names.(i);
     chr '|';
-    int t.Task.compute;
+    int c.App.compute.(i);
     chr '|';
-    int t.Task.release;
+    int c.App.release.(i);
     chr '|';
-    int t.Task.deadline;
+    int c.App.deadline.(i);
     chr '|';
-    str t.Task.proc;
+    str c.App.proc.(i);
     chr '|';
-    str (string_of_bool t.Task.preemptive);
-    List.iter (pair '|') t.Task.demands
+    str (string_of_bool c.App.preemptive.(i));
+    List.iter (pair '|') c.App.demands.(i)
   done;
   (* Dag keeps each successor list sorted, so its edge walk is already
      in (src, dst) order. *)
@@ -130,6 +130,12 @@ let instance_fingerprint system app =
 let bounds_of results =
   Array.to_list (Array.map (fun r -> r.Soa.r_bound) results)
 
+(* The packed instance's windows, copied: an edit writes the packed
+   arrays and [Soa.restore] reads the base's back. *)
+let copy_windows soa =
+  let w = Soa.est_lct soa in
+  { Windows.est = Array.copy w.Windows.est; lct = Array.copy w.Windows.lct }
+
 let create ?pool ?deadline_ns ?tracer system app =
   let tr = Option.value tracer ~default:Rtlb_obs.Tracer.null in
   Rtlb_obs.Tracer.with_span tr "analyze" (fun () ->
@@ -142,7 +148,7 @@ let create ?pool ?deadline_ns ?tracer system app =
       let windows =
         Rtlb_obs.Tracer.with_span tr "est_lct" (fun () ->
             Soa.compute_windows soa;
-            Soa.windows soa)
+            copy_windows soa)
       in
       let cache = Tbl.create 64 in
       let results, completeness =
@@ -180,17 +186,17 @@ let rerun ?pool ?deadline_ns ?tracer t app tasks =
       Fun.protect
         ~finally:(fun () -> Soa.restore soa t.i_app t.i_base.Analysis.windows)
       @@ fun () ->
+      let c = App.columns app in
       List.iter
         (fun i ->
-          let task = App.task app i in
-          Soa.edit_task soa i ~release:task.Task.release
-            ~deadline:task.Task.deadline ~compute:task.Task.compute)
+          Soa.edit_task soa i ~release:c.App.release.(i)
+            ~deadline:c.App.deadline.(i) ~compute:c.App.compute.(i))
         tasks;
       let cone, windows =
         Rtlb_obs.Tracer.with_span tr "est_lct" (fun () ->
             match Soa.sweep_cone soa with
             | 0 -> (0, t.i_base.Analysis.windows)
-            | cone -> (cone, Soa.windows soa))
+            | cone -> (cone, copy_windows soa))
       in
       if Rtlb_obs.Tracer.enabled tr then
         Rtlb_obs.Tracer.add tr Rtlb_obs.Tracer.Cone_tasks cone;
@@ -228,30 +234,29 @@ let rerun ?pool ?deadline_ns ?tracer t app tasks =
    names, processor types, resource demands, preemptability, the graph
    itself — which escapes the edit path's invalidation rules. *)
 let changed base app =
-  if App.n_tasks base <> App.n_tasks app then None
+  let a = App.columns base and b = App.columns app in
+  (* columns an edit keeps are shared; others are compared *)
+  let same eq x y = x == y || Array.for_all2 eq x y in
+  if
+    App.n_tasks base <> App.n_tasks app
+    || not
+         (same String.equal a.App.names b.App.names
+         && same String.equal a.App.proc b.App.proc
+         && same ( = ) a.App.demands b.App.demands
+         && same Bool.equal a.App.preemptive b.App.preemptive)
+  then None
   else begin
-    let tasks = ref [] and compatible = ref true in
+    let tasks = ref [] in
     for i = App.n_tasks base - 1 downto 0 do
-      let a = App.task base i and b = App.task app i in
       if
-        a.Task.id = b.Task.id
-        && String.equal a.Task.name b.Task.name
-        && String.equal a.Task.proc b.Task.proc
-        && a.Task.resources = b.Task.resources
-        && a.Task.demands = b.Task.demands
-        && a.Task.preemptive = b.Task.preemptive
-      then begin
-        if
-          a.Task.release <> b.Task.release
-          || a.Task.deadline <> b.Task.deadline
-          || a.Task.compute <> b.Task.compute
-        then tasks := i :: !tasks
-      end
-      else compatible := false
+        a.App.release.(i) <> b.App.release.(i)
+        || a.App.deadline.(i) <> b.App.deadline.(i)
+        || a.App.compute.(i) <> b.App.compute.(i)
+      then tasks := i :: !tasks
     done;
-    (* [apply] edits through [App.map_tasks], which keeps the graph, so
-       edge lists are compared only for distinct graphs; [Dag]'s edge
-       walk runs in (src, dst) order, so equal graphs give equal lists. *)
+    (* [apply] keeps the graph, so edge lists are compared only for
+       distinct graphs; [Dag]'s edge walk runs in (src, dst) order, so
+       equal graphs give equal lists. *)
     let same_graph () =
       let g = App.graph base and g' = App.graph app in
       g == g'
@@ -262,7 +267,7 @@ let changed base app =
       in
       edges g = edges g'
     in
-    if !compatible && same_graph () then Some !tasks else None
+    if same_graph () then Some !tasks else None
   end
 
 let query ?pool ?deadline_ns ?tracer t app =
@@ -289,19 +294,25 @@ let apply app edits =
         invalid_arg
           (Printf.sprintf "Incremental.apply: task %d outside [0, %d)" task n))
     edits;
-  let edited =
-    App.map_tasks app ~f:(fun task ->
-        List.fold_left
-          (fun acc -> function
-            | Set_release { task = i; release } when i = acc.Task.id ->
-                Task.with_release acc release
-            | Set_deadline { task = i; deadline } when i = acc.Task.id ->
-                Task.with_deadline acc deadline
-            | Set_compute { task = i; compute } when i = acc.Task.id ->
-                Task.with_compute acc compute
-            | _ -> acc)
-          task edits)
-  in
+  let c = App.columns app in
+  let release = Array.copy c.App.release
+  and deadline = Array.copy c.App.deadline
+  and compute = Array.copy c.App.compute in
+  (* Task by task in id order, each task's edits in list order: the
+     first edit to fail raises the message [Task.with_*] would. *)
+  List.iter
+    (function
+      | Set_release { task = i; release = r } ->
+          Task.check_release ~compute:compute.(i) ~deadline:deadline.(i) r;
+          release.(i) <- r
+      | Set_deadline { task = i; deadline = d } ->
+          Task.check_deadline ~release:release.(i) ~compute:compute.(i) d;
+          deadline.(i) <- d
+      | Set_compute { task = i; compute = k } ->
+          Task.check_compute ~release:release.(i) ~deadline:deadline.(i) k;
+          compute.(i) <- k)
+    (List.stable_sort (fun a b -> Int.compare (task_of a) (task_of b)) edits);
+  let edited = App.with_times app ~compute ~release ~deadline in
   match App.check_range edited with
   | Ok () -> edited
   | Error e -> invalid_arg ("Incremental.apply: " ^ e)

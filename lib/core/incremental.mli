@@ -22,7 +22,8 @@
       results are value-identical to {!Analysis.run} on the perturbed
       application (property-tested across random instances and edit
       sequences, against it and the record oracle).  As in
-      {!Analysis.run}, merge sets and traces are left empty.
+      {!Analysis.run}, the windows are two arrays, copied out of the
+      packed instance before it is restored.
 
     Queries on applications that differ in anything beyond the
     release/compute/deadline triples (names, processors, demands,
@@ -89,10 +90,13 @@ type edit =
       (** Single-field what-if edits, addressed by task id. *)
 
 val apply : App.t -> edit list -> App.t
-(** The application with the edits applied left to right.
-    @raise Invalid_argument when a task id is out of range or an edit
-      breaks [release + compute <= deadline] (see {!Task.with_deadline}
-      and friends). *)
+(** The application with the edits applied left to right: its release,
+    deadline and compute columns copied and written, everything else
+    shared ({!App.with_times}).
+    @raise Invalid_argument when a task id is out of range, or else
+      when an edit breaks [release + compute <= deadline], with the
+      message of {!Task.with_deadline} and friends for the first such
+      edit of the lowest such task id. *)
 
 val edit :
   ?pool:Rtlb_par.Pool.t ->

@@ -13,7 +13,7 @@ let theta ?resource ~est ~lct app tasks ~t1 ~t2 =
       let weight =
         match resource with
         | None -> 1
-        | Some r -> Task.units (App.task app i) r
+        | Some r -> App.units app i r
       in
       acc + (weight * Overlap.of_task ~est ~lct app i ~t1 ~t2))
     0 tasks
@@ -44,21 +44,21 @@ module Theta_kernel = struct
   }
 
   let make ?resource ~est ~lct app tasks ~t1 =
+    let cols = App.columns app in
     let events = ref [] in
     let add thr ds di = events := (thr, ds, di) :: !events in
     List.iter
       (fun i ->
-        let task = App.task app i in
         let w =
-          match resource with None -> 1 | Some r -> Task.units task r
+          match resource with None -> 1 | Some r -> App.units app i r
         in
-        let c = task.Task.compute in
+        let c = cols.App.compute.(i) in
         let e = est.(i) and l = lct.(i) in
         if w > 0 && c > 0 && l > t1 then begin
           let k = min c (c - (t1 - e)) in
           if k > 0 then begin
             let m =
-              if task.Task.preemptive then l - c + max 0 (t1 - e)
+              if cols.App.preemptive.(i) then l - c + max 0 (t1 - e)
               else max (l - c) t1
             in
             if e >= m + k then
@@ -174,10 +174,10 @@ let ceil_div a b = (a + b - 1) / b
 let merge_scans (lb, wit) (b, w) = if b > lb then (b, w) else (lb, wit)
 
 (* The candidate points of one block, as the scan array.  The compute
-   times the `Enriched policy needs are read from the task records. *)
+   times the `Enriched policy needs are read from the compute column. *)
 let block_points ?(policy = `Endpoints) ~est ~lct app tasks ~lo ~hi =
   points ~policy ~est ~lct
-    ~compute:(fun i -> (App.task app i).Task.compute)
+    ~compute:(Array.get (App.columns app).App.compute)
     tasks ~lo ~hi
 
 (* The densest interval starting at pts.(a): one prefix-sum kernel for

@@ -14,9 +14,9 @@ let psi ~preemptive ~est ~lct ~compute ~t1 ~t2 =
     min (min compute head) (min tail split)
 
 let of_task ~est ~lct app i ~t1 ~t2 =
-  let task = App.task app i in
-  psi ~preemptive:task.Task.preemptive ~est:est.(i) ~lct:lct.(i)
-    ~compute:task.Task.compute ~t1 ~t2
+  let c = App.columns app in
+  psi ~preemptive:c.App.preemptive.(i) ~est:est.(i) ~lct:lct.(i)
+    ~compute:c.App.compute.(i) ~t1 ~t2
 
 (* Exhaustive minimisation used as the test oracle.  A non-preemptive task
    occupies one window [s, s+C]; a preemptive one can be split arbitrarily,

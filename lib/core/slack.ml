@@ -7,13 +7,16 @@ type report = {
 }
 
 let criticality ~est ~lct app i =
-  let task = App.task app i in
   let window = lct.(i) - est.(i) in
-  { ts_task = i; ts_window = window; ts_slack = window - task.Task.compute }
+  {
+    ts_task = i;
+    ts_window = window;
+    ts_slack = window - (App.columns app).App.compute.(i);
+  }
 
 let analyse (a : Analysis.t) =
-  let est = a.Analysis.windows.Est_lct.est in
-  let lct = a.Analysis.windows.Est_lct.lct in
+  let est = a.Analysis.windows.Windows.est in
+  let lct = a.Analysis.windows.Windows.lct in
   let slacks =
     List.init (App.n_tasks a.Analysis.app) (fun i ->
         criticality ~est ~lct a.Analysis.app i)
@@ -36,7 +39,7 @@ let analyse (a : Analysis.t) =
 
 let render app r =
   let buf = Buffer.create 256 in
-  let name i = (App.task app i).Task.name in
+  let name = Array.get (App.columns app).App.names in
   Buffer.add_string buf "critical tasks (zero slack): ";
   Buffer.add_string buf
     (if r.r_critical = [] then "none\n"

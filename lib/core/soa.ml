@@ -86,8 +86,8 @@ type t = {
   procs : string array;
   nts : System.node_type array;  (* [] for shared systems *)
   (* window outputs, computed in place *)
-  est : ia;
-  lct : ia;
+  est : int array;
+  lct : int array;
   sweep : sweep_ws;
   mutable flags : int array;  (* of an edit in progress; [||] before one *)
 }
@@ -108,6 +108,7 @@ let rec iter_demands f code i = function
 let pack system app =
   let n = App.n_tasks app in
   let g = App.graph app in
+  let cols = App.columns app in
   let nts = Array.of_list (System.node_types system) in
   let host_words = max 1 ((Array.length nts + mask_bits - 1) / mask_bits) in
   let release = ia n
@@ -122,15 +123,12 @@ let pack system app =
   (* a name physically equal to the last one looked up (the [.app]
      reader interns names) keeps its code without a hash *)
   let last_proc = ref "" and last_code = ref (-1) in
-  let names = Array.make n "" in
   for i = 0 to n - 1 do
-    let task = App.task app i in
-    names.(i) <- task.Task.name;
-    release.{i} <- task.Task.release;
-    deadline.{i} <- task.Task.deadline;
-    compute.{i} <- task.Task.compute;
-    preempt.{i} <- (if task.Task.preemptive then 1 else 0);
-    let p = task.Task.proc in
+    release.{i} <- cols.App.release.(i);
+    deadline.{i} <- cols.App.deadline.(i);
+    compute.{i} <- cols.App.compute.(i);
+    preempt.{i} <- (if cols.App.preemptive.(i) then 1 else 0);
+    let p = cols.App.proc.(i) in
     if !last_code < 0 || p != !last_proc then begin
       last_proc := p;
       last_code :=
@@ -145,7 +143,8 @@ let pack system app =
     end;
     proc.{i} <- !last_code;
     for k = 0 to Array.length nts - 1 do
-      if System.node_can_host nts.(k) task then begin
+      if System.can_host nts.(k) ~proc:p ~demands:cols.App.demands.(i)
+      then begin
         let w = (i * host_words) + (k / mask_bits) in
         host.{w} <- host.{w} lor (1 lsl (k mod mask_bits))
       end
@@ -171,7 +170,7 @@ let pack system app =
   let each_demand f =
     for i = 0 to n - 1 do
       f i proc_res.(proc.{i}) 1;
-      iter_demands f res_code i (App.task app i).Task.demands
+      iter_demands f res_code i cols.App.demands.(i)
     done
   in
   let res_off = ia (nr + 1) in
@@ -204,18 +203,19 @@ let pack system app =
     res_off;
     res_task;
     res_units;
-    names;
+    names = cols.App.names;
     procs;
     nts;
-    est = ia n;
-    lct = ia n;
+    est = Array.make n 0;
+    lct = Array.make n 0;
     sweep = sweep_ws ();
     flags = [||];
   }
 
-(* Rebuild an [App.t] from the packed arrays alone — [pack] keeps no
-   reference to the application (the edges come from the CSR rows it
-   borrowed), which is what makes the round-trip test meaningful. *)
+(* Rebuild an [App.t] from the packed arrays.  [pack] shares only the
+   application's names column (and the graph's CSR rows, which give the
+   edges); every other field is rebuilt from the packed arrays, which is
+   what makes the round-trip test meaningful. *)
 let unpack t =
   let n = t.n in
   (* invert the per-resource member table into per-task demand lists *)
@@ -276,8 +276,8 @@ let[@inline] combine is_est (a : int) b =
 (* The msg bound of the neighbour at CSR position [p] of [rows]. *)
 let[@inline] msg_bound t is_est (rows : Dag.csr) p =
   let j = rows.Dag.adj.(p) in
-  if is_est then t.est.{j} + t.compute.{j} + rows.Dag.weight.(p)
-  else t.lct.{j} - t.compute.{j} - rows.Dag.weight.(p)
+  if is_est then t.est.(j) + t.compute.{j} + rows.Dag.weight.(p)
+  else t.lct.(j) - t.compute.{j} - rows.Dag.weight.(p)
 
 (* Whether the neighbour at CSR position [p] is in task [i]'s merge pool:
    the same processor type on a shared system ([k] < 0), or a host of
@@ -333,7 +333,7 @@ let scan_pool t ws is_est rows i k d0 d1 boundary best =
        sorted by window value for the sequential bound *)
     for k = 1 to pl do
       let j = ws.cid.(k - 1) in
-      let v = if is_est then t.est.{j} else t.lct.{j} in
+      let v = if is_est then t.est.(j) else t.lct.(j) in
       let c = t.compute.{j} in
       let x = ref (k - 1) in
       while
@@ -389,36 +389,14 @@ let compute_windows t =
   let ws = t.sweep in
   for k = 0 to t.n - 1 do
     let i = t.topo.(k) in
-    t.est.{i} <- sweep_task t ws ~is_est:true i
+    t.est.(i) <- sweep_task t ws ~is_est:true i
   done;
   for k = t.n - 1 downto 0 do
     let i = t.topo.(k) in
-    t.lct.{i} <- sweep_task t ws ~is_est:false i
+    t.lct.(i) <- sweep_task t ws ~is_est:false i
   done
 
-(* The windows record, values only: merge traces are an explanation
-   artifact of the record engine and are left empty here. *)
-let windows t =
-  let est = Array.init t.n (fun i -> t.est.{i})
-  and lct = Array.init t.n (fun i -> t.lct.{i}) in
-  let trace v =
-    Array.init t.n (fun i ->
-        {
-          Est_lct.center = i;
-          no_merge_bound = v.(i);
-          steps = [];
-          bound = v.(i);
-          merged = [];
-        })
-  in
-  {
-    Est_lct.est;
-    lct;
-    est_merged = Array.make t.n [];
-    lct_merged = Array.make t.n [];
-    est_trace = trace est;
-    lct_trace = trace lct;
-  }
+let est_lct t = { Windows.est = t.est; lct = t.lct }
 
 (* ------------------------------------------------------------------ *)
 (* Partition and block planning                                        *)
@@ -439,7 +417,7 @@ let[@inline] narrow ~lo ~hi limit =
    [0, range). *)
 let[@inline] sort_key t by_est base p =
   let i = t.res_task.{p} in
-  if by_est then t.est.{i} - base else base - t.lct.{i}
+  if by_est then t.est.(i) - base else base - t.lct.(i)
 
 let counting_pass t ~by_est ~base ~range src dst =
   let count = Array.make (range + 1) 0 in
@@ -474,10 +452,10 @@ let partition_resource t r_idx =
   let lmin = ref max_int and lmax = ref min_int in
   for p = m0 to m1 - 1 do
     let i = t.res_task.{p} in
-    emin := imin !emin t.est.{i};
-    emax := imax !emax t.est.{i};
-    lmin := imin !lmin t.lct.{i};
-    lmax := imax !lmax t.lct.{i}
+    emin := imin !emin t.est.(i);
+    emax := imax !emax t.est.(i);
+    lmin := imin !lmin t.lct.(i);
+    lmax := imax !lmax t.lct.(i)
   done;
   let limit = (4 * nm) + 1024 in
   if
@@ -494,10 +472,10 @@ let partition_resource t r_idx =
     Array.stable_sort
       (fun pa pb ->
         let a = t.res_task.{pa} and b = t.res_task.{pb} in
-        let c = compare t.est.{a} t.est.{b} in
+        let c = compare t.est.(a) t.est.(b) in
         if c <> 0 then c
         else
-          let c = compare t.lct.{b} t.lct.{a} in
+          let c = compare t.lct.(b) t.lct.(a) in
           if c <> 0 then c else compare a b)
       ord;
   if nm = 0 then (ord, [])
@@ -505,18 +483,18 @@ let partition_resource t r_idx =
     let ranges = ref [] in
     let start = ref 0 in
     let first = t.res_task.{ord.(0)} in
-    let s = ref t.est.{first} and f = ref t.lct.{first} in
+    let s = ref t.est.(first) and f = ref t.lct.(first) in
     for x = 1 to nm - 1 do
       let i = t.res_task.{ord.(x)} in
-      if t.est.{i} < !f then begin
-        if t.est.{i} < !s then s := t.est.{i};
-        if t.lct.{i} > !f then f := t.lct.{i}
+      if t.est.(i) < !f then begin
+        if t.est.(i) < !s then s := t.est.(i);
+        if t.lct.(i) > !f then f := t.lct.(i)
       end
       else begin
         ranges := (!start, x, !s, !f) :: !ranges;
         start := x;
-        s := t.est.{i};
-        f := t.lct.{i}
+        s := t.est.(i);
+        f := t.lct.(i)
       end
     done;
     (ord, List.rev ((!start, nm, !s, !f) :: !ranges))
@@ -582,8 +560,8 @@ let block_points t ord x0 x1 lo hi =
     mark hi;
     for x = x0 to x1 - 1 do
       let i = t.res_task.{ord.(x)} in
-      mark t.est.{i};
-      mark t.lct.{i}
+      mark t.est.(i);
+      mark t.lct.(i)
     done;
     let pts = Array.make !np 0 in
     let k = ref 0 in
@@ -609,8 +587,8 @@ let block_points t ord x0 x1 lo hi =
     in
     for x = x0 to x1 - 1 do
       let i = t.res_task.{ord.(x)} in
-      add t.est.{i};
-      add t.lct.{i}
+      add t.est.(i);
+      add t.lct.(i)
     done;
     let raw = Array.sub raw 0 !np in
     Array.sort Int.compare raw;
@@ -673,8 +651,8 @@ let plan_block t ~prune ord (x0, x1, lo, hi) =
     let c = t.compute.{i} in
     if w > 0 && c > 0 then begin
       let o = !used in
-      cls.(o) <- t.est.{i};
-      cls.(o + 1) <- t.lct.{i};
+      cls.(o) <- t.est.(i);
+      cls.(o + 1) <- t.lct.(i);
       cls.(o + 2) <- c;
       cls.(o + 3) <- w;
       cls.(o + 4) <- t.preempt.{i};
@@ -835,8 +813,8 @@ let block_key t r_idx ord x0 x1 =
   for x = x0 to x1 - 1 do
     let i = t.res_task.{ord.(x)} and o = 1 + (4 * (x - x0)) in
     key.(o) <- i;
-    key.(o + 1) <- t.est.{i};
-    key.(o + 2) <- t.lct.{i};
+    key.(o + 1) <- t.est.(i);
+    key.(o + 2) <- t.lct.(i);
     key.(o + 3) <- t.compute.{i}
   done;
   key
@@ -1069,8 +1047,8 @@ let resweep t flags ~is_est i =
   then begin
     let v = sweep_task t t.sweep ~is_est i in
     let w = if is_est then t.est else t.lct in
-    flags.(i) <- flags.(i) lor bit lor if v <> w.{i} then moved_bit else 0;
-    w.{i} <- v;
+    flags.(i) <- flags.(i) lor bit lor if v <> w.(i) then moved_bit else 0;
+    w.(i) <- v;
     1
   end
   else 0
@@ -1086,16 +1064,15 @@ let sweep_cone t =
   done;
   !cone
 
-let restore t app (w : Est_lct.t) =
-  let flags = t.flags in
+let restore t app (w : Windows.t) =
+  let c = App.columns app and flags = t.flags in
   for i = 0 to Array.length flags - 1 do
     if flags.(i) <> 0 then begin
-      let task = App.task app i in
-      t.release.{i} <- task.Task.release;
-      t.deadline.{i} <- task.Task.deadline;
-      t.compute.{i} <- task.Task.compute;
-      t.est.{i} <- w.Est_lct.est.(i);
-      t.lct.{i} <- w.Est_lct.lct.(i);
+      t.release.{i} <- c.App.release.(i);
+      t.deadline.{i} <- c.App.deadline.(i);
+      t.compute.{i} <- c.App.compute.(i);
+      t.est.(i) <- w.Windows.est.(i);
+      t.lct.(i) <- w.Windows.lct.(i);
       flags.(i) <- 0
     end
   done

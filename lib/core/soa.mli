@@ -8,9 +8,8 @@
     place, not copied), with no per-task allocation.  This is the engine
     behind {!Analysis.run} and {!Incremental}.  Results (windows,
     bounds, witnesses, partitions) are bit-identical to the record path
-    ({!Est_lct} / {!Lower_bound}); the only divergence is that merge
-    sets and {e traces} are left empty — {!Est_lct.compute} records
-    them.
+    ({!Est_lct} / {!Lower_bound}), except that no merge sets or
+    {e traces} are built — {!Est_lct.compute} records them.
 
     The interval scan adds {e candidate-interval dominance pruning}: an
     O(n + span) precomputation per block (O(n log p) on a block too wide
@@ -39,11 +38,12 @@
 
 type t
 (** A packed instance.  The window arrays ([est]/[lct]) live inside and
-    are computed in place. *)
+    are computed in place; the task names are the application's column,
+    borrowed. *)
 
 val pack : System.t -> App.t -> t
-(** Compile an instance into packed arrays.  Window arrays start
-    uninitialised; call {!compute_windows}.  Dedicated systems with any
+(** Compile an instance into packed arrays, reading the application's
+    columns.  Window arrays start at zero; call {!compute_windows}.  Dedicated systems with any
     number of node types are supported: hostability takes one mask word
     per task for up to 61 node types (on 64-bit), one more word per
     further 61. *)
@@ -59,9 +59,9 @@ val compute_windows : t -> unit
     first-order and reuses its instance's scratch, so it allocates no
     minor words unless a task has more neighbours than any before. *)
 
-val windows : t -> Est_lct.t
-(** The windows as the record type: values copied from the packed
-    arrays, merge sets and traces empty. *)
+val est_lct : t -> Windows.t
+(** The window arrays {!compute_windows} filled.  Shared, not copied:
+    {!edit_task}, {!sweep_cone} and {!restore} write them. *)
 
 val bounds :
   ?prune:bool ->
@@ -132,6 +132,6 @@ val sweep_cone : t -> int
     predecessors (LCT, reverse order) and re-sweep each marked task in
     place.  Returns the cone size: EST plus LCT re-sweeps. *)
 
-val restore : t -> App.t -> Est_lct.t -> unit
+val restore : t -> App.t -> Windows.t -> unit
 (** Put back, for every task an edit touched, its scalars from [app]
     and its windows from the given ones, and clear the marks. *)

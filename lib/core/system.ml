@@ -66,14 +66,21 @@ let node_provides nt r =
   in
   if String.equal r nt.nt_proc then from_resources + 1 else from_resources
 
-let node_can_host nt (task : Task.t) =
-  String.equal nt.nt_proc task.Task.proc
+let can_host nt ~proc ~demands =
+  String.equal nt.nt_proc proc
   && List.for_all
        (fun (r, k) ->
          match List.assoc_opt r nt.nt_provides with
          | Some available -> available >= k
          | None -> false)
-       task.Task.demands
+       demands
+
+let node_can_host nt (task : Task.t) =
+  can_host nt ~proc:task.Task.proc ~demands:task.Task.demands
+
+(* [node_can_host nt] for task [i] of [c]. *)
+let hosts nt (c : App.columns) i =
+  can_host nt ~proc:c.App.proc.(i) ~demands:c.App.demands.(i)
 
 let eligible_nodes t task =
   match t with
@@ -81,12 +88,10 @@ let eligible_nodes t task =
   | Dedicated nts -> List.filter (fun nt -> node_can_host nt task) nts
 
 let merge_pools t app ~center candidates =
-  let ct = App.task app center in
+  let c = App.columns app in
   let same_proc =
     List.filter
-      (fun j ->
-        j <> center
-        && String.equal (App.task app j).Task.proc ct.Task.proc)
+      (fun j -> j <> center && String.equal c.App.proc.(j) c.App.proc.(center))
       candidates
   in
   match t with
@@ -94,11 +99,9 @@ let merge_pools t app ~center candidates =
   | Dedicated nts ->
       List.filter_map
         (fun nt ->
-          if not (node_can_host nt ct) then None
+          if not (hosts nt c center) then None
           else
-            let pool =
-              List.filter (fun j -> node_can_host nt (App.task app j)) same_proc
-            in
+            let pool = List.filter (hosts nt c) same_proc in
             if pool = [] then None else Some pool)
         nts
       |> List.sort_uniq compare
@@ -107,7 +110,8 @@ let mergeable t app ids =
   match ids with
   | [] | [ _ ] -> true
   | first :: rest -> (
-      let proc_of i = (App.task app i).Task.proc in
+      let c = App.columns app in
+      let proc_of i = c.App.proc.(i) in
       let same_proc =
         List.for_all (fun i -> String.equal (proc_of i) (proc_of first)) rest
       in
@@ -122,25 +126,24 @@ let mergeable t app ids =
           List.exists
             (fun nt ->
               String.equal nt.nt_proc (proc_of first)
-              && List.for_all
-                   (fun i -> node_can_host nt (App.task app i))
-                   ids)
+              && List.for_all (hosts nt c) ids)
             nts)
 
 let validate_for t app =
   match t with
   | Shared _ -> Ok ()
   | Dedicated _ ->
+      let nts = node_types t and c = App.columns app in
       let missing = ref [] in
-      Array.iter
-        (fun (task : Task.t) ->
-          if eligible_nodes t task = [] then missing := task.Task.name :: !missing)
-        (App.tasks app);
+      for i = App.n_tasks app - 1 downto 0 do
+        if not (List.exists (fun nt -> hosts nt c i) nts) then
+          missing := c.App.names.(i) :: !missing
+      done;
       if !missing = [] then Ok ()
       else
         Error
           (Printf.sprintf "no node type can host task(s): %s"
-             (String.concat ", " (List.rev !missing)))
+             (String.concat ", " !missing))
 
 let pp ppf = function
   | Shared costs ->

@@ -60,6 +60,9 @@ val node_provides : node_type -> string -> int
 val node_can_host : node_type -> Task.t -> bool
 (** The node has the task's processor type and every resource it needs. *)
 
+val can_host : node_type -> proc:string -> demands:(string * int) list -> bool
+(** {!node_can_host} on a task's processor type and demands. *)
+
 val eligible_nodes : t -> Task.t -> node_type list
 (** [eta_i]: node types on which the task can execute (dedicated model). *)
 

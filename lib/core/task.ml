@@ -16,8 +16,31 @@ type t = {
 let window_holds ~release ~compute ~deadline =
   deadline >= release && compute <= deadline - release
 
-let make ?name ~id ?(release = 0) ~compute ~deadline ~proc ?(resources = [])
-    ?(preemptive = false) () =
+(* The sorted, grouped form of a resource list: a resource listed [k]
+   times demands [k] units. *)
+let group resources =
+  match resources with
+  | [] -> []
+  | [ r ] -> [ (r, 1) ]
+  | _ ->
+      List.fold_left
+        (fun acc r ->
+          match acc with
+          | (r', k) :: rest when String.equal r r' -> (r', k + 1) :: rest
+          | _ -> (r, 1) :: acc)
+        []
+        (List.sort String.compare resources)
+      |> List.rev
+
+(* Whether [demands] is what [group] returns: names strictly ascending,
+   units positive. *)
+let rec grouped = function
+  | [] -> true
+  | [ (_, k) ] -> k >= 1
+  | (r, k) :: ((r', _) :: _ as rest) ->
+      k >= 1 && String.compare r r' < 0 && grouped rest
+
+let check ~id ~compute ~release ~deadline ~proc ~demands =
   if id < 0 then invalid_arg "Task.make: negative id";
   if compute < 0 then invalid_arg "Task.make: negative computation time";
   if release < 0 then invalid_arg "Task.make: negative release time";
@@ -26,59 +49,64 @@ let make ?name ~id ?(release = 0) ~compute ~deadline ~proc ?(resources = [])
       (Printf.sprintf "Task.make: task %d cannot meet deadline (%d + %d > %d)"
          id release compute deadline);
   if proc = "" then invalid_arg "Task.make: empty processor type";
+  if not (grouped demands) then
+    invalid_arg "Task.make: demands not grouped (sorted names, positive units)";
+  if List.mem_assoc proc demands then
+    invalid_arg "Task.make: processor type listed among resources"
+
+let of_demands ~id ~name ~compute ~release ~deadline ~proc ~demands ~preemptive
+    =
+  check ~id ~compute ~release ~deadline ~proc ~demands;
+  { id; name; compute; release; deadline; proc;
+    resources = List.map fst demands; demands; preemptive }
+
+let make ~id ?name ~compute ?(release = 0) ~deadline ~proc ?(resources = [])
+    ?(preemptive = false) () =
   let name =
     match name with Some n -> n | None -> Printf.sprintf "T%d" (id + 1)
   in
-  let resources, demands =
-    match resources with
-    | [] -> ([], [])
-    | [ r ] -> (resources, [ (r, 1) ])
-    | _ ->
-        let demands =
-          List.fold_left
-            (fun acc r ->
-              match acc with
-              | (r', k) :: rest when String.equal r r' -> (r', k + 1) :: rest
-              | _ -> (r, 1) :: acc)
-            []
-            (List.sort String.compare resources)
-          |> List.rev
-        in
-        (List.map fst demands, demands)
-  in
-  if List.mem proc resources then
-    invalid_arg "Task.make: processor type listed among resources";
-  { id; name; compute; release; deadline; proc; resources; demands; preemptive }
-
-let make ~id ?name ~compute ?release ~deadline ~proc ?resources ?preemptive ()
-    =
-  make ?name ~id ?release ~compute ~deadline ~proc ?resources ?preemptive ()
+  of_demands ~id ~name ~compute ~release ~deadline ~proc
+    ~demands:(group resources) ~preemptive
 
 let needs t = t.proc :: t.resources
 
-let units t r =
-  if String.equal r t.proc then 1
-  else match List.assoc_opt r t.demands with Some k -> k | None -> 0
-let uses t r = String.equal r t.proc || List.exists (String.equal r) t.resources
+let demand_units ~proc ~demands r =
+  if String.equal r proc then 1
+  else match List.assoc_opt r demands with Some k -> k | None -> 0
+
+let demand_uses ~proc ~demands r =
+  String.equal r proc || List.mem_assoc r demands
+
+let units t r = demand_units ~proc:t.proc ~demands:t.demands r
+let uses t r = demand_uses ~proc:t.proc ~demands:t.demands r
 let laxity t = t.deadline - t.release - t.compute
 
 let with_preemptive t preemptive = { t with preemptive }
 
+let check_deadline ~release ~compute deadline =
+  if not (window_holds ~release ~compute ~deadline) then
+    invalid_arg "Task.with_deadline: deadline too tight"
+
+let check_release ~compute ~deadline release =
+  if release < 0 then invalid_arg "Task.with_release: negative release time";
+  if not (window_holds ~release ~compute ~deadline) then
+    invalid_arg "Task.with_release: release too late for the deadline"
+
+let check_compute ~release ~deadline compute =
+  if compute < 0 then invalid_arg "Task.with_compute: negative computation time";
+  if not (window_holds ~release ~compute ~deadline) then
+    invalid_arg "Task.with_compute: computation does not fit the window"
+
 let with_deadline t deadline =
-  if not (window_holds ~release:t.release ~compute:t.compute ~deadline) then
-    invalid_arg "Task.with_deadline: deadline too tight";
+  check_deadline ~release:t.release ~compute:t.compute deadline;
   { t with deadline }
 
 let with_release t release =
-  if release < 0 then invalid_arg "Task.with_release: negative release time";
-  if not (window_holds ~release ~compute:t.compute ~deadline:t.deadline) then
-    invalid_arg "Task.with_release: release too late for the deadline";
+  check_release ~compute:t.compute ~deadline:t.deadline release;
   { t with release }
 
 let with_compute t compute =
-  if compute < 0 then invalid_arg "Task.with_compute: negative computation time";
-  if not (window_holds ~release:t.release ~compute ~deadline:t.deadline) then
-    invalid_arg "Task.with_compute: computation does not fit the window";
+  check_compute ~release:t.release ~deadline:t.deadline compute;
   { t with compute }
 
 let equal a b =

@@ -40,6 +40,33 @@ val make :
     @raise Invalid_argument when [compute < 0], [release < 0],
       [release + compute > deadline], or [proc = ""]. *)
 
+val check :
+  id:int ->
+  compute:int ->
+  release:int ->
+  deadline:int ->
+  proc:string ->
+  demands:(string * int) list ->
+  unit
+(** The checks of {!make}, in its order and with its messages, on one
+    task's fields, the resources given as grouped demands: names
+    strictly ascending, units positive, as in {!t}.
+    @raise Invalid_argument as {!make} does, or when [demands] is not
+      grouped. *)
+
+val of_demands :
+  id:int ->
+  name:string ->
+  compute:int ->
+  release:int ->
+  deadline:int ->
+  proc:string ->
+  demands:(string * int) list ->
+  preemptive:bool ->
+  t
+(** The task {!make} builds from the resource list that [demands]
+    groups.  @raise Invalid_argument as {!check} does. *)
+
 val window_holds : release:int -> compute:int -> deadline:int -> bool
 (** [release + compute <= deadline] for non-negative [release] and
     [compute], decided without forming the sum, which can wrap past
@@ -55,6 +82,10 @@ val uses : t -> string -> bool
 val units : t -> string -> int
 (** Units of [r] the task holds while running: [1] for its processor
     type, the demanded count for resources, [0] otherwise. *)
+
+val demand_uses : proc:string -> demands:(string * int) list -> string -> bool
+val demand_units : proc:string -> demands:(string * int) list -> string -> int
+(** {!uses} and {!units} on a task's processor type and demands. *)
 
 val laxity : t -> int
 (** [deadline - release - compute]: slack available before any graph
@@ -75,6 +106,14 @@ val with_release : t -> int -> t
 val with_compute : t -> int -> t
 (** Same task with the computation time replaced.
     @raise Invalid_argument when negative or the window cannot hold it. *)
+
+val check_deadline : release:int -> compute:int -> int -> unit
+val check_release : compute:int -> deadline:int -> int -> unit
+
+val check_compute : release:int -> deadline:int -> int -> unit
+(** The checks of {!with_deadline}, {!with_release} and {!with_compute}
+    on a task's other two scalars, with their messages.
+    @raise Invalid_argument as they do. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

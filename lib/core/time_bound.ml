@@ -12,7 +12,7 @@ let with_omega app omega =
 let bounds_at system app omega =
   let scaled = with_omega app omega in
   let windows = Est_lct.compute system scaled in
-  match Est_lct.feasible_windows scaled windows with
+  match Windows.feasible scaled (Est_lct.windows windows) with
   | Error _ -> None
   | Ok () ->
       Some

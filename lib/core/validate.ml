@@ -51,22 +51,22 @@ let by_line diags =
     diags
 
 let spec_of_app app =
+  let c = App.columns app in
   let tasks =
-    Array.to_list (App.tasks app)
-    |> List.map (fun (t : Task.t) ->
-           {
-             ts_name = t.Task.name;
-             ts_compute = t.Task.compute;
-             ts_release = t.Task.release;
-             ts_deadline = t.Task.deadline;
-             ts_proc = t.Task.proc;
-             ts_demands = t.Task.demands;
-             ts_preemptive = t.Task.preemptive;
-             ts_period = None;
-             ts_line = None;
-           })
+    List.init (App.n_tasks app) (fun i ->
+        {
+          ts_name = c.App.names.(i);
+          ts_compute = c.App.compute.(i);
+          ts_release = c.App.release.(i);
+          ts_deadline = c.App.deadline.(i);
+          ts_proc = c.App.proc.(i);
+          ts_demands = c.App.demands.(i);
+          ts_preemptive = c.App.preemptive.(i);
+          ts_period = None;
+          ts_line = None;
+        })
   in
-  let name i = (App.task app i).Task.name in
+  let name = Array.get c.App.names in
   let edges =
     Dag.fold_edges (App.graph app) ~init:[] ~f:(fun acc ~src ~dst m ->
         { es_src = name src; es_dst = name dst; es_message = m; es_line = None }
@@ -382,28 +382,26 @@ let check_spec ~system ~tasks ~edges =
 (* ---------------- post-construction window checks ---------------- *)
 
 (* The E102/W203 window diagnostics of an instance the analysis can
-   take. *)
+   take, from the windows of the packed sweep. *)
 let window_diagnostics ~line_of ~system app =
-  let windows = Est_lct.compute system app in
+  let { Windows.est; lct } = Analysis.windows system app in
+  let cols = App.columns app in
   let acc = ref [] in
-  Array.iter
-    (fun (task : Task.t) ->
-      let i = task.Task.id in
-      let e = windows.Est_lct.est.(i)
-      and l = windows.Est_lct.lct.(i)
-      and c = task.Task.compute in
+  Array.iteri
+    (fun i name ->
+      let e = est.(i) and l = lct.(i) and c = cols.App.compute.(i) in
       if e + c > l then
         acc :=
           {
             d_code = "E102";
             d_severity = Error;
-            d_subject = "task " ^ task.Task.name;
+            d_subject = "task " ^ name;
             d_message =
               Printf.sprintf
                 "EST/LCT window [%d, %d] cannot hold compute %d \
                  (infeasible on every system of this model)"
                 e l c;
-            d_line = line_of task.Task.name;
+            d_line = line_of name;
           }
           :: !acc
       else if c > 0 && e + c = l then
@@ -411,16 +409,16 @@ let window_diagnostics ~line_of ~system app =
           {
             d_code = "W203";
             d_severity = Warning;
-            d_subject = "task " ^ task.Task.name;
+            d_subject = "task " ^ name;
             d_message =
               Printf.sprintf
                 "zero slack: EST/LCT window [%d, %d] exactly holds \
                  compute %d"
                 e l c;
-            d_line = line_of task.Task.name;
+            d_line = line_of name;
           }
           :: !acc)
-    (App.tasks app);
+    cols.App.names;
   by_line (List.rev !acc)
 
 let application_error code e =

@@ -255,13 +255,19 @@ let add_name tbl names i =
     if tbl.dup < 0 then tbl.dup <- i
   end
 
+(* [a] with twice the room, its first [len] entries kept. *)
+let grow a fill len =
+  let b = Array.make (2 * len) fill in
+  Array.blit a 0 b 0 len;
+  b
+
 (* Processor and resource names: one string per distinct name, with
-   the one-element demand list every task that needs only that name
+   the one-unit demand list every task that needs only that name
    shares. *)
 type interned = {
   index : name_table;
   mutable i_names : string array;
-  mutable i_single : string list array;
+  mutable i_single : (string * int) list array;
   mutable i_count : int;
 }
 
@@ -276,17 +282,12 @@ let intern t text start stop =
   else begin
     let k = t.i_count in
     if k = Array.length t.i_names then begin
-      let grow a fill =
-        let b = Array.make (2 * k) fill in
-        Array.blit a 0 b 0 k;
-        b
-      in
-      t.i_names <- grow t.i_names "";
-      t.i_single <- grow t.i_single []
+      t.i_names <- grow t.i_names "" k;
+      t.i_single <- grow t.i_single [] k
     end;
     let name = span text start stop in
     t.i_names.(k) <- name;
-    t.i_single.(k) <- [ name ];
+    t.i_single.(k) <- [ (name, 1) ];
     t.i_count <- k + 1;
     add_name t.index t.i_names k;
     k
@@ -297,53 +298,32 @@ let intern_string t s = intern_name t s 0 (String.length s)
 
 (* ---------------- declarations ---------------- *)
 
-(* Task declarations land in growable columns: the name, the interned
-   processor, the demands, and [task_width] ints each (compute, release,
-   deadline, period, line, flags) in one int array. *)
-let task_width = 6
-let preemptive_flag = 1
-let periodic_flag = 2
-
+(* Task declarations land in columns, one per field, sized by
+   [declaration_counts]; the strict parse hands them to
+   [App.of_columns]. *)
 type decls = {
   mutable n : int;
-  mutable names : string array;
-  mutable procs : string array;
-  mutable single : string list array;
-      (* the interned [[r]] of a res= naming one resource once, else [] *)
-  mutable demands : (string * int) list array;
-      (* grouped units of any other res=; counts may be bad *)
-  mutable ints : int array;
+  names : string array;
+  procs : string array;
+  demands : (string * int) list array;
+      (* the interned [[(r, 1)]] of a res= naming one resource once, else
+         the grouped units in first-occurrence order; counts may be bad *)
+  compute : int array;
+  release : int array;
+  deadline : int array;
+  period : int option array;  (* [Some] for a periodic task *)
+  lines : int array;
+  preemptive : bool array;
 }
 
-let decls () =
-  { n = 0; names = Array.make 16 ""; procs = Array.make 16 ""; single = Array.make 16 [];
-    demands = Array.make 16 []; ints = Array.make (16 * task_width) 0 }
+let decls cap =
+  let ints () = Array.make cap 0 in
+  { n = 0; names = Array.make cap ""; procs = Array.make cap "";
+    demands = Array.make cap []; compute = ints (); release = ints ();
+    deadline = ints (); period = Array.make cap None; lines = ints ();
+    preemptive = Array.make cap false }
 
-let grow_decls d =
-  let cap = Array.length d.names in
-  let grow a fill len =
-    let b = Array.make (2 * len) fill in
-    Array.blit a 0 b 0 len;
-    b
-  in
-  d.names <- grow d.names "" cap;
-  d.procs <- grow d.procs "" cap;
-  d.single <- grow d.single [] cap;
-  d.demands <- grow d.demands [] cap;
-  d.ints <- grow d.ints 0 (cap * task_width)
-
-let field_of d i f = d.ints.((i * task_width) + f)
-let compute_of d i = field_of d i 0
-let release_of d i = field_of d i 1
-let deadline_of d i = field_of d i 2
-let line_of d i = field_of d i 4
-let preemptive_of d i = field_of d i 5 land preemptive_flag <> 0
-let period_of d i =
-  if field_of d i 5 land periodic_flag <> 0 then Some (field_of d i 3) else None
-
-(* The grouped demands of task [i]. *)
-let demands_of d i =
-  match d.single.(i) with [ r ] -> [ (r, 1) ] | _ -> d.demands.(i)
+let line_of d i = d.lines.(i)
 
 let task_keys = [| "compute"; "period"; "deadline"; "proc"; "release"; "res" |]
 
@@ -373,28 +353,24 @@ let parse_task d names f line w =
   let proc = intern_name names w.text f.f_start.(3) f.f_stop.(3) in
   let release = if has f 4 then field_int line "release" w f 4 else 0 in
   let i = d.n in
-  if i = Array.length d.names then grow_decls d;
   d.names.(i) <- name;
   d.procs.(i) <- proc;
   (if has f 5 then
      let start = f.f_start.(5) and stop = f.f_stop.(5) in
      if start = stop then ()
      else if one_name w.text start stop then
-       d.single.(i) <- names.i_single.(intern names w.text start stop)
+       d.demands.(i) <- names.i_single.(intern names w.text start stop)
      else
        d.demands.(i) <-
          List.map
            (fun (r, k) -> (intern_string names r, k))
            (group_demands (counted_list (span w.text start stop))));
-  let o = i * task_width in
-  d.ints.(o) <- compute;
-  d.ints.(o + 1) <- release;
-  d.ints.(o + 2) <- deadline;
-  d.ints.(o + 3) <- period;
-  d.ints.(o + 4) <- line;
-  d.ints.(o + 5) <-
-    (if f.f_preemptive then preemptive_flag else 0)
-    lor if periodic then periodic_flag else 0;
+  d.compute.(i) <- compute;
+  d.release.(i) <- release;
+  d.deadline.(i) <- deadline;
+  d.period.(i) <- (if periodic then Some period else None);
+  d.lines.(i) <- line;
+  d.preemptive.(i) <- f.f_preemptive;
   d.n <- i + 1
 
 let parse_shared line w =
@@ -431,48 +407,48 @@ let parse_node f line w =
 
 (* ---------------- edges ---------------- *)
 
-(* Edges: [edge_width] ints each (line, source, destination, size) in one
-   int array that doubles when full.  An edge resolves its endpoints
-   against the tasks declared so far when it is read, while its words
-   are at hand; an endpoint not declared yet is -1, with its span kept
-   in [unresolved] as (field, start, stop), latest first, field being
-   the endpoint's index in [fields], and is looked up again once the
-   whole file is read. *)
-let edge_width = 4
-
+(* Edges: four columns (line, source, destination, size), sized by
+   [declaration_counts].  An edge resolves its endpoints against the
+   tasks declared so far when it is read, while its words are at hand;
+   an endpoint not declared yet is -1, with its span kept in
+   [unresolved] as (key, start, stop), latest first, [key] being [2 k]
+   for the source of edge [k] and [2 k + 1] for its destination, and is
+   looked up again once the whole file is read. *)
 type edge_store = {
-  mutable fields : int array;
+  e_line : int array;
+  e_src : int array;
+  e_dst : int array;
+  e_msg : int array;
   mutable n_edges : int;
   mutable unresolved : (int * int * int) list;
 }
 
-let edge_field st k f = st.fields.((k * edge_width) + f)
-let edge_line st k = edge_field st k 0
-let edge_src st k = edge_field st k 1
-let edge_dst st k = edge_field st k 2
-let edge_size st k = edge_field st k 3
+let edge_store cap =
+  { e_line = Array.make cap 0; e_src = Array.make cap 0; e_dst = Array.make cap 0;
+    e_msg = Array.make cap 0; n_edges = 0; unresolved = [] }
+
+let edge_line st k = st.e_line.(k)
+let edge_src st k = st.e_src.(k)
+let edge_dst st k = st.e_dst.(k)
+
+(* The endpoint column of a key: sources for even keys. *)
+let endpoints st key = if key land 1 = 0 then st.e_src else st.e_dst
 
 let push_edge st line src dst size =
-  let o = st.n_edges * edge_width in
-  if o = Array.length st.fields then begin
-    let grown = Array.make (2 * o) 0 in
-    Array.blit st.fields 0 grown 0 o;
-    st.fields <- grown
-  end;
-  let a = st.fields in
-  a.(o) <- line;
-  a.(o + 1) <- src;
-  a.(o + 2) <- dst;
-  a.(o + 3) <- size;
-  st.n_edges <- st.n_edges + 1
+  let k = st.n_edges in
+  st.e_line.(k) <- line;
+  st.e_src.(k) <- src;
+  st.e_dst.(k) <- dst;
+  st.e_msg.(k) <- size;
+  st.n_edges <- k + 1
 
-(* Word [f] of an edge line as endpoint [f] of the next edge. *)
+(* Word [f] (1 source, 2 destination) of an edge line as that endpoint
+   of the next edge. *)
 let endpoint st tbl names (w : words) f =
   let start = w.starts.(f) and stop = w.stops.(f) in
   let i = find_name tbl names w.text start stop in
   if i < 0 then
-    st.unresolved <-
-      ((st.n_edges * edge_width) + f, start, stop) :: st.unresolved;
+    st.unresolved <- ((2 * st.n_edges) + f - 1, start, stop) :: st.unresolved;
   i
 
 let read_edge st tbl names line w size =
@@ -483,8 +459,8 @@ let read_edge st tbl names line w size =
 (* Look up the endpoints left unresolved, now that every task is known. *)
 let resolve_rest st tbl names text =
   List.iter
-    (fun (field, start, stop) ->
-      st.fields.(field) <- find_name tbl names text start stop)
+    (fun (key, start, stop) ->
+      (endpoints st key).(key lsr 1) <- find_name tbl names text start stop)
     st.unresolved
 
 (* The name of endpoint [f] (1 source, 2 destination) of edge [k], as the
@@ -492,13 +468,14 @@ let resolve_rest st tbl names text =
 let endpoint_names st names text =
   let spans = Hashtbl.create 16 in
   List.iter
-    (fun (field, start, stop) -> Hashtbl.replace spans field (start, stop))
+    (fun (key, start, stop) -> Hashtbl.replace spans key (start, stop))
     st.unresolved;
   fun k f ->
-    let i = edge_field st k f in
+    let key = (2 * k) + f - 1 in
+    let i = (endpoints st key).(k) in
     if i >= 0 then names.(i)
     else
-      let start, stop = Hashtbl.find spans ((k * edge_width) + f) in
+      let start, stop = Hashtbl.find spans key in
       span text start stop
 
 type scanned = {
@@ -509,16 +486,40 @@ type scanned = {
   nodes : (int * Rtlb.System.node_type) list;
 }
 
+(* The number of lines whose first byte other than space, tab and
+   carriage return is 't', and of those where it is 'e'.  That byte
+   starts the line's first word, so these are the task and edge
+   declarations of a file that scans, and at least as many as a failing
+   scan reads: they size the columns, which never grow. *)
+let declaration_counts text =
+  let len = String.length text in
+  let tasks = ref 0 and edges = ref 0 in
+  let i = ref 0 in
+  while !i < len do
+    while !i < len && class_at text !i = 1 do
+      incr i
+    done;
+    (if !i < len then
+       match String.unsafe_get text !i with
+       | 't' -> incr tasks
+       | 'e' -> incr edges
+       | _ -> ());
+    while !i < len && String.unsafe_get text !i <> '\n' do
+      incr i
+    done;
+    incr i
+  done;
+  (!tasks, !edges)
+
 (* Tokenize the whole file into declarations.  Only syntax-level problems
    raise here; semantic ones (duplicates, cycles, bad quantities, dangling
    edges) survive into the result so both the strict constructor path
    and the diagnostic path can decide how to report them. *)
 let scan text =
-  let d = decls () and names = interned ()
+  let tasks, edges = declaration_counts text in
+  let d = decls tasks and names = interned ()
   and table = name_table ()
-  and edges =
-    { fields = Array.make (16 * edge_width) 0; n_edges = 0; unresolved = [] }
-  in
+  and edges = edge_store edges in
   let shared = ref None and nodes = ref [] in
   let w = { text; starts = Array.make 16 0; stops = Array.make 16 0; count = 0 } in
   let f =
@@ -564,18 +565,23 @@ let system_of line_of_conflict shared nodes =
       try Some (Rtlb.System.dedicated (List.map snd nodes))
       with Invalid_argument m -> fail 0 "%s" m)
 
+let rec check_units d i = function
+  | [] -> ()
+  | (_, k) :: rest ->
+      if k < 1 then fail (line_of d i) "task %s: zero resource units" d.names.(i);
+      check_units d i rest
+
+(* Task [i]'s units per resource, failing at the first count below one
+   in file order. *)
+let checked_demands d i =
+  let ds = d.demands.(i) in
+  check_units d i ds;
+  ds
+
 (* The resources task [i] lists, each repeated for its units: the form
-   Task.make expects. *)
+   Periodic.ptask expects. *)
 let resources_of d i =
-  match d.single.(i) with
-  | [ _ ] as one -> one
-  | _ ->
-      List.concat_map
-        (fun (r, k) ->
-          if k < 1 then
-            fail (line_of d i) "task %s: zero resource units" d.names.(i);
-          List.init k (fun _ -> r))
-        d.demands.(i)
+  List.concat_map (fun (r, k) -> List.init k (fun _ -> r)) (checked_demands d i)
 
 (* ---------------- strict parse ---------------- *)
 
@@ -636,9 +642,7 @@ let parse text =
       fail line "edge: unknown task %s" (endpoint_name k 2);
     fail line "edge: self loop on task %s" names.(edge_src edges k)
   end;
-  let src = Array.init m (edge_src edges)
-  and dst = Array.init m (edge_dst edges)
-  and msg = Array.init m (edge_size edges) in
+  let src = edges.e_src and dst = edges.e_dst and msg = edges.e_msg in
   let cycle_error ids =
     (* Map the Dag.Cycle payload back to names and the earliest source
        line of an edge on the cycle. *)
@@ -665,7 +669,7 @@ let parse text =
   in
   let periodic = ref false and one_shot = ref (-1) in
   for i = n - 1 downto 0 do
-    if period_of d i <> None then periodic := true else one_shot := i
+    if d.period.(i) <> None then periodic := true else one_shot := i
   done;
   let app =
     if !periodic then begin
@@ -679,10 +683,10 @@ let parse text =
         List.init n (fun i ->
             try
               Rtlb.Periodic.ptask ~name:names.(i)
-                ~period:(Option.get (period_of d i)) ~offset:(release_of d i)
-                ~compute:(compute_of d i) ~deadline:(deadline_of d i)
-                ~proc:d.procs.(i) ~resources:(resources_of d i)
-                ~preemptive:(preemptive_of d i) ()
+                ~period:(Option.get d.period.(i))
+                ~offset:d.release.(i) ~compute:d.compute.(i)
+                ~deadline:d.deadline.(i) ~proc:d.procs.(i)
+                ~resources:(resources_of d i) ~preemptive:d.preemptive.(i) ()
             with Invalid_argument msg ->
               fail (line_of d i) "task %s: %s" names.(i) msg)
       in
@@ -695,23 +699,48 @@ let parse text =
       | exception Dag.Cycle _ -> fail 0 "precedence cycle in task graph"
     end
     else begin
-      let tasks =
-        Array.init n (fun i ->
-            match
-              Rtlb.Task.make ~id:i ~name:names.(i) ~compute:(compute_of d i)
-                ~release:(release_of d i) ~deadline:(deadline_of d i)
-                ~proc:d.procs.(i) ~resources:(resources_of d i)
-                ~preemptive:(preemptive_of d i) ()
-            with
-            | task -> task
-            | exception Invalid_argument msg ->
-                duplicates m;
-                fail (line_of d i) "task %s: %s" names.(i) msg
-            | exception (Parse_error _ as e) ->
-                duplicates m;
-                raise e)
+      (* Each task's demands in Task.make's order (by name), checked
+         with its messages; equal multi-resource lists are shared. *)
+      let shared = Hashtbl.create 16 in
+      for i = 0 to n - 1 do
+        match
+          let ds =
+            match checked_demands d i with
+            | ([] | [ _ ]) as ds -> ds
+            | ds -> (
+                let ds =
+                  List.sort (fun (a, _) (b, _) -> String.compare a b) ds
+                in
+                match Hashtbl.find_opt shared ds with
+                | Some same -> same
+                | None ->
+                    Hashtbl.add shared ds ds;
+                    ds)
+          in
+          Rtlb.Task.check ~id:i ~compute:d.compute.(i) ~release:d.release.(i)
+            ~deadline:d.deadline.(i) ~proc:d.procs.(i) ~demands:ds;
+          d.demands.(i) <- ds
+        with
+        | () -> ()
+        | exception Invalid_argument msg ->
+            duplicates m;
+            fail (line_of d i) "task %s: %s" names.(i) msg
+        | exception (Parse_error _ as e) ->
+            duplicates m;
+            raise e
+      done;
+      let columns =
+        {
+          Rtlb.App.names = names;
+          compute = d.compute;
+          release = d.release;
+          deadline = d.deadline;
+          proc = d.procs;
+          demands = d.demands;
+          preemptive = d.preemptive;
+        }
       in
-      match Rtlb.App.of_arrays ~tasks ~src ~dst ~msg with
+      match Rtlb.App.of_columns columns ~src ~dst ~msg with
       | app -> app
       | exception Invalid_argument msg ->
           duplicates m;
@@ -725,12 +754,14 @@ let parse text =
   let system = system_of line_of_conflict shared nodes in
   { app; system }
 
-let parse_file path =
+(* The whole of a file, read to its end: a pipe or a terminal has no
+   length to size the read by. *)
+let read_file path =
   let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse text
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
+      In_channel.input_all ic)
+
+let parse_file path = parse (read_file path)
 
 (* ---------------- diagnostic (spec) path ---------------- *)
 
@@ -753,13 +784,13 @@ let parse_spec text =
       List.init d.n (fun i ->
           {
             Rtlb.Validate.ts_name = d.names.(i);
-            ts_compute = compute_of d i;
-            ts_release = release_of d i;
-            ts_deadline = deadline_of d i;
+            ts_compute = d.compute.(i);
+            ts_release = d.release.(i);
+            ts_deadline = d.deadline.(i);
             ts_proc = d.procs.(i);
-            ts_demands = demands_of d i;
-            ts_preemptive = preemptive_of d i;
-            ts_period = period_of d i;
+            ts_demands = d.demands.(i);
+            ts_preemptive = d.preemptive.(i);
+            ts_period = d.period.(i);
             ts_line = Some (line_of d i);
           });
     spec_edges =
@@ -767,19 +798,14 @@ let parse_spec text =
           {
             Rtlb.Validate.es_src = endpoint_name k 1;
             es_dst = endpoint_name k 2;
-            es_message = edge_size edges k;
+            es_message = edges.e_msg.(k);
             es_line = Some (edge_line edges k);
           });
     spec_system = system;
     spec_source = text;
   }
 
-let parse_spec_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse_spec text
+let parse_spec_file path = parse_spec (read_file path)
 
 let e100 line m =
   {
@@ -877,27 +903,27 @@ let add_counted buf scratch pairs =
 let to_string ?system app =
   let buf = Buffer.create 512 and scratch = Bytes.create 20 in
   let add = Buffer.add_string buf and int = add_int buf scratch in
-  Array.iter
-    (fun (task : Rtlb.Task.t) ->
-      add "task ";
-      add task.Rtlb.Task.name;
-      add " compute=";
-      int task.Rtlb.Task.compute;
-      add " release=";
-      int task.Rtlb.Task.release;
-      add " deadline=";
-      int task.Rtlb.Task.deadline;
-      add " proc=";
-      add task.Rtlb.Task.proc;
-      (match task.Rtlb.Task.demands with
-      | [] -> ()
-      | ds ->
-          add " res=";
-          add_counted buf scratch ds);
-      if task.Rtlb.Task.preemptive then add " preemptive";
-      Buffer.add_char buf '\n')
-    (Rtlb.App.tasks app);
-  let name i = (Rtlb.App.task app i).Rtlb.Task.name in
+  let c = Rtlb.App.columns app in
+  let name = Array.get c.Rtlb.App.names in
+  for i = 0 to Rtlb.App.n_tasks app - 1 do
+    add "task ";
+    add (name i);
+    add " compute=";
+    int c.Rtlb.App.compute.(i);
+    add " release=";
+    int c.Rtlb.App.release.(i);
+    add " deadline=";
+    int c.Rtlb.App.deadline.(i);
+    add " proc=";
+    add c.Rtlb.App.proc.(i);
+    (match c.Rtlb.App.demands.(i) with
+    | [] -> ()
+    | ds ->
+        add " res=";
+        add_counted buf scratch ds);
+    if c.Rtlb.App.preemptive.(i) then add " preemptive";
+    Buffer.add_char buf '\n'
+  done;
   Dag.fold_edges (Rtlb.App.graph app) ~init:() ~f:(fun () ~src ~dst m ->
       add "edge ";
       add (name src);

@@ -30,7 +30,8 @@ val parse : string -> t
       source line.  Never raises [Dag.Cycle] or [Invalid_argument]. *)
 
 val parse_file : string -> t
-(** @raise Parse_error and [Sys_error]. *)
+(** [parse] on the file read to its end, so a pipe or [/dev/stdin] reads
+    as a regular file does.  @raise Parse_error and [Sys_error]. *)
 
 (** {1 Diagnostic (spec) parsing}
 
@@ -53,7 +54,8 @@ val parse_spec : string -> spec
       malformed [key=value], non-integer fields, missing required keys). *)
 
 val parse_spec_file : string -> spec
-(** @raise Parse_error and [Sys_error]. *)
+(** [parse_spec] on the file read to its end, as {!parse_file} reads it.
+    @raise Parse_error and [Sys_error]. *)
 
 val check : spec -> Rtlb.Validate.diag list
 (** {!Rtlb.Validate.check_spec} over the declarations; when that finds no

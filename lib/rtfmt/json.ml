@@ -612,21 +612,21 @@ let walk_stats s (st : Rtlb_obs.Stats.t) =
 
 let of_stats st = build walk_stats st
 
-let rec task_names s app = function
+let rec task_names s names = function
   | [] -> ()
   | i :: rest ->
-      str s (Rtlb.App.task app i).Rtlb.Task.name;
-      task_names s app rest
+      str s names.(i);
+      task_names s names rest
 
-let rec blocks s app = function
+let rec blocks s names = function
   | [] -> ()
   | block :: rest ->
       list_open s;
-      task_names s app block;
+      task_names s names block;
       list_close s;
-      blocks s app rest
+      blocks s names rest
 
-let walk_bound s app (b : Rtlb.Lower_bound.bound) =
+let walk_bound s names (b : Rtlb.Lower_bound.bound) =
   obj_open s;
   key s "resource";
   str s b.Rtlb.Lower_bound.resource;
@@ -634,7 +634,7 @@ let walk_bound s app (b : Rtlb.Lower_bound.bound) =
   int s b.Rtlb.Lower_bound.lb;
   key s "partition";
   list_open s;
-  blocks s app b.Rtlb.Lower_bound.partition.Rtlb.Partition.blocks;
+  blocks s names b.Rtlb.Lower_bound.partition.Rtlb.Partition.blocks;
   list_close s;
   (match b.Rtlb.Lower_bound.witness with
   | None -> ()
@@ -699,8 +699,9 @@ let walk_cost s = function
 
 let walk_analysis ?stats s (a : Rtlb.Analysis.t) =
   let app = a.Rtlb.Analysis.app in
-  let est = a.Rtlb.Analysis.windows.Rtlb.Est_lct.est
-  and lct = a.Rtlb.Analysis.windows.Rtlb.Est_lct.lct in
+  let names = (Rtlb.App.columns app).Rtlb.App.names in
+  let est = a.Rtlb.Analysis.windows.Rtlb.Windows.est
+  and lct = a.Rtlb.Analysis.windows.Rtlb.Windows.lct in
   obj_open s;
   key s "tasks";
   int s (Rtlb.App.n_tasks app);
@@ -709,7 +710,7 @@ let walk_analysis ?stats s (a : Rtlb.Analysis.t) =
   for i = 0 to Rtlb.App.n_tasks app - 1 do
     obj_open s;
     key s "task";
-    str s (Rtlb.App.task app i).Rtlb.Task.name;
+    str s names.(i);
     key s "est";
     int s est.(i);
     key s "lct";
@@ -719,12 +720,12 @@ let walk_analysis ?stats s (a : Rtlb.Analysis.t) =
   list_close s;
   key s "bounds";
   list_open s;
-  List.iter (walk_bound s app) a.Rtlb.Analysis.bounds;
+  List.iter (walk_bound s names) a.Rtlb.Analysis.bounds;
   list_close s;
   key s "cost";
   walk_cost s a.Rtlb.Analysis.cost;
   key s "feasible_windows";
-  bool s (Result.is_ok (Rtlb.Est_lct.feasible_windows app a.Rtlb.Analysis.windows));
+  bool s (Result.is_ok (Rtlb.Windows.feasible app a.Rtlb.Analysis.windows));
   key s "partial";
   bool s (Rtlb.Analysis.is_partial a);
   (* Coverage only when partial: its value is timing-dependent, and

@@ -2,28 +2,28 @@ let windows_table (a : Rtlb.Analysis.t) =
   let t =
     Table.create [ "task"; "E"; "L"; "window"; "slack"; "critical" ]
   in
-  let est = a.Rtlb.Analysis.windows.Rtlb.Est_lct.est in
-  let lct = a.Rtlb.Analysis.windows.Rtlb.Est_lct.lct in
-  Array.iter
-    (fun (task : Rtlb.Task.t) ->
-      let i = task.Rtlb.Task.id in
+  let est = a.Rtlb.Analysis.windows.Rtlb.Windows.est in
+  let lct = a.Rtlb.Analysis.windows.Rtlb.Windows.lct in
+  let c = Rtlb.App.columns a.Rtlb.Analysis.app in
+  Array.iteri
+    (fun i name ->
       let window = lct.(i) - est.(i) in
-      let slack = window - task.Rtlb.Task.compute in
+      let slack = window - c.Rtlb.App.compute.(i) in
       Table.add_row t
         [
-          task.Rtlb.Task.name;
+          name;
           string_of_int est.(i);
           string_of_int lct.(i);
           string_of_int window;
           string_of_int slack;
           (if slack <= 0 then "*" else "");
         ])
-    (Rtlb.App.tasks a.Rtlb.Analysis.app);
+    c.Rtlb.App.names;
   t
 
 let bounds_table (a : Rtlb.Analysis.t) =
   let t = Table.create [ "resource"; "LB"; "witness"; "demand"; "partition" ] in
-  let name i = (Rtlb.App.task a.Rtlb.Analysis.app i).Rtlb.Task.name in
+  let name = Array.get (Rtlb.App.columns a.Rtlb.Analysis.app).Rtlb.App.names in
   List.iter
     (fun (b : Rtlb.Lower_bound.bound) ->
       let witness, demand =
@@ -56,7 +56,7 @@ let render ?demand_windows (a : Rtlb.Analysis.t) =
        (Rtlb.App.n_tasks a.Rtlb.Analysis.app)
        (Dag.n_edges (Rtlb.App.graph a.Rtlb.Analysis.app)));
   (match
-     Rtlb.Est_lct.feasible_windows a.Rtlb.Analysis.app a.Rtlb.Analysis.windows
+     Rtlb.Windows.feasible a.Rtlb.Analysis.app a.Rtlb.Analysis.windows
    with
   | Ok () -> ()
   | Error e ->
@@ -80,8 +80,8 @@ let render ?demand_windows (a : Rtlb.Analysis.t) =
             Buffer.add_string buf
               (Rtlb.Demand.render
                  (Rtlb.Demand.sliding
-                    ~est:a.Rtlb.Analysis.windows.Rtlb.Est_lct.est
-                    ~lct:a.Rtlb.Analysis.windows.Rtlb.Est_lct.lct
+                    ~est:a.Rtlb.Analysis.windows.Rtlb.Windows.est
+                    ~lct:a.Rtlb.Analysis.windows.Rtlb.Windows.lct
                     a.Rtlb.Analysis.app
                     ~resource:b.Rtlb.Lower_bound.resource ~window:w)))
         a.Rtlb.Analysis.bounds);

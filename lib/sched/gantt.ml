@@ -6,6 +6,7 @@ let host_label = function
    name or "" when idle. *)
 let rows_of app platform schedule ~show_resources =
   let horizon = max 1 (Schedule.makespan app schedule) in
+  let names = (Rtlb.App.columns app).Rtlb.App.names in
   let hosts =
     match platform with
     | Platform.Shared_platform { procs; _ } ->
@@ -27,7 +28,7 @@ let rows_of app platform schedule ~show_resources =
         Array.iter
           (fun (e : Schedule.entry) ->
             if Schedule.host_equal e.Schedule.e_host host then
-              let name = (Rtlb.App.task app e.Schedule.e_task).Rtlb.Task.name in
+              let name = names.(e.Schedule.e_task) in
               for t = e.Schedule.e_start to Schedule.finish app e - 1 do
                 cells.(t) <- name
               done)
@@ -52,9 +53,7 @@ let rows_of app platform schedule ~show_resources =
                           (fun (r', u') -> String.equal r r' && u = u')
                           e.Schedule.e_resource_units
                       then
-                        let name =
-                          (Rtlb.App.task app e.Schedule.e_task).Rtlb.Task.name
-                        in
+                        let name = names.(e.Schedule.e_task) in
                         for t = e.Schedule.e_start to Schedule.finish app e - 1 do
                           cells.(t) <- name
                         done)
@@ -139,7 +138,7 @@ let render_preemptive ?width app ~procs schedule =
                   (fun (s : Preemptive.slice) ->
                     if s.Preemptive.p_proc = (p, u) then
                       for t = s.Preemptive.p_start to s.Preemptive.p_finish - 1 do
-                        cells.(t) <- (Rtlb.App.task app i).Rtlb.Task.name
+                        cells.(t) <- (Rtlb.App.columns app).Rtlb.App.names.(i)
                       done)
                   slices)
               schedule;

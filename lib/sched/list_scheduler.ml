@@ -97,7 +97,7 @@ let earliest_joint_start state line ~needs ~from ~duration =
   in
   settle from
 
-let default_priority app i = (Rtlb.App.task app i).Rtlb.Task.deadline
+let default_priority app i = (Rtlb.App.columns app).Rtlb.App.deadline.(i)
 
 let run ?priority app platform =
   let priority =

@@ -6,6 +6,7 @@ let greedy app ~m =
   validate app m;
   let graph = Rtlb.App.graph app in
   let free = Array.make m 0 in
+  let compute = (Rtlb.App.columns app).Rtlb.App.compute in
   let finish = Array.make (Rtlb.App.n_tasks app) 0 in
   Array.iter
     (fun i ->
@@ -20,7 +21,7 @@ let greedy app ~m =
         if free.(k) < free.(!best) then best := k
       done;
       let start = max ready free.(!best) in
-      let f = start + (Rtlb.App.task app i).Rtlb.Task.compute in
+      let f = start + compute.(i) in
       free.(!best) <- f;
       finish.(i) <- f)
     (Dag.topological_order graph);
@@ -30,8 +31,8 @@ let minimum ?(node_limit = 500_000) app ~m =
   validate app m;
   let n = Rtlb.App.n_tasks app in
   let graph = Rtlb.App.graph app in
-  let compute i = (Rtlb.App.task app i).Rtlb.Task.compute in
-  let total = List.fold_left ( + ) 0 (List.init n compute) in
+  let compute = (Rtlb.App.columns app).Rtlb.App.compute in
+  let total = Array.fold_left ( + ) 0 compute in
   let cp = Rtlb.App.critical_time app in
   let lower = max cp (if total = 0 then 0 else (total + m - 1) / m) in
   let best = ref (greedy app ~m) in
@@ -43,7 +44,7 @@ let minimum ?(node_limit = 500_000) app ~m =
       let t =
         List.fold_left (fun acc j -> max acc tail.(j)) 0 (Dag.succ_ids graph i)
       in
-      tail.(i) <- t + compute i)
+      tail.(i) <- t + compute.(i))
     (Dag.reverse_topological_order graph);
   let finish = Array.make n (-1) in
   (* DFS over (ready task, machine) choices — the active-schedule search:
@@ -73,7 +74,7 @@ let minimum ?(node_limit = 500_000) app ~m =
             if not (List.mem free.(k) !tried) then begin
               tried := free.(k) :: !tried;
               let start = max ready free.(k) in
-              let f = start + compute i in
+              let f = start + compute.(i) in
               (* admissible: the chain below [i] still has to run *)
               let optimistic = max current_makespan (start + tail.(i)) in
               if optimistic < !best then begin

@@ -28,15 +28,14 @@ let arrival app finishes i =
   List.fold_left
     (fun acc p ->
       max acc (finishes.(p) + Rtlb.App.message app ~src:p ~dst:i))
-    (Rtlb.App.task app i).Rtlb.Task.release
+    (Rtlb.App.columns app).Rtlb.App.release.(i)
     (Rtlb.App.preds app i)
 
 let run app ~procs =
   validate_input app procs;
   let n = Rtlb.App.n_tasks app in
-  let remaining =
-    Array.init n (fun i -> (Rtlb.App.task app i).Rtlb.Task.compute)
-  in
+  let cols = Rtlb.App.columns app in
+  let remaining = Array.copy cols.Rtlb.App.compute in
   let slices = Array.make n [] in
   let finishes = Array.make n max_int in
   (* Track completion properly: a task is complete when remaining = 0.
@@ -101,19 +100,18 @@ let run app ~procs =
                   (Rtlb.App.preds app i)
              && arrival app finishes i <= now)
       |> List.sort (fun a b ->
-             compare
-               ((Rtlb.App.task app a).Rtlb.Task.deadline, a)
-               ((Rtlb.App.task app b).Rtlb.Task.deadline, b))
+             let deadline = cols.Rtlb.App.deadline in
+             compare (deadline.(a), a) (deadline.(b), b))
     in
     List.iter
       (fun i ->
-        let task = Rtlb.App.task app i in
-        match take task.Rtlb.Task.proc None with
+        let proc = cols.Rtlb.App.proc.(i) in
+        match take proc None with
         | None -> ()
         | Some u ->
-            running_now := (i, (task.Rtlb.Task.proc, u)) :: !running_now;
-            if not task.Rtlb.Task.preemptive then
-              pinned.(i) <- Some (task.Rtlb.Task.proc, u))
+            running_now := (i, (proc, u)) :: !running_now;
+            if not cols.Rtlb.App.preemptive.(i) then
+              pinned.(i) <- Some (proc, u))
       ready;
     (* Execute one quantum. *)
     List.iter
@@ -133,7 +131,7 @@ let run app ~procs =
         if remaining.(i) = 0 then begin
           finishes.(i) <- now + 1;
           pinned.(i) <- None;
-          if now + 1 > (Rtlb.App.task app i).Rtlb.Task.deadline then
+          if now + 1 > cols.Rtlb.App.deadline.(i) then
             missed := Some i;
           (* newly enabled zero-compute successors complete instantly *)
           Array.iter
@@ -151,7 +149,7 @@ let run app ~procs =
     (* Deadline misses for tasks still incomplete past their deadline. *)
     Array.iteri
       (fun i r ->
-        if r > 0 && now + 1 > (Rtlb.App.task app i).Rtlb.Task.deadline then
+        if r > 0 && now + 1 > cols.Rtlb.App.deadline.(i) then
           if !missed = None then missed := Some i)
       remaining;
     incr t

@@ -9,9 +9,10 @@ let name = function
   | Longest_work_first -> "longest work first"
 
 let make policy system app =
+  let cols = Rtlb.App.columns app in
   match policy with
-  | Deadline -> fun i -> (Rtlb.App.task app i).Rtlb.Task.deadline
-  | Longest_work_first -> fun i -> -(Rtlb.App.task app i).Rtlb.Task.compute
+  | Deadline -> fun i -> cols.Rtlb.App.deadline.(i)
+  | Longest_work_first -> fun i -> -cols.Rtlb.App.compute.(i)
   | Lct ->
       let w = Rtlb.Est_lct.compute system app in
       fun i -> w.Rtlb.Est_lct.lct.(i)
@@ -19,4 +20,4 @@ let make policy system app =
       let w = Rtlb.Est_lct.compute system app in
       fun i ->
         w.Rtlb.Est_lct.lct.(i) - w.Rtlb.Est_lct.est.(i)
-        - (Rtlb.App.task app i).Rtlb.Task.compute
+        - cols.Rtlb.App.compute.(i)

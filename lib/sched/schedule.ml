@@ -9,7 +9,8 @@ type entry = {
 
 type t = entry array
 
-let finish app e = e.e_start + (Rtlb.App.task app e.e_task).Rtlb.Task.compute
+let finish app e =
+  e.e_start + (Rtlb.App.columns app).Rtlb.App.compute.(e.e_task)
 
 let host_equal a b =
   match (a, b) with

@@ -150,8 +150,8 @@ let joint_start state line ~needs ~from ~duration =
   in
   settle from
 
-let commit state app i host units start =
-  let task = Rtlb.App.task app i in
+let commit state (task : Rtlb.Task.t) host units start =
+  let i = task.Rtlb.Task.id in
   let finish = start + task.Rtlb.Task.compute in
   let hosts =
     List.map
@@ -198,7 +198,8 @@ let backtracking_feasible ?(node_limit = 200_000) app platform =
             | None -> true)
           task.Rtlb.Task.demands
   in
-  if Array.exists unhostable (Rtlb.App.tasks app) then None
+  let tasks = Rtlb.App.tasks app in
+  if Array.exists unhostable tasks then None
   else
     let rec dfs state count =
       if count = n then
@@ -214,12 +215,11 @@ let backtracking_feasible ?(node_limit = 200_000) app platform =
                       (fun p -> state.placed.(p) <> None)
                       (Rtlb.App.preds app i))
           |> List.sort (fun a b ->
-                 compare
-                   (Rtlb.App.task app a).Rtlb.Task.deadline
-                   (Rtlb.App.task app b).Rtlb.Task.deadline)
+                 compare tasks.(a).Rtlb.Task.deadline
+                   tasks.(b).Rtlb.Task.deadline)
         in
         let try_task i =
-          let task = Rtlb.App.task app i in
+          let task = tasks.(i) in
           let needs =
             match platform with
             | Platform.Shared_platform _ -> task.Rtlb.Task.demands
@@ -282,7 +282,7 @@ let backtracking_feasible ?(node_limit = 200_000) app platform =
           in
           List.find_map
             (fun (start, _, host, units) ->
-              dfs (commit state app i host units start) (count + 1))
+              dfs (commit state task host units start) (count + 1))
             placements
         in
         List.find_map try_task ready

@@ -5,10 +5,10 @@ type outcome = {
   o_schedule : Schedule.t option;
 }
 
-let wcet app i = (Rtlb.App.task app i).Rtlb.Task.compute
+let wcet app i = (Rtlb.App.columns app).Rtlb.App.compute.(i)
 
 let scaled app ~percent i =
-  let c = (Rtlb.App.task app i).Rtlb.Task.compute in
+  let c = (Rtlb.App.columns app).Rtlb.App.compute.(i) in
   max 0 (min c (((c * percent) + 99) / 100))
 
 (* Host inventory as mutable "free at time" state is not enough: online
@@ -19,10 +19,11 @@ type unit_state = { mutable busy_until : int }
 
 let run_online ?priority ~actual app platform =
   let n = Rtlb.App.n_tasks app in
+  let tasks = Rtlb.App.tasks app in
   let priority =
     match priority with
     | Some p -> p
-    | None -> fun i -> (Rtlb.App.task app i).Rtlb.Task.deadline
+    | None -> fun i -> (Rtlb.App.columns app).Rtlb.App.deadline.(i)
   in
   begin
     (* validate actual times *)
@@ -84,7 +85,7 @@ let run_online ?priority ~actual app platform =
                 else Rtlb.App.message app ~src:p ~dst:i
               in
               max acc (finish_time.(p) + m))
-        (Rtlb.App.task app i).Rtlb.Task.release
+        (Rtlb.App.columns app).Rtlb.App.release.(i)
         (Rtlb.App.preds app i)
     in
     let unscheduled () =
@@ -106,7 +107,7 @@ let run_online ?priority ~actual app platform =
       List.iter
         (fun i ->
           if entry.(i) = None then begin
-            let task = Rtlb.App.task app i in
+            let task = tasks.(i) in
             let free_hosts =
               List.filter
                 (fun (h, st) ->
@@ -186,7 +187,7 @@ let run_online ?priority ~actual app platform =
             then
               List.iter
                 (fun (h, _) ->
-                  if capable (Rtlb.App.task app i) h then begin
+                  if capable tasks.(i) h then begin
                     let a = arrival i h in
                     if a > !now && a < !next then next := a
                   end)

@@ -62,7 +62,7 @@ let dtask_of_config ~name base =
     Array.init n (fun i ->
         {
           Recurrent.Model.v_name = Printf.sprintf "v%d" i;
-          v_wcet = (Rtlb.App.task app i).Rtlb.Task.compute;
+          v_wcet = (Rtlb.App.columns app).Rtlb.App.compute.(i);
         })
   in
   let edges =

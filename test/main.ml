@@ -11,4 +11,5 @@ let () =
    @ Test_mutate.suite @ Test_multiunit.suite @ Test_coverage.suite
    @ Test_par.suite @ Test_validate.suite @ Test_obs.suite
    @ Test_incremental.suite @ Test_chaos.suite @ Test_soa.suite
-   @ Test_serve.suite @ Test_resilience.suite @ Test_recurrent.suite)
+   @ Test_serve.suite @ Test_resilience.suite @ Test_recurrent.suite
+   @ Test_columns.suite @ Test_budgets.suite)

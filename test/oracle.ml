@@ -7,7 +7,8 @@
    packed engine with itself.
 
    [run] is the former Analysis.run body, verbatim but for the module
-   path of the result record. *)
+   path of the result record and its windows, which keep the arrays of
+   the record windows. *)
 
 open Rtlb
 
@@ -30,7 +31,14 @@ let run ?pool ?deadline_ns ?tracer system app =
         Rtlb_obs.Tracer.with_span tr "cost" (fun () ->
             Cost.compute system app bounds)
       in
-      { Analysis.app; system; windows; bounds; cost; completeness })
+      {
+        Analysis.app;
+        system;
+        windows = Est_lct.windows windows;
+        bounds;
+        cost;
+        completeness;
+      })
 
 let bound_equal (a : Lower_bound.bound) (b : Lower_bound.bound) =
   a.Lower_bound.resource = b.Lower_bound.resource
@@ -38,11 +46,11 @@ let bound_equal (a : Lower_bound.bound) (b : Lower_bound.bound) =
   && a.Lower_bound.witness = b.Lower_bound.witness
   && a.Lower_bound.partition = b.Lower_bound.partition
 
-(* Everything except merge sets and traces, which the packed engine
-   leaves empty. *)
+(* Windows, bounds, cost and completeness: everything a result holds
+   but its application and system. *)
 let values_identical (a : Analysis.t) (b : Analysis.t) =
-  a.Analysis.windows.Est_lct.est = b.Analysis.windows.Est_lct.est
-  && a.Analysis.windows.Est_lct.lct = b.Analysis.windows.Est_lct.lct
+  a.Analysis.windows.Windows.est = b.Analysis.windows.Windows.est
+  && a.Analysis.windows.Windows.lct = b.Analysis.windows.Windows.lct
   && List.length a.Analysis.bounds = List.length b.Analysis.bounds
   && List.for_all2 bound_equal a.Analysis.bounds b.Analysis.bounds
   && a.Analysis.cost = b.Analysis.cost

@@ -55,6 +55,14 @@ let same_reading ~what lf variant =
   Alcotest.(check (list string))
     (what ^ ": same check output") (check_output lf) (check_output variant)
 
+(* Blanks at the start of every [k]-th line: the reader sizes its
+   columns by each line's first byte that is not a blank, so indented
+   declarations must be counted as declarations. *)
+let indent k text =
+  String.split_on_char '\n' text
+  |> List.mapi (fun i l -> if i mod k = 0 then " \t" ^ l else l)
+  |> String.concat "\n"
+
 (* Space, tab and carriage return all separate words, so CRLF files and
    tab-indented files read exactly like the LF original. *)
 let blanks_separate_words () =
@@ -62,6 +70,13 @@ let blanks_separate_words () =
   same_reading ~what:"CRLF" lf (crlf lf);
   same_reading ~what:"tabs" lf (tabs lf);
   same_reading ~what:"tabs and spaces" lf (mixed_blanks lf);
+  let frames =
+    Rtfmt.Appfile.to_string ~system:(Workload.Gen.frame_system ())
+      (Workload.Gen.layered_frames ~seed:3 ~frames:3 ())
+  in
+  same_reading ~what:"300 tasks, every line indented" frames (indent 1 frames);
+  same_reading ~what:"300 tasks, every third line indented" frames
+    (indent 3 frames);
   (* Tasks only: with carriage returns kept in words this read "P1\r" as
      a second processor type and checked clean. *)
   let tasks_only =
@@ -251,10 +266,12 @@ let writer_matches_reference =
           = Appfile_ref.to_string ?system app)
         [ None; Some shared; Some (counted_nodes dedicated) ])
 
-(* The reader's allocation is pinned per task: declarations in columns,
-   interned processor and resource names shared by every task, and
-   Task.make's one-resource path keep a frame DAG under 40 minor words
-   per task (the reader that kept a record per declaration took 80). *)
+(* The reader's allocation is pinned per task: declarations in columns
+   sized before the read, interned processor names and demand lists
+   shared by every task, and no record per task keep a frame DAG under
+   8 minor words per task, its names taking most of them (the reader
+   that built a Task.t per declaration took 31-33, the one that kept a
+   record per declaration 80). *)
 let parse_allocation () =
   let app = Workload.Gen.layered_frames ~seed:7 ~frames:20 () in
   let text =
@@ -265,7 +282,7 @@ let parse_allocation () =
   let per_task =
     (Gc.minor_words () -. before) /. float_of_int (Rtlb.App.n_tasks app)
   in
-  if per_task > 40.0 then
+  if per_task > 8.0 then
     Alcotest.failf "Appfile.parse allocated %.1f minor words per task" per_task
 
 (* A periodic file unrolls to jobs; their rendering reads back the same. *)

@@ -106,7 +106,7 @@ let boundary_cases () =
   check_int "L_12" 30 (lct 12)
 
 let feasibility_check () =
-  (match Rtlb.Est_lct.feasible_windows paper windows with
+  (match Rtlb.Windows.feasible paper (Rtlb.Est_lct.windows windows) with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   (* Shrinking T15's deadline to 33 leaves [30, 33] too small for C=6. *)
@@ -115,7 +115,7 @@ let feasibility_check () =
         if t.Rtlb.Task.id = 14 then Rtlb.Task.with_deadline t 33 else t)
   in
   let w = Rtlb.Est_lct.compute paper_shared squeezed in
-  match Rtlb.Est_lct.feasible_windows squeezed w with
+  match Rtlb.Windows.feasible squeezed (Rtlb.Est_lct.windows w) with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "expected infeasible window"
 

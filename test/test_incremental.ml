@@ -297,16 +297,16 @@ let base_survives_edits () =
   let system = Workload.Gen.shared_system config in
   let handle = Rtlb.Incremental.create system app in
   let before = Rtlb.Incremental.base handle in
-  let est = Array.copy before.Rtlb.Analysis.windows.Rtlb.Est_lct.est
-  and lct = Array.copy before.Rtlb.Analysis.windows.Rtlb.Est_lct.lct in
+  let est = Array.copy before.Rtlb.Analysis.windows.Rtlb.Windows.est
+  and lct = Array.copy before.Rtlb.Analysis.windows.Rtlb.Windows.lct in
   let st = Random.State.make [| 13 |] in
   for _ = 1 to 50 do
     ignore (Rtlb.Incremental.edit handle [ gen_edit st app ] : Rtlb.Analysis.t)
   done;
   let after = Rtlb.Incremental.base handle in
   check_bool "base windows unchanged" true
-    (after.Rtlb.Analysis.windows.Rtlb.Est_lct.est = est
-    && after.Rtlb.Analysis.windows.Rtlb.Est_lct.lct = lct);
+    (after.Rtlb.Analysis.windows.Rtlb.Windows.est = est
+    && after.Rtlb.Analysis.windows.Rtlb.Windows.lct = lct);
   check_bool "base = cold run" true (matches_cold system app after);
   check_bool "the unedited app = cold run" true
     (matches_cold system app (Rtlb.Incremental.query handle app));

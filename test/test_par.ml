@@ -207,10 +207,10 @@ let bound_equal (a : Rtlb.Lower_bound.bound) (b : Rtlb.Lower_bound.bound) =
 let analyses_identical (a : Rtlb.Analysis.t) (b : Rtlb.Analysis.t) =
   List.length a.Rtlb.Analysis.bounds = List.length b.Rtlb.Analysis.bounds
   && List.for_all2 bound_equal a.Rtlb.Analysis.bounds b.Rtlb.Analysis.bounds
-  && a.Rtlb.Analysis.windows.Rtlb.Est_lct.est
-     = b.Rtlb.Analysis.windows.Rtlb.Est_lct.est
-  && a.Rtlb.Analysis.windows.Rtlb.Est_lct.lct
-     = b.Rtlb.Analysis.windows.Rtlb.Est_lct.lct
+  && a.Rtlb.Analysis.windows.Rtlb.Windows.est
+     = b.Rtlb.Analysis.windows.Rtlb.Windows.est
+  && a.Rtlb.Analysis.windows.Rtlb.Windows.lct
+     = b.Rtlb.Analysis.windows.Rtlb.Windows.lct
   && a.Rtlb.Analysis.cost = b.Rtlb.Analysis.cost
 
 (* Every generator shape, 10 seeds each: 100 applications. *)

@@ -87,10 +87,10 @@ let prop_tests =
         let b = Rtlb.Analysis.run system permuted in
         List.for_all
           (fun t ->
-            a.Rtlb.Analysis.windows.Rtlb.Est_lct.est.(t)
-            = b.Rtlb.Analysis.windows.Rtlb.Est_lct.est.(perm.(t))
-            && a.Rtlb.Analysis.windows.Rtlb.Est_lct.lct.(t)
-               = b.Rtlb.Analysis.windows.Rtlb.Est_lct.lct.(perm.(t)))
+            a.Rtlb.Analysis.windows.Rtlb.Windows.est.(t)
+            = b.Rtlb.Analysis.windows.Rtlb.Windows.est.(perm.(t))
+            && a.Rtlb.Analysis.windows.Rtlb.Windows.lct.(t)
+               = b.Rtlb.Analysis.windows.Rtlb.Windows.lct.(perm.(t)))
           (List.init (Rtlb.App.n_tasks i.app) Fun.id));
     qtest ~count:150 "slack is non-negative exactly when windows feasible"
       (arb_instance ~max_tasks:12 ()) (fun i ->

@@ -171,8 +171,8 @@ type coverage = {
 }
 
 let tally cov (a : Rtlb.Analysis.t) =
-  let est = a.Rtlb.Analysis.windows.Rtlb.Est_lct.est
-  and lct = a.Rtlb.Analysis.windows.Rtlb.Est_lct.lct in
+  let est = a.Rtlb.Analysis.windows.Rtlb.Windows.est
+  and lct = a.Rtlb.Analysis.windows.Rtlb.Windows.lct in
   Array.iteri
     (fun i e ->
       let c = (Rtlb.App.task a.Rtlb.Analysis.app i).Rtlb.Task.compute in
@@ -285,16 +285,16 @@ let many_node_types () =
            reference));
   Alcotest.(check (array int))
     "paper example est" Rtlb.Paper_example.expected_est
-    a.Rtlb.Analysis.windows.Rtlb.Est_lct.est
+    a.Rtlb.Analysis.windows.Rtlb.Windows.est
 
 let paper_example_windows () =
   let a = Rtlb.Analysis.run Rtlb.Paper_example.shared Rtlb.Paper_example.app in
   Alcotest.(check (array int))
     "paper example est" Rtlb.Paper_example.expected_est
-    a.Rtlb.Analysis.windows.Rtlb.Est_lct.est;
+    a.Rtlb.Analysis.windows.Rtlb.Windows.est;
   Alcotest.(check (array int))
     "paper example lct" Rtlb.Paper_example.expected_lct_repaired
-    a.Rtlb.Analysis.windows.Rtlb.Est_lct.lct;
+    a.Rtlb.Analysis.windows.Rtlb.Windows.lct;
   check_bool "paper example = record oracle" true
     (Oracle.values_identical a
        (Oracle.run Rtlb.Paper_example.shared Rtlb.Paper_example.app))

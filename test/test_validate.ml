@@ -283,8 +283,8 @@ let check_agrees_with_feasibility =
       let ds = Rtlb.Validate.check ~system i.app in
       let infeasible =
         Result.is_error
-          (Rtlb.Est_lct.feasible_windows i.app
-             (Rtlb.Est_lct.compute system i.app))
+          (Rtlb.Windows.feasible i.app
+             (Rtlb.Est_lct.windows (Rtlb.Est_lct.compute system i.app)))
       in
       Rtlb.Validate.has_errors ds = infeasible)
 
@@ -345,6 +345,93 @@ let roundtrip_spec_is_clean =
           | Rtlb.Validate.Error -> d.Rtlb.Validate.d_code = "E102")
         ds)
 
+(* ------------------------------------------------------------------ *)
+(* The window phase against the record windows                          *)
+(* ------------------------------------------------------------------ *)
+
+(* [Validate.check_windows] as it read the record engine: the same
+   diagnostics from the windows of [Est_lct.compute], stably sorted by
+   line with unlocated ones last. *)
+let record_check_windows ~line_of ~system app =
+  let open Rtlb.Validate in
+  let application_error code e =
+    {
+      d_code = code;
+      d_severity = Error;
+      d_subject = "application";
+      d_message = e;
+      d_line = None;
+    }
+  in
+  match Rtlb.System.validate_for system app with
+  | Error e -> [ application_error "E103" e ]
+  | Ok () -> (
+      match Rtlb.App.check_range app with
+      | Error e -> [ application_error "E104" e ]
+      | Ok () ->
+          let windows = Rtlb.Est_lct.compute system app in
+          let acc = ref [] in
+          Array.iter
+            (fun (task : Rtlb.Task.t) ->
+              let i = task.Rtlb.Task.id in
+              let e = windows.Rtlb.Est_lct.est.(i)
+              and l = windows.Rtlb.Est_lct.lct.(i)
+              and c = task.Rtlb.Task.compute in
+              let diag code severity message =
+                acc :=
+                  {
+                    d_code = code;
+                    d_severity = severity;
+                    d_subject = "task " ^ task.Rtlb.Task.name;
+                    d_message = message;
+                    d_line = line_of task.Rtlb.Task.name;
+                  }
+                  :: !acc
+              in
+              if e + c > l then
+                diag "E102" Error
+                  (Printf.sprintf
+                     "EST/LCT window [%d, %d] cannot hold compute %d \
+                      (infeasible on every system of this model)"
+                     e l c)
+              else if c > 0 && e + c = l then
+                diag "W203" Warning
+                  (Printf.sprintf
+                     "zero slack: EST/LCT window [%d, %d] exactly holds \
+                      compute %d"
+                     e l c))
+            (Rtlb.App.tasks app);
+          List.stable_sort
+            (fun a b ->
+              let key d = match d.d_line with Some l -> l | None -> max_int in
+              compare (key a) (key b))
+            (List.rev !acc))
+
+(* Lines for some names only, several names to a line, so that the
+   sort's stability and the unlocated tail are exercised. *)
+let some_lines name =
+  let h = Hashtbl.hash name in
+  if h mod 3 = 0 then None else Some (h mod 5)
+
+let windows_match_record_engine =
+  qtest ~count:100
+    "check_windows = its record-window reference (families, squeezed, \
+     both models)"
+    Test_soa.arb_family (fun f ->
+      List.for_all
+        (fun (k, tight) ->
+          let app = Test_soa.transform ~k ~tight f.Test_soa.f_app in
+          List.for_all
+            (fun system ->
+              Rtlb.Validate.check_windows ~line_of:some_lines ~system app
+              = record_check_windows ~line_of:some_lines ~system app
+              || QCheck.Test.fail_reportf "%s (x%d%s) differs:\n%s"
+                   f.Test_soa.label k
+                   (if tight then ", tight" else "")
+                   (Rtfmt.Appfile.to_string ~system app))
+            [ f.Test_soa.f_shared; f.Test_soa.f_dedicated ])
+        [ (1, false); (1, true); (1_000, true) ])
+
 let suite =
   [
     ( "validate",
@@ -381,5 +468,6 @@ let suite =
         roundtrip_with_shared;
         roundtrip_with_dedicated;
         roundtrip_spec_is_clean;
+        windows_match_record_engine;
       ] );
   ]

@@ -121,7 +121,7 @@ let prop_tests =
     qtest ~count:200 "generated instances are feasible by construction"
       (arb_instance ~max_tasks:16 ()) (fun i ->
         let w = Rtlb.Est_lct.compute (shared_of i) i.app in
-        Rtlb.Est_lct.feasible_windows i.app w = Ok ());
+        Rtlb.Windows.feasible i.app (Rtlb.Est_lct.windows w) = Ok ());
     qtest ~count:200 "zero ccr generates zero-size messages"
       (arb_instance ~max_tasks:10 ()) (fun i ->
         let cfg = { i.config with Workload.Gen.ccr = 0.0 } in
