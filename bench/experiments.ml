@@ -1388,9 +1388,27 @@ let peak_rss_launcher prog args =
   Printf.printf "%d %d %.3f\n" code kb ms;
   exit 0
 
-(* Median over 5 processes of [rtlb analyze FILE --json --trace]: wall
-   time from spawn to exit, the CLI's [cli], [parse], [analyze] and
-   [encode] spans, and the peak RSS wait4 reports. *)
+(* [CLI ARGS..] through the peak-rss launcher: its exit code, peak RSS
+   in KB and wall time in ms. *)
+let launch cli args =
+  Gc.full_major ();
+  let out, into = Unix.pipe ~cloexec:true () in
+  let launcher =
+    Unix.create_process Sys.executable_name
+      (Array.of_list (Sys.executable_name :: "peak-rss" :: cli :: args))
+      Unix.stdin into Unix.stderr
+  in
+  Unix.close into;
+  let ic = Unix.in_channel_of_descr out in
+  let report = In_channel.input_all ic in
+  close_in ic;
+  ignore (Unix.waitpid [] launcher);
+  Scanf.sscanf report "%d %d %f" (fun c k ms -> (c, k, ms))
+
+(* Medians over 5 processes each, alternated: of [rtlb analyze FILE
+   --json --trace], the wall time from spawn to exit, the CLI's [cli],
+   [parse], [analyze] and [encode] spans and the peak RSS wait4
+   reports; of [rtlb check FILE], the wall time and the peak RSS. *)
 let cli_row system app =
   let cli = cli_path () in
   let file = Filename.temp_file "e14-" ".app"
@@ -1398,38 +1416,30 @@ let cli_row system app =
   Out_channel.with_open_bin file (fun oc ->
       output_string oc (Rtfmt.Appfile.to_string ~system app));
   let spans = [ "cli"; "parse"; "analyze"; "encode" ] in
-  let run () =
-    Gc.full_major ();
-    let out, into = Unix.pipe ~cloexec:true () in
-    let launcher =
-      Unix.create_process Sys.executable_name
-        [|
-          Sys.executable_name; "peak-rss"; cli; "analyze"; file; "--json";
-          "--trace"; trace;
-        |]
-        Unix.stdin into Unix.stderr
-    in
-    Unix.close into;
-    let ic = Unix.in_channel_of_descr out in
-    let report = In_channel.input_all ic in
-    close_in ic;
-    ignore (Unix.waitpid [] launcher);
-    let code, rss_kb, wall =
-      Scanf.sscanf report "%d %d %f" (fun c k ms -> (c, k, ms))
-    in
+  let run command args =
+    let code, rss_kb, wall = launch cli (command :: file :: args) in
     if code <> 0 then begin
-      Printf.eprintf "e14: %s analyze %s exited %d\n" cli file code;
+      Printf.eprintf "e14: %s %s %s exited %d\n" cli command file code;
       exit 1
     end;
-    let t = Rtfmt.Json.parse (In_channel.with_open_bin trace In_channel.input_all) in
-    (wall :: List.map (trace_span_ms t) spans) @ [ float_of_int rss_kb /. 1024.0 ]
+    (wall, float_of_int rss_kb /. 1024.0)
   in
-  let runs = List.init 5 (fun _ -> run ()) in
+  let analyze () =
+    let wall, rss = run "analyze" [ "--json"; "--trace"; trace ] in
+    let t = Rtfmt.Json.parse (In_channel.with_open_bin trace In_channel.input_all) in
+    (wall :: List.map (trace_span_ms t) spans) @ [ rss ]
+  in
+  let check () =
+    let wall, rss = run "check" [] in
+    [ wall; rss ]
+  in
+  let runs = List.init 5 (fun _ -> analyze () @ check ()) in
   Sys.remove file;
   Sys.remove trace;
   List.mapi
     (fun k name -> (name, median (List.map (fun r -> List.nth r k) runs)))
-    (("wall_ms" :: List.map (fun s -> s ^ "_ms") spans) @ [ "peak_rss_mb" ])
+    (("wall_ms" :: List.map (fun s -> s ^ "_ms") spans)
+    @ [ "peak_rss_mb"; "check_wall_ms"; "check_peak_rss_mb" ])
 
 let soa_scaling () =
   Bench_util.section "E14: SoA scaling - packed engine on frame workloads";
@@ -1442,8 +1452,9 @@ let soa_scaling () =
      from one single-domain traced Analysis.run (deterministic); at sizes\n\
      up to 10^4 its result is checked against the record composition.\n\
      At 10^5 and 10^6 tasks a CLI row times whole `rtlb analyze FILE\n\
-     --json` processes: medians of 5 of wall time, the CLI's spans and\n\
-     the peak RSS wait4 reports.\n\
+     --json` processes (medians of 5 of wall time, the CLI's spans and\n\
+     the peak RSS wait4 reports) and `rtlb check FILE` processes (wall\n\
+     time and peak RSS), alternated.\n\
      Results and the host land in BENCH_soa.json for the CI perf gate.\n";
   (* Each repetition starts from a collected heap, so a layer's time
      does not depend on the garbage that earlier sizes or repetitions
@@ -1473,7 +1484,10 @@ let soa_scaling () =
   in
   let cli_table =
     Rtfmt.Table.create
-      [ "tasks"; "wall ms"; "cli"; "parse"; "analyze"; "encode"; "peak MB" ]
+      [
+        "tasks"; "wall ms"; "cli"; "parse"; "analyze"; "encode"; "peak MB";
+        "check ms"; "check MB";
+      ]
   in
   let json_workloads =
     List.map
@@ -1605,7 +1619,8 @@ let soa_scaling () =
   in
   Rtfmt.Table.print t;
   if List.exists (fun n -> List.mem n cli_sizes) !soa_sizes then begin
-    Bench_util.subsection "CLI process: rtlb analyze FILE --json";
+    Bench_util.subsection
+      "CLI process: rtlb analyze FILE --json, then rtlb check FILE";
     Rtfmt.Table.print cli_table
   end;
   let json =

@@ -44,7 +44,9 @@ let print_json j =
 let read_appfile path =
   try Ok (Rtfmt.Appfile.parse_file path) with
   | Rtfmt.Appfile.Parse_error (line, msg) ->
-      Error (Printf.sprintf "%s:%d: %s" path line msg)
+      Error
+        (if line > 0 then Printf.sprintf "%s:%d: %s" path line msg
+         else Printf.sprintf "%s: %s" path msg)
   | Sys_error m -> Error m
 
 (* --jobs N / RTLB_JOBS: domain count for the parallel analysis engine.
@@ -254,18 +256,8 @@ let check_cmd =
   in
   let run path strict =
     let diags =
-      match Rtfmt.Appfile.parse_spec_file path with
-      | spec -> Rtfmt.Appfile.check spec
-      | exception Rtfmt.Appfile.Parse_error (l, m) ->
-          [
-            {
-              Rtlb.Validate.d_code = "E100";
-              d_severity = Rtlb.Validate.Error;
-              d_subject = "application";
-              d_message = m;
-              d_line = (if l > 0 then Some l else None);
-            };
-          ]
+      match In_channel.with_open_bin path In_channel.input_all with
+      | text -> Rtfmt.Appfile.check text
       | exception Sys_error m ->
           [
             {

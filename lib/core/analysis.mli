@@ -51,8 +51,8 @@ val run :
     several systhreads of one domain: each call packs its own instance
     and takes its scratch space for itself (see {!Soa}), so each returns
     exactly what it would return alone.
-    @raise Invalid_argument when {!check_input} fails; run
-      {!Validate.check} first to get diagnostics instead of an
+    @raise Invalid_argument when {!check_input} fails; validate a file
+      with [Rtfmt.Appfile.check] first to get diagnostics instead of an
       exception. *)
 
 val windows : System.t -> App.t -> Windows.t

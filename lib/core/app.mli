@@ -101,7 +101,7 @@ val check_range : t -> (unit, string) result
     analysis forms is then within [4 T] of zero and every demand within
     [W].  Run where an
     analysis or a what-if edit starts ({!Analysis.check_input},
-    {!Incremental.apply}, {!Validate.check}). *)
+    {!Incremental.apply}, {!Validate.check_windows}). *)
 
 val critical_time : t -> int
 (** Longest chain of computation times ignoring communication — the

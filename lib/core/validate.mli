@@ -1,16 +1,21 @@
-(** Exhaustive validation of applications and system models, producing
-    structured diagnostics instead of the first [Invalid_argument] /
-    [Failure] / [Dag.Cycle] a constructor happens to raise.
+(** Validation diagnostics, and the window phase of validation.
 
     The paper's analysis rests on well-formedness assumptions it never
     states as checks: the precedence relation is acyclic (Section 2.1),
     every task window can hold its computation (Section 3, the Theorem 1
     precondition [E_i + C_i <= L_i]), and every referenced processor or
     resource exists in the system model.  The feasibility-test literature
-    (Bonifaci et al.; Kermia) treats this as a first-class analysis step;
-    this module is that step.  Unlike the smart constructors — which
-    fail fast and therefore report only the first problem, with no
-    location — validation visits {e everything} and returns a list.
+    (Bonifaci et al.; Kermia) treats this as a first-class analysis step.
+    Unlike the smart constructors, which fail fast and therefore report
+    only the first problem, with no location, validation visits
+    {e everything} and returns a list.
+
+    Validation reads an application file once
+    ([Rtfmt.Appfile.check]): the declaration checks ([E101], [E103]-
+    [E106], the declared-window half of [E102], [W201], [W202]) run on
+    the reader's columns, and when they find no error the instance is
+    built from the same columns and {!check_windows} runs on it.  This
+    module holds the diagnostic type and that window phase.
 
     Diagnostic codes are stable (golden tests and downstream tooling key
     on them; see [docs/DIAGNOSTICS.md]):
@@ -23,7 +28,7 @@
       processor/resource the system model does not provide
     - [E104] invalid quantity: negative compute/release/deadline/message,
       non-positive period, offset outside [\[0, period)], zero resource
-      units, empty name
+      units, empty processor name
     - [E105] duplicate task name or duplicate edge
     - [E106] mixed periodic and one-shot tasks
     - [W201] zero-compute task
@@ -40,57 +45,22 @@ type diag = {
   d_line : int option;  (** 1-based source line when validated from a file. *)
 }
 
-(** Pre-construction view of a task: what an application file declares,
-    before [Task.make]/[App.make] get a chance to reject it.  Produced by
-    [Rtfmt.Appfile.parse_spec] (with source lines) or {!spec_of_app}. *)
-type task_spec = {
-  ts_name : string;
-  ts_compute : int;
-  ts_release : int;  (** Offset when [ts_period] is set. *)
-  ts_deadline : int;  (** Relative to the period when [ts_period] is set. *)
-  ts_proc : string;
-  ts_demands : (string * int) list;  (** Units per resource. *)
-  ts_preemptive : bool;
-  ts_period : int option;
-  ts_line : int option;
-}
-
-type edge_spec = {
-  es_src : string;
-  es_dst : string;
-  es_message : int;
-  es_line : int option;
-}
-
-val spec_of_app : App.t -> task_spec list * edge_spec list
-(** A constructed application re-expressed as specs (no source lines) —
-    the bridge that lets {!check_spec} run over [App.t] values and lets
-    tests corrupt valid applications into invalid specs. *)
-
-val check_spec :
-  system:System.t option -> tasks:task_spec list -> edges:edge_spec list -> diag list
-(** Every spec-level check ([E101]-[E106], [W201], [W202]), exhaustively:
-    one diagnostic per offence, sorted by source line.  An empty result
-    (or warnings only) means [Task.make] + [App.make] (or
-    [Periodic.ptask] + [unroll]) will accept the input. *)
-
 val check_windows :
-  ?line_of:(string -> int option) -> system:System.t -> App.t -> diag list
-(** The post-construction phase: runs the Section 4 EST/LCT propagation
-    and reports [E102] for every task whose window cannot hold its
-    computation under any assignment, and [W203] for zero-slack tasks.
-    [line_of] maps a task name back to a source line.  Assumes the system
-    can host every task (run {!check_spec} first); if it cannot, returns
-    the [E103]s instead of raising. *)
-
-val check : ?system:System.t -> App.t -> diag list
-(** {!check_spec} on {!spec_of_app}, then — when that found no errors —
-    {!check_windows}.  [system] defaults to a uniform shared model over
-    the application's own resource set (which makes the system-reference
-    checks vacuous but keeps the window checks meaningful). *)
+  ?line_of:(int -> int option) -> system:System.t -> App.t -> diag list
+(** The window phase: runs the Section 4 EST/LCT propagation and
+    reports [E102] for every task whose window cannot hold its
+    computation under any assignment, and [W203] for zero-slack tasks,
+    sorted by {!by_line}.  [line_of] maps a task id to a source line.
+    If the system cannot host every task, or the instance's times leave
+    the integer range, returns that one [E103] or [E104] instead of
+    raising. *)
 
 val errors : diag list -> diag list
 val has_errors : diag list -> bool
+
+val by_line : diag list -> diag list
+(** Stably sorted by source line, diagnostics without a line last: the
+    order in which every diagnostic list is reported. *)
 
 val to_string : ?file:string -> diag -> string
 (** One stable line per diagnostic, compiler style:

@@ -11,6 +11,40 @@ type t = {
 
 exception Cycle of int list
 
+(* Drops from [left], repeatedly, every vertex with no successor in
+   [left] (Kahn's algorithm backwards), so that every vertex still in
+   [left] has a successor there. *)
+let trim_to_cycles ~succ ~pred left =
+  let n = Array.length left in
+  let out = Array.make n 0 and queue = Array.make n 0 and tail = ref 0 in
+  for v = 0 to n - 1 do
+    if left.(v) then begin
+      for p = succ.off.(v) to succ.off.(v + 1) - 1 do
+        if left.(succ.adj.(p)) then out.(v) <- out.(v) + 1
+      done;
+      if out.(v) = 0 then begin
+        queue.(!tail) <- v;
+        incr tail
+      end
+    end
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    left.(v) <- false;
+    for p = pred.off.(v) to pred.off.(v + 1) - 1 do
+      let u = pred.adj.(p) in
+      if left.(u) then begin
+        out.(u) <- out.(u) - 1;
+        if out.(u) = 0 then begin
+          queue.(!tail) <- u;
+          incr tail
+        end
+      end
+    done
+  done
+
 (* Kahn's algorithm with the queue in one int array: every vertex enters
    it once, so on success the array is the order.  On failure, walks the
    leftover vertices to report one concrete cycle. *)
@@ -40,27 +74,27 @@ let topological_sort n succ pred =
   done;
   if !tail = n then queue
   else begin
-    (* Find a cycle among vertices with remaining in-degree. *)
-    let in_cycle = Array.map (fun d -> d > 0) indegree in
+    (* Walk from the lowest vertex that lies on a cycle or leads into
+       one, taking the lowest such successor each step, until a vertex
+       repeats: every step has a successor to take, so the walk closes
+       a cycle. *)
+    let left = Array.map (fun d -> d > 0) indegree in
+    trim_to_cycles ~succ ~pred left;
     let start = ref 0 in
-    Array.iteri (fun v b -> if b && not in_cycle.(!start) then start := v)
-      in_cycle;
+    while not left.(!start) do
+      incr start
+    done;
     let seen = Array.make n (-1) in
-    let rec first_in_cycle p stop =
-      if p = stop then None
-      else if in_cycle.(succ.adj.(p)) then Some succ.adj.(p)
-      else first_in_cycle (p + 1) stop
+    let rec first_left p =
+      if left.(succ.adj.(p)) then succ.adj.(p) else first_left (p + 1)
     in
     let rec walk v step path =
       if seen.(v) >= 0 then
-        (* Trim the tail before the first repetition. *)
-        List.rev (v :: path)
-        |> List.filteri (fun i _ -> i >= seen.(v))
+        (* the loop from v's first visit, v once *)
+        List.filteri (fun i _ -> i >= seen.(v)) (List.rev path)
       else begin
         seen.(v) <- step;
-        match first_in_cycle succ.off.(v) succ.off.(v + 1) with
-        | Some w -> walk w (step + 1) (v :: path)
-        | None -> List.rev (v :: path)
+        walk (first_left succ.off.(v)) (step + 1) (v :: path)
       end
     in
     raise (Cycle (walk !start 0 []))

@@ -22,7 +22,8 @@ type csr = { off : int array; adj : int array; weight : int array }
 
 exception Cycle of int list
 (** Raised by {!create} when the edge set contains a cycle; the payload is
-    one offending cycle as a vertex list. *)
+    one offending cycle as a vertex list, each vertex once: an edge leads
+    from each vertex to the next, and from the last to the first. *)
 
 val create : n:int -> edges:(int * int * int) list -> t
 (** [create ~n ~edges] builds a DAG with vertices [0..n-1] and edges
@@ -51,6 +52,14 @@ val succ_csr : t -> csr
 val pred_csr : t -> csr
 (** The predecessor rows: [(src, weight)] of every edge, grouped by
     [dst].  Shared, not copied, like {!succ_csr}. *)
+
+val trim_to_cycles : succ:csr -> pred:csr -> bool array -> unit
+(** [trim_to_cycles ~succ ~pred left] drops from the vertex set [left],
+    repeatedly, every vertex with no successor in [left], given the
+    successor and predecessor rows of one graph, in any order within a
+    row.  What stays lies on a cycle within [left] or leads into one,
+    and has a successor in [left]; Kahn's leftovers keep with it every
+    vertex that only hangs below a cycle.  Linear in the rows read. *)
 
 val succs : t -> int -> (int * int) list
 (** [(dst, weight)] pairs, in increasing [dst] order.  This and the

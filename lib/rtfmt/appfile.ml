@@ -108,8 +108,8 @@ let int_span line what text start stop =
     | None -> fail line "%s: not an integer: %S" what s
 
 (* "2xr1" -> ("r1", 2); "r1" -> ("r1", 1).  Counts are not range-checked
-   here: the spec path wants to see a bad count as a diagnostic, the
-   strict path rejects it in [expand_demands]. *)
+   here: [check] reports a bad count as a diagnostic, [parse] rejects it
+   in [checked_demands]. *)
 let parse_counted r =
   match String.index_opt r 'x' with
   | Some i when i > 0 && int_of_string_opt (String.sub r 0 i) <> None ->
@@ -464,24 +464,24 @@ let resolve_rest st tbl names text =
     st.unresolved
 
 (* The name of endpoint [f] (1 source, 2 destination) of edge [k], as the
-   file spells it. *)
+   file spells it.  The spellings of unresolved endpoints are copied out
+   at once, so the function keeps no reference to the text. *)
 let endpoint_names st names text =
-  let spans = Hashtbl.create 16 in
+  let spelled = Hashtbl.create 16 in
   List.iter
-    (fun (key, start, stop) -> Hashtbl.replace spans key (start, stop))
+    (fun (key, start, stop) ->
+      Hashtbl.replace spelled key (span text start stop))
     st.unresolved;
   fun k f ->
     let key = (2 * k) + f - 1 in
     let i = (endpoints st key).(k) in
-    if i >= 0 then names.(i)
-    else
-      let start, stop = Hashtbl.find spans key in
-      span text start stop
+    if i >= 0 then names.(i) else Hashtbl.find spelled key
 
 type scanned = {
   decls : decls;
   table : name_table;
   edges : edge_store;
+  resources : interned;  (* every processor and resource name a task names *)
   shared : Rtlb.System.t option;
   nodes : (int * Rtlb.System.node_type) list;
 }
@@ -513,8 +513,8 @@ let declaration_counts text =
 
 (* Tokenize the whole file into declarations.  Only syntax-level problems
    raise here; semantic ones (duplicates, cycles, bad quantities, dangling
-   edges) survive into the result so both the strict constructor path
-   and the diagnostic path can decide how to report them. *)
+   edges) survive into the result, for [parse] to fail at the first and
+   [check] to report them all. *)
 let scan text =
   let tasks, edges = declaration_counts text in
   let d = decls tasks and names = interned ()
@@ -553,13 +553,13 @@ let scan text =
   in
   lines 0 1;
   resolve_rest edges table d.names text;
-  { decls = d; table; edges; shared = !shared; nodes = List.rev !nodes }
+  { decls = d; table; edges; resources = names; shared = !shared;
+    nodes = List.rev !nodes }
 
-let system_of line_of_conflict shared nodes =
+let system_of shared nodes =
   match (shared, nodes) with
-  | Some _, (_ : (int * Rtlb.System.node_type) list) when nodes <> [] ->
-      fail (line_of_conflict nodes) "both shared and node lines present"
-  | Some s, _ -> Some s
+  | Some _, (line, _) :: _ -> fail line "both shared and node lines present"
+  | Some s, [] -> Some s
   | None, [] -> None
   | None, nodes -> (
       try Some (Rtlb.System.dedicated (List.map snd nodes))
@@ -583,7 +583,7 @@ let checked_demands d i =
 let resources_of d i =
   List.concat_map (fun (r, k) -> List.init k (fun _ -> r)) (checked_demands d i)
 
-(* ---------------- strict parse ---------------- *)
+(* ---------------- building ---------------- *)
 
 let hash_int k =
   let h = k * 0x1e3779b97f4a7c15 in
@@ -612,14 +612,136 @@ let check_duplicates edges names ~n limit =
         names.(edge_src edges k) names.(edge_dst edges k)
   done
 
-let parse text =
-  let { decls = d; table; edges; shared; nodes } = scan text in
-  let n = d.n in
+(* Per task of [0, n), its successor on [cycle] (a vertex list closed
+   from its last vertex to its first), or -1 off the cycle. *)
+let cycle_successors n cycle =
+  let next = Array.make n (-1) in
+  (match cycle with
+  | [] -> ()
+  | first :: _ ->
+      let rec link = function
+        | a :: (b :: _ as rest) ->
+            next.(a) <- b;
+            link rest
+        | [ last ] -> next.(last) <- first
+        | [] -> ()
+      in
+      link cycle);
+  next
+
+(* Fail with the cycle [ids] (Dag.Cycle's payload) named, at the
+   earliest line of an edge on it.  [next] holds each vertex's successor
+   on the cycle, so one pass over the edges finds them. *)
+let cycle_error d edges ids =
+  let next = cycle_successors d.n ids in
+  let line = ref max_int in
+  for k = 0 to edges.n_edges - 1 do
+    if next.(edge_src edges k) = edge_dst edges k then
+      line := min !line (edge_line edges k)
+  done;
+  let line = if !line = max_int then 0 else !line in
+  let names = List.map (fun i -> d.names.(i)) ids in
+  fail line "precedence cycle: %s"
+    (String.concat " -> " (names @ [ List.hd names ]))
+
+(* The application a scan declares, once no name is declared twice and
+   every edge joins two different declared tasks: [Periodic.unroll] of a
+   periodic file, else [App.of_columns] of the columns, each task's
+   demands checked and put in [Task.make]'s order.  @raise Parse_error
+   at the first problem; a duplicate edge outranks any found here. *)
+let build { decls = d; edges; _ } =
+  let n = d.n and names = d.names and m = edges.n_edges in
+  let src = edges.e_src and dst = edges.e_dst and msg = edges.e_msg in
+  let duplicates () = check_duplicates edges names ~n m in
+  let periodic = ref false and one_shot = ref (-1) in
+  for i = n - 1 downto 0 do
+    if d.period.(i) <> None then periodic := true else one_shot := i
+  done;
+  if !periodic then begin
+    duplicates ();
+    (if !one_shot >= 0 then
+       let i = !one_shot in
+       fail (line_of d i)
+         "task %s: mixing periodic and one-shot tasks is not supported"
+         names.(i));
+    let ptasks =
+      List.init n (fun i ->
+          try
+            Rtlb.Periodic.ptask ~name:names.(i)
+              ~period:(Option.get d.period.(i))
+              ~offset:d.release.(i) ~compute:d.compute.(i)
+              ~deadline:d.deadline.(i) ~proc:d.procs.(i)
+              ~resources:(resources_of d i) ~preemptive:d.preemptive.(i) ()
+          with Invalid_argument msg ->
+            fail (line_of d i) "task %s: %s" names.(i) msg)
+    in
+    let pedges =
+      List.init m (fun k -> (names.(src.(k)), names.(dst.(k)), msg.(k)))
+    in
+    match Rtlb.Periodic.unroll ~tasks:ptasks ~edges:pedges () with
+    | app -> app
+    | exception Invalid_argument msg -> fail 0 "%s" msg
+    | exception Dag.Cycle _ -> fail 0 "precedence cycle in task graph"
+  end
+  else begin
+    (* Each task's demands in Task.make's order (by name), checked
+       with its messages; equal multi-resource lists are shared. *)
+    let shared = Hashtbl.create 16 in
+    for i = 0 to n - 1 do
+      match
+        let ds =
+          match checked_demands d i with
+          | ([] | [ _ ]) as ds -> ds
+          | ds -> (
+              let ds =
+                List.sort (fun (a, _) (b, _) -> String.compare a b) ds
+              in
+              match Hashtbl.find_opt shared ds with
+              | Some same -> same
+              | None ->
+                  Hashtbl.add shared ds ds;
+                  ds)
+        in
+        Rtlb.Task.check ~id:i ~compute:d.compute.(i) ~release:d.release.(i)
+          ~deadline:d.deadline.(i) ~proc:d.procs.(i) ~demands:ds;
+        d.demands.(i) <- ds
+      with
+      | () -> ()
+      | exception Invalid_argument msg ->
+          duplicates ();
+          fail (line_of d i) "task %s: %s" names.(i) msg
+      | exception (Parse_error _ as e) ->
+          duplicates ();
+          raise e
+    done;
+    let columns =
+      {
+        Rtlb.App.names = names;
+        compute = d.compute;
+        release = d.release;
+        deadline = d.deadline;
+        proc = d.procs;
+        demands = d.demands;
+        preemptive = d.preemptive;
+      }
+    in
+    match Rtlb.App.of_columns columns ~src ~dst ~msg with
+    | app -> app
+    | exception Invalid_argument msg ->
+        duplicates ();
+        fail 0 "%s" msg
+    | exception Dag.Cycle ids -> cycle_error d edges ids
+  end
+
+(* ---------------- strict parse ---------------- *)
+
+(* Fail at the first problem [build] assumes away: a name declared
+   twice, else the first edge in file order with an unknown endpoint or
+   a self loop, unless an edge before it repeats an earlier one. *)
+let check_references text { decls = d; table; edges; _ } =
   let names = d.names in
   if table.dup >= 0 then
     fail (line_of d table.dup) "duplicate task name %s" names.(table.dup);
-  (* the first edge, in file order, with an unknown endpoint or a self
-     loop *)
   let m = edges.n_edges in
   let bad = ref m and k = ref 0 in
   while !k < m do
@@ -630,10 +752,9 @@ let parse text =
     end
     else incr k
   done;
-  let duplicates limit = check_duplicates edges names ~n limit in
   if !bad < m then begin
     let k = !bad in
-    duplicates k;
+    check_duplicates edges names ~n:d.n k;
     let line = edge_line edges k in
     let endpoint_name = endpoint_names edges names text in
     if edge_src edges k < 0 then
@@ -641,118 +762,13 @@ let parse text =
     if edge_dst edges k < 0 then
       fail line "edge: unknown task %s" (endpoint_name k 2);
     fail line "edge: self loop on task %s" names.(edge_src edges k)
-  end;
-  let src = edges.e_src and dst = edges.e_dst and msg = edges.e_msg in
-  let cycle_error ids =
-    (* Map the Dag.Cycle payload back to names and the earliest source
-       line of an edge on the cycle. *)
-    let cycle_names = List.map (fun i -> names.(i)) ids in
-    let pairs =
-      match ids with
-      | [] -> []
-      | first :: _ ->
-          let rec consecutive = function
-            | a :: (b :: _ as rest) -> (a, b) :: consecutive rest
-            | [ last ] -> [ (last, first) ]
-            | [] -> []
-          in
-          consecutive ids
-    in
-    let line = ref max_int in
-    for k = 0 to m - 1 do
-      if List.mem (src.(k), dst.(k)) pairs then
-        line := min !line (edge_line edges k)
-    done;
-    let line = if !line = max_int then 0 else !line in
-    fail line "precedence cycle: %s"
-      (String.concat " -> " (cycle_names @ [ List.nth cycle_names 0 ]))
-  in
-  let periodic = ref false and one_shot = ref (-1) in
-  for i = n - 1 downto 0 do
-    if d.period.(i) <> None then periodic := true else one_shot := i
-  done;
-  let app =
-    if !periodic then begin
-      duplicates m;
-      (if !one_shot >= 0 then
-         let i = !one_shot in
-         fail (line_of d i)
-           "task %s: mixing periodic and one-shot tasks is not supported"
-           names.(i));
-      let ptasks =
-        List.init n (fun i ->
-            try
-              Rtlb.Periodic.ptask ~name:names.(i)
-                ~period:(Option.get d.period.(i))
-                ~offset:d.release.(i) ~compute:d.compute.(i)
-                ~deadline:d.deadline.(i) ~proc:d.procs.(i)
-                ~resources:(resources_of d i) ~preemptive:d.preemptive.(i) ()
-            with Invalid_argument msg ->
-              fail (line_of d i) "task %s: %s" names.(i) msg)
-      in
-      let pedges =
-        List.init m (fun k -> (names.(src.(k)), names.(dst.(k)), msg.(k)))
-      in
-      match Rtlb.Periodic.unroll ~tasks:ptasks ~edges:pedges () with
-      | app -> app
-      | exception Invalid_argument msg -> fail 0 "%s" msg
-      | exception Dag.Cycle _ -> fail 0 "precedence cycle in task graph"
-    end
-    else begin
-      (* Each task's demands in Task.make's order (by name), checked
-         with its messages; equal multi-resource lists are shared. *)
-      let shared = Hashtbl.create 16 in
-      for i = 0 to n - 1 do
-        match
-          let ds =
-            match checked_demands d i with
-            | ([] | [ _ ]) as ds -> ds
-            | ds -> (
-                let ds =
-                  List.sort (fun (a, _) (b, _) -> String.compare a b) ds
-                in
-                match Hashtbl.find_opt shared ds with
-                | Some same -> same
-                | None ->
-                    Hashtbl.add shared ds ds;
-                    ds)
-          in
-          Rtlb.Task.check ~id:i ~compute:d.compute.(i) ~release:d.release.(i)
-            ~deadline:d.deadline.(i) ~proc:d.procs.(i) ~demands:ds;
-          d.demands.(i) <- ds
-        with
-        | () -> ()
-        | exception Invalid_argument msg ->
-            duplicates m;
-            fail (line_of d i) "task %s: %s" names.(i) msg
-        | exception (Parse_error _ as e) ->
-            duplicates m;
-            raise e
-      done;
-      let columns =
-        {
-          Rtlb.App.names = names;
-          compute = d.compute;
-          release = d.release;
-          deadline = d.deadline;
-          proc = d.procs;
-          demands = d.demands;
-          preemptive = d.preemptive;
-        }
-      in
-      match Rtlb.App.of_columns columns ~src ~dst ~msg with
-      | app -> app
-      | exception Invalid_argument msg ->
-          duplicates m;
-          fail 0 "%s" msg
-      | exception Dag.Cycle ids -> cycle_error ids
-    end
-  in
-  let line_of_conflict nodes =
-    match nodes with (l, _) :: _ -> l | [] -> 0
-  in
-  let system = system_of line_of_conflict shared nodes in
-  { app; system }
+  end
+
+let parse text =
+  let scanned = scan text in
+  check_references text scanned;
+  let app = build scanned in
+  { app; system = system_of scanned.shared scanned.nodes }
 
 (* The whole of a file, read to its end: a pipe or a terminal has no
    length to size the read by. *)
@@ -763,109 +779,377 @@ let read_file path =
 
 let parse_file path = parse (read_file path)
 
-(* ---------------- diagnostic (spec) path ---------------- *)
+(* ---------------- checking ---------------- *)
 
-type spec = {
-  spec_tasks : Rtlb.Validate.task_spec list;
-  spec_edges : Rtlb.Validate.edge_spec list;
-  spec_system : Rtlb.System.t option;
-  spec_source : string;
-}
+module V = Rtlb.Validate
 
-let parse_spec text =
-  let { decls = d; edges; shared; nodes; _ } = scan text in
-  let line_of_conflict nodes =
-    match nodes with (l, _) :: _ -> l | [] -> 0
+(* Diagnostics are collected in pass order, latest first, into [acc]. *)
+let report acc code severity subject line message =
+  acc :=
+    { V.d_code = code; d_severity = severity; d_subject = subject;
+      d_message = message; d_line = line }
+    :: !acc
+
+(* A diagnostic on task [i], at its line. *)
+let on_task acc d i code severity fmt =
+  Printf.ksprintf
+    (fun m -> report acc code severity ("task " ^ d.names.(i)) (Some d.lines.(i)) m)
+    fmt
+
+let rec check_unit_counts acc d i = function
+  | [] -> ()
+  | (r, k) :: rest ->
+      if k < 1 then
+        on_task acc d i "E104" V.Error "%d units of resource '%s'" k r;
+      check_unit_counts acc d i rest
+
+(* Task [i]'s quantities and declared window. *)
+let check_task acc d i =
+  let compute = d.compute.(i)
+  and release = d.release.(i)
+  and deadline = d.deadline.(i) in
+  if String.equal d.procs.(i) "" then
+    on_task acc d i "E104" V.Error "empty processor type";
+  if compute < 0 then
+    on_task acc d i "E104" V.Error "negative compute time %d" compute;
+  if compute = 0 then
+    on_task acc d i "W201" V.Warning
+      "zero-compute task (milestone): occupies no resource time";
+  check_unit_counts acc d i d.demands.(i);
+  match d.period.(i) with
+  | None ->
+      if release < 0 then
+        on_task acc d i "E104" V.Error "negative release time %d" release;
+      if deadline < 0 then
+        on_task acc d i "E104" V.Error "negative deadline %d" deadline;
+      if
+        compute >= 0 && release >= 0 && deadline >= 0
+        && not (Rtlb.Task.window_holds ~release ~compute ~deadline)
+      then
+        on_task acc d i "E102" V.Error "window [%d, %d] cannot hold compute %d"
+          release deadline compute
+  | Some p ->
+      if p <= 0 then on_task acc d i "E104" V.Error "non-positive period %d" p;
+      if deadline < 0 then
+        on_task acc d i "E104" V.Error "negative deadline %d" deadline;
+      if p > 0 && (release < 0 || release >= p) then
+        on_task acc d i "E104" V.Error "offset %d outside [0, period %d)"
+          release p;
+      if compute >= 0 && deadline >= 0 && compute > deadline then
+        on_task acc d i "E102" V.Error
+          "relative deadline %d cannot hold compute %d" deadline compute
+
+let check_mixed acc d =
+  let periodic = ref 0 in
+  for i = 0 to d.n - 1 do
+    if d.period.(i) <> None then incr periodic
+  done;
+  if !periodic > 0 && !periodic < d.n then
+    report acc "E106" V.Error "application" None
+      (Printf.sprintf
+         "mixed periodic and one-shot tasks (%d periodic, %d one-shot)"
+         !periodic (d.n - !periodic))
+
+(* The indices of the edges [keep] admits, grouped by their endpoint in
+   [by] (the source or destination column), each group in file order:
+   group [v] is [ids.(p)] for [p] from [off.(v)] to [off.(v + 1) - 1]. *)
+let edge_rows n ~by m keep =
+  let off = Array.make (n + 1) 0 in
+  for k = 0 to m - 1 do
+    if keep k then off.(by.(k) + 1) <- off.(by.(k) + 1) + 1
+  done;
+  for v = 1 to n do
+    off.(v) <- off.(v) + off.(v - 1)
+  done;
+  let ids = Array.make off.(n) 0 in
+  (* [off.(v)] is group [v]'s next free entry while the groups fill, and
+     ends as group [v + 1]'s start *)
+  for k = 0 to m - 1 do
+    if keep k then begin
+      let v = by.(k) in
+      ids.(off.(v)) <- k;
+      off.(v) <- off.(v) + 1
+    end
+  done;
+  for v = n downto 1 do
+    off.(v) <- off.(v - 1)
+  done;
+  off.(0) <- 0;
+  (off, ids)
+
+(* The same groups as Dag rows: [adj] the other endpoint, [weight] the
+   edge's index. *)
+let rows n ~by ~other m keep =
+  let off, ids = edge_rows n ~by m keep in
+  { Dag.off; adj = Array.map (fun k -> other.(k)) ids; weight = ids }
+
+(* Per edge, whether it repeats an earlier edge between the same two
+   tasks ('\001'), with the edges between declared tasks grouped by
+   source ([edge_rows]).  An undeclared endpoint is told apart by its
+   spelling. *)
+let repeated_edges d edges spelled =
+  let n = d.n and m = edges.n_edges in
+  let src = edges.e_src and dst = edges.e_dst in
+  let repeated = Bytes.make m '\000' in
+  let ((off, ids) as resolved) =
+    edge_rows n ~by:src m (fun k -> src.(k) >= 0 && dst.(k) >= 0)
   in
-  let system = system_of line_of_conflict shared nodes in
-  let endpoint_name = endpoint_names edges d.names text in
-  {
-    spec_tasks =
-      List.init d.n (fun i ->
-          {
-            Rtlb.Validate.ts_name = d.names.(i);
-            ts_compute = d.compute.(i);
-            ts_release = d.release.(i);
-            ts_deadline = d.deadline.(i);
-            ts_proc = d.procs.(i);
-            ts_demands = d.demands.(i);
-            ts_preemptive = d.preemptive.(i);
-            ts_period = d.period.(i);
-            ts_line = Some (line_of d i);
-          });
-    spec_edges =
-      List.init edges.n_edges (fun k ->
-          {
-            Rtlb.Validate.es_src = endpoint_name k 1;
-            es_dst = endpoint_name k 2;
-            es_message = edges.e_msg.(k);
-            es_line = Some (edge_line edges k);
-          });
-    spec_system = system;
-    spec_source = text;
-  }
+  let stamp = Array.make n (-1) in
+  for v = 0 to n - 1 do
+    for p = off.(v) to off.(v + 1) - 1 do
+      let t = dst.(ids.(p)) in
+      if stamp.(t) = v then Bytes.set repeated ids.(p) '\001'
+      else stamp.(t) <- v
+    done
+  done;
+  let seen = Hashtbl.create 16 in
+  for k = 0 to m - 1 do
+    if src.(k) < 0 || dst.(k) < 0 then begin
+      let pair = (spelled k 1, spelled k 2) in
+      if Hashtbl.mem seen pair then Bytes.set repeated k '\001'
+      else Hashtbl.add seen pair ()
+    end
+  done;
+  (repeated, resolved)
 
-let parse_spec_file path = parse_spec (read_file path)
+(* An error on edge [k], at its line. *)
+let on_edge acc edges spelled k code fmt =
+  Printf.ksprintf
+    (fun m ->
+      report acc code V.Error
+        (Printf.sprintf "edge %s->%s" (spelled k 1) (spelled k 2))
+        (Some (edge_line edges k)) m)
+    fmt
+
+let check_edges acc edges spelled repeated =
+  let src = edges.e_src and dst = edges.e_dst in
+  for k = 0 to edges.n_edges - 1 do
+    let s = src.(k) and t = dst.(k) in
+    if edges.e_msg.(k) < 0 then
+      on_edge acc edges spelled k "E104" "negative message size %d"
+        edges.e_msg.(k);
+    if s < 0 || t < 0 then
+      (* each undeclared spelling once, in string order when both are *)
+      List.iter
+        (on_edge acc edges spelled k "E103" "references undeclared task '%s'")
+        (List.sort_uniq String.compare
+           ((if s < 0 then [ spelled k 1 ] else [])
+           @ if t < 0 then [ spelled k 2 ] else []));
+    if s >= 0 && s = t then on_edge acc edges spelled k "E101" "self-loop";
+    if Bytes.get repeated k <> '\000' then
+      on_edge acc edges spelled k "E105" "duplicate edge"
+  done
+
+(* E101 for one cycle through the edges between two different declared
+   tasks, first occurrences only.  The walk starts at the lowest task
+   that lies on a cycle or leads into one and follows the
+   last-declared such successor; the line is the earliest of an edge on
+   the cycle. *)
+let check_cycles acc d edges repeated (off, ids) =
+  let n = d.n and m = edges.n_edges in
+  let src = edges.e_src and dst = edges.e_dst in
+  let usable k =
+    src.(k) >= 0 && dst.(k) >= 0 && src.(k) <> dst.(k)
+    && Bytes.get repeated k = '\000'
+  in
+  let indegree = Array.make n 0 in
+  for k = 0 to m - 1 do
+    if usable k then indegree.(dst.(k)) <- indegree.(dst.(k)) + 1
+  done;
+  let queue = Array.make n 0 and tail = ref 0 in
+  for v = 0 to n - 1 do
+    if indegree.(v) = 0 then begin
+      queue.(!tail) <- v;
+      incr tail
+    end
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    for p = off.(v) to off.(v + 1) - 1 do
+      if usable ids.(p) then begin
+        let t = dst.(ids.(p)) in
+        indegree.(t) <- indegree.(t) - 1;
+        if indegree.(t) = 0 then begin
+          queue.(!tail) <- t;
+          incr tail
+        end
+      end
+    done
+  done;
+  if !tail < n then begin
+    let succ = rows n ~by:src ~other:dst m usable
+    and pred = rows n ~by:dst ~other:src m usable in
+    let left = Array.map (fun k -> k > 0) indegree in
+    Dag.trim_to_cycles ~succ ~pred left;
+    let rec last_left p =
+      if left.(succ.Dag.adj.(p)) then succ.Dag.adj.(p) else last_left (p - 1)
+    in
+    let seen = Array.make n (-1) in
+    let rec walk v step path =
+      if seen.(v) >= 0 then
+        List.filteri (fun i _ -> i >= seen.(v)) (List.rev path)
+      else begin
+        seen.(v) <- step;
+        walk (last_left (succ.Dag.off.(v + 1) - 1)) (step + 1) (v :: path)
+      end
+    in
+    let start = ref 0 in
+    while not left.(!start) do
+      incr start
+    done;
+    let cycle = walk !start 0 [] in
+    let next = cycle_successors n cycle in
+    let line = ref max_int in
+    for k = 0 to m - 1 do
+      if usable k && next.(src.(k)) = dst.(k) then
+        line := min !line (edge_line edges k)
+    done;
+    let names = List.map (fun v -> d.names.(v)) cycle in
+    report acc "E101" V.Error "application" (Some !line)
+      (Printf.sprintf "precedence cycle: %s -> %s" (String.concat " -> " names)
+         (List.hd names))
+  end
+
+let rec undeclared_resources acc d i costs = function
+  | [] -> ()
+  | (r, _) :: rest ->
+      if not (List.mem_assoc r costs) then
+        on_task acc d i "E103" V.Error
+          "resource '%s' has no cost in the shared model" r;
+      undeclared_resources acc d i costs rest
+
+let rec provides_all nt = function
+  | [] -> true
+  | (r, k) :: rest -> Rtlb.System.node_provides nt r >= k && provides_all nt rest
+
+let rec offers_proc proc = function
+  | [] -> false
+  | (nt : Rtlb.System.node_type) :: rest ->
+      String.equal nt.Rtlb.System.nt_proc proc || offers_proc proc rest
+
+let rec offers_all proc ds = function
+  | [] -> false
+  | (nt : Rtlb.System.node_type) :: rest ->
+      (String.equal nt.Rtlb.System.nt_proc proc && provides_all nt ds)
+      || offers_all proc ds rest
+
+let rec units_positive = function
+  | [] -> true
+  | (_, k) :: rest -> k >= 1 && units_positive rest
+
+(* Every processor and resource a task names against the system model,
+   then every name the model prices or provides that no task uses. *)
+let check_system acc { decls = d; resources; _ } system =
+  let unused r =
+    find_name resources.index resources.i_names r 0 (String.length r) < 0
+  in
+  match system with
+  | Rtlb.System.Shared costs ->
+      for i = 0 to d.n - 1 do
+        let proc = d.procs.(i) in
+        if proc <> "" && not (List.mem_assoc proc costs) then
+          on_task acc d i "E103" V.Error
+            "processor type '%s' has no cost in the shared model" proc;
+        undeclared_resources acc d i costs d.demands.(i)
+      done;
+      List.iter
+        (fun (r, _) ->
+          if unused r then
+            report acc "W202" V.Warning ("resource " ^ r) None
+              "declared in the system model but used by no task")
+        costs
+  | Rtlb.System.Dedicated nts ->
+      for i = 0 to d.n - 1 do
+        let proc = d.procs.(i) and ds = d.demands.(i) in
+        if proc <> "" && not (offers_proc proc nts) then
+          on_task acc d i "E103" V.Error "no node type provides processor '%s'"
+            proc
+        else if proc <> "" && units_positive ds && not (offers_all proc ds nts)
+        then
+          on_task acc d i "E103" V.Error
+            "no node type with processor '%s' provides its resources (%s)" proc
+            (String.concat ", "
+               (List.map
+                  (fun (r, k) -> if k = 1 then r else Printf.sprintf "%dx%s" k r)
+                  ds))
+      done;
+      List.concat_map
+        (fun (nt : Rtlb.System.node_type) ->
+          nt.Rtlb.System.nt_proc :: List.map fst nt.Rtlb.System.nt_provides)
+        nts
+      |> List.sort_uniq String.compare
+      |> List.iter (fun r ->
+             if unused r then
+               report acc "W202" V.Warning ("resource " ^ r) None
+                 "provided by the node catalogue but used by no task")
+
+(* Every declaration check, in pass order: tasks, repeated names, the
+   task model, edges, cycles, the system model. *)
+let declaration_diagnostics text ({ decls = d; table; edges; _ } as scanned)
+    system =
+  let acc = ref [] in
+  for i = 0 to d.n - 1 do
+    check_task acc d i
+  done;
+  for i = 0 to d.n - 1 do
+    if table.hashes.(i) < 0 then
+      on_task acc d i "E105" V.Error "duplicate task name"
+  done;
+  check_mixed acc d;
+  let spelled = endpoint_names edges d.names text in
+  let repeated, resolved = repeated_edges d edges spelled in
+  check_edges acc edges spelled repeated;
+  check_cycles acc d edges repeated resolved;
+  Option.iter (check_system acc scanned) system;
+  List.rev !acc
 
 let e100 line m =
   {
-    Rtlb.Validate.d_code = "E100";
-    d_severity = Rtlb.Validate.Error;
+    V.d_code = "E100";
+    d_severity = V.Error;
     d_subject = "application";
     d_message = m;
     d_line = (if line > 0 then Some line else None);
   }
 
-let check spec =
-  let diags =
-    Rtlb.Validate.check_spec ~system:spec.spec_system ~tasks:spec.spec_tasks
-      ~edges:spec.spec_edges
-  in
-  if Rtlb.Validate.has_errors diags then diags
-  else
-    (* The spec phase found nothing fatal, so the strict parse is expected
-       to succeed; anything it still rejects surfaces as E100 rather than
-       an exception. *)
-    match parse spec.spec_source with
-    | { app; system } ->
-        let system =
-          match system with
-          | Some s -> s
-          | None ->
-              Rtlb.System.shared_uniform
-                ~resources:(Rtlb.App.resource_set app)
-        in
-        let line_of =
-          let tbl = Hashtbl.create 16 in
-          List.iter
-            (fun (ts : Rtlb.Validate.task_spec) ->
-              match ts.Rtlb.Validate.ts_line with
-              | Some l -> Hashtbl.replace tbl ts.Rtlb.Validate.ts_name l
-              | None -> ())
-            spec.spec_tasks;
-          fun name ->
-            (* Periodic unrolling names jobs "t@k"; report the line of the
-               declaring task. *)
-            let base =
-              match String.index_opt name '@' with
-              | Some i -> String.sub name 0 i
-              | None -> name
+(* The source line of task [i] of the application [build] made from
+   [scanned]: a one-shot task's own; a periodic job's ([t@k]) that of
+   its task [t]. *)
+let source_line { decls = d; table; _ } app =
+  if d.n > 0 && d.period.(0) <> None then begin
+    let jobs = (Rtlb.App.columns app).Rtlb.App.names in
+    fun i ->
+      let job = jobs.(i) in
+      let t = find_name table d.names job 0 (String.rindex job '@') in
+      if t >= 0 then Some d.lines.(t) else None
+  end
+  else fun i -> Some d.lines.(i)
+
+let check text =
+  match
+    let scanned = scan text in
+    (scanned, system_of scanned.shared scanned.nodes)
+  with
+  | exception Parse_error (line, m) -> [ e100 line m ]
+  | scanned, system -> (
+      let diags = declaration_diagnostics text scanned system in
+      if V.has_errors diags then V.by_line diags
+      else
+        match build scanned with
+        | exception Parse_error (line, m) -> V.by_line diags @ [ e100 line m ]
+        | app ->
+            let system =
+              match system with
+              | Some s -> s
+              | None ->
+                  Rtlb.System.shared_uniform
+                    ~resources:(Rtlb.App.resource_set app)
             in
-            Hashtbl.find_opt tbl base
-        in
-        let all = diags @ Rtlb.Validate.check_windows ~line_of ~system app in
-        (* Interleave the two phases by source line (stable; unlocated
-           diagnostics sink to the end). *)
-        List.stable_sort
-          (fun (a : Rtlb.Validate.diag) (b : Rtlb.Validate.diag) ->
-            match (a.Rtlb.Validate.d_line, b.Rtlb.Validate.d_line) with
-            | Some x, Some y -> compare x y
-            | Some _, None -> -1
-            | None, Some _ -> 1
-            | None, None -> 0)
-          all
-    | exception Parse_error (l, m) -> diags @ [ e100 l m ]
-    | exception e -> diags @ [ e100 0 (Printexc.to_string e) ]
+            V.by_line
+              (diags
+              @ V.check_windows ~line_of:(source_line scanned app) ~system app))
 
 (* ---------------- writing ---------------- *)
 

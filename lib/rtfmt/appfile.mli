@@ -33,37 +33,18 @@ val parse_file : string -> t
 (** [parse] on the file read to its end, so a pipe or [/dev/stdin] reads
     as a regular file does.  @raise Parse_error and [Sys_error]. *)
 
-(** {1 Diagnostic (spec) parsing}
-
-    [parse] fails fast: the first problem aborts with an exception.  The
-    spec path instead tokenizes the file into {!Rtlb.Validate.task_spec} /
-    {!Rtlb.Validate.edge_spec} declarations — keeping source lines and
-    tolerating semantic errors — so {!check} can report {e every} problem
-    at once. *)
-
-type spec = {
-  spec_tasks : Rtlb.Validate.task_spec list;
-  spec_edges : Rtlb.Validate.edge_spec list;
-  spec_system : Rtlb.System.t option;
-  spec_source : string;  (** The original text, for the window phase. *)
-}
-
-val parse_spec : string -> spec
-(** Tokenize without constructing the application.
-    @raise Parse_error only on syntax-level problems (unknown directive,
-      malformed [key=value], non-integer fields, missing required keys). *)
-
-val parse_spec_file : string -> spec
-(** [parse_spec] on the file read to its end, as {!parse_file} reads it.
-    @raise Parse_error and [Sys_error]. *)
-
-val check : spec -> Rtlb.Validate.diag list
-(** {!Rtlb.Validate.check_spec} over the declarations; when that finds no
-    errors, the application is built and {!Rtlb.Validate.check_windows}
-    appends the EST/LCT-phase diagnostics (with source lines; unrolled
-    periodic jobs [t@k] report the line of the declaring task).  Anything
-    the strict parse still rejects becomes an [E100] diagnostic — this
-    function never raises on any input [parse_spec] accepts. *)
+val check : string -> Rtlb.Validate.diag list
+(** Every problem of an application file, as {!Rtlb.Validate}
+    diagnostics sorted by {!Rtlb.Validate.by_line}, from one read of the
+    text: the scan [parse] makes, then the declaration checks on its
+    columns ([E101], [E103]-[E106], the declared-window [E102], [W201],
+    [W202]), each at its source line.  When they find no error, the
+    instance is built from the same columns as [parse] builds it and
+    {!Rtlb.Validate.check_windows} adds the EST/LCT-phase diagnostics; a
+    one-shot task is reported at its line, an unrolled periodic job
+    [t@k] at the line of its task [t].  A text that does not scan, a
+    bad system declaration and anything the build still rejects become
+    one [E100].  Never raises. *)
 
 val to_string : ?system:Rtlb.System.t -> Rtlb.App.t -> string
 (** Render an application (and optionally a system) in the same format;

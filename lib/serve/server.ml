@@ -140,19 +140,6 @@ let parse_instance text =
     Error
       (Protocol.Invalid_app, if l > 0 then Printf.sprintf "line %d: %s" l m else m)
 
-let check_diags text =
-  try Rtfmt.Appfile.check (Rtfmt.Appfile.parse_spec text)
-  with Rtfmt.Appfile.Parse_error (l, m) ->
-    [
-      {
-        Rtlb.Validate.d_code = "E100";
-        d_severity = Rtlb.Validate.Error;
-        d_subject = "application";
-        d_message = m;
-        d_line = (if l > 0 then Some l else None);
-      };
-    ]
-
 (* Run [use] on the job's handle: the hit [checkout ()] returns, or a
    cold build of [instance ()] on a miss.  [checkout] claims the key; the
    claim ends here in exactly one checkin, release or discard — on
@@ -207,12 +194,11 @@ let exec t ?pool ~checkout job instance =
   in
   match req.Protocol.op with
   | Protocol.Check ->
-      let diags = check_diags req.Protocol.app in
-      let errors = List.length (List.filter (fun d -> d.Rtlb.Validate.d_severity = Rtlb.Validate.Error) diags) in
+      let diags = Rtfmt.Appfile.check req.Protocol.app in
       Json.Obj
         [
           ("diags", Json.List (List.map Protocol.json_of_diag diags));
-          ("errors", Json.Int errors);
+          ("errors", Json.Int (List.length (Rtlb.Validate.errors diags)));
         ]
   | Protocol.Analyze ->
       with_handle t ?pool ?deadline_ns ~checkout job instance (fun handle ->

@@ -67,77 +67,3 @@ let drop_edge app ~src ~dst =
 let zero_communication app =
   rebuild ~tasks:(tasks_of app)
     ~edges:(List.map (fun (s, d, _) -> (s, d, 0)) (edges_of app))
-
-(* ---------------- validity-breaking corruptions ---------------- *)
-
-type corruption =
-  | Reverse_edge
-  | Shrink_window
-  | Dangling_edge
-  | Negative_message
-  | Negative_compute
-  | Duplicate_task
-
-let corruptions =
-  [
-    Reverse_edge;
-    Shrink_window;
-    Dangling_edge;
-    Negative_message;
-    Negative_compute;
-    Duplicate_task;
-  ]
-
-let corruption_name = function
-  | Reverse_edge -> "reverse-edge"
-  | Shrink_window -> "shrink-window"
-  | Dangling_edge -> "dangling-edge"
-  | Negative_message -> "negative-message"
-  | Negative_compute -> "negative-compute"
-  | Duplicate_task -> "duplicate-task"
-
-let corrupt app c =
-  let tasks, edges = Rtlb.Validate.spec_of_app app in
-  let open Rtlb.Validate in
-  match (c, tasks, edges) with
-  | Reverse_edge, _, e :: _ ->
-      (* Closing the first edge into a 2-cycle: E101. *)
-      let back =
-        { es_src = e.es_dst; es_dst = e.es_src; es_message = 0; es_line = None }
-      in
-      Some (tasks, edges @ [ back ])
-  | Reverse_edge, _, [] -> None
-  | Shrink_window, _, _ -> (
-      match List.find_opt (fun ts -> ts.ts_compute > 0) tasks with
-      | None -> None
-      | Some victim ->
-          Some
-            ( List.map
-                (fun ts ->
-                  if ts.ts_name = victim.ts_name then
-                    {
-                      ts with
-                      ts_deadline = ts.ts_release + ts.ts_compute - 1;
-                    }
-                  else ts)
-                tasks,
-              edges ))
-  | Dangling_edge, ts :: _, _ ->
-      let stray =
-        {
-          es_src = ts.ts_name;
-          es_dst = "__undeclared__";
-          es_message = 0;
-          es_line = None;
-        }
-      in
-      Some (tasks, edges @ [ stray ])
-  | Dangling_edge, [], _ -> None
-  | Negative_message, _, e :: rest ->
-      Some (tasks, { e with es_message = -1 } :: rest)
-  | Negative_message, _, [] -> None
-  | Negative_compute, ts :: rest, _ ->
-      Some ({ ts with ts_compute = -1 } :: rest, edges)
-  | Negative_compute, [], _ -> None
-  | Duplicate_task, ts :: _, _ -> Some (tasks @ [ ts ], edges)
-  | Duplicate_task, [], _ -> None

@@ -29,31 +29,3 @@ val drop_edge : Rtlb.App.t -> src:int -> dst:int -> Rtlb.App.t option
 
 val zero_communication : Rtlb.App.t -> Rtlb.App.t
 (** All message sizes set to [0] — a pure relaxation. *)
-
-(** {1 Validity-breaking corruptions}
-
-    Where the mutations above stay inside the valid-instance space, a
-    corruption deliberately leaves it — each in a way {!Rtlb.Validate}
-    must catch with at least one [E*] diagnostic.  Corrupted instances
-    cannot exist as [App.t] (the constructors reject them), so the result
-    is a spec pair for {!Rtlb.Validate.check_spec}. *)
-
-type corruption =
-  | Reverse_edge  (** Close an existing edge into a 2-cycle ([E101]). *)
-  | Shrink_window  (** Deadline below [release + compute] ([E102]). *)
-  | Dangling_edge  (** Edge to an undeclared task ([E103]). *)
-  | Negative_message  (** Message size [-1] ([E104]). *)
-  | Negative_compute  (** Compute [-1] ([E104]). *)
-  | Duplicate_task  (** Re-declare the first task ([E105]). *)
-
-val corruptions : corruption list
-(** Every constructor, for exhaustive property tests. *)
-
-val corruption_name : corruption -> string
-
-val corrupt :
-  Rtlb.App.t ->
-  corruption ->
-  (Rtlb.Validate.task_spec list * Rtlb.Validate.edge_spec list) option
-(** [None] when the application lacks the needed structure (e.g. no edge
-    to reverse). *)

@@ -36,15 +36,29 @@ let topological_sort n succ pred =
     (* Find a cycle among vertices with remaining in-degree. *)
     let in_cycle = Array.make n false in
     Array.iteri (fun v d -> if d > 0 then in_cycle.(v) <- true) indegree;
+    (* Drop leftover vertices with no leftover successor until none is
+       left: they only hang below a cycle. *)
+    let dropped = ref true in
+    while !dropped do
+      dropped := false;
+      Array.iteri
+        (fun v b ->
+          if b && not (List.exists (fun (w, _) -> in_cycle.(w)) succ.(v))
+          then begin
+            in_cycle.(v) <- false;
+            dropped := true
+          end)
+        in_cycle
+    done;
     let start = ref 0 in
     Array.iteri (fun v b -> if b && not in_cycle.(!start) then start := v)
       in_cycle;
     let seen = Array.make n (-1) in
     let rec walk v step path =
       if seen.(v) >= 0 then
-        (* Trim the tail before the first repetition. *)
-        List.rev (v :: path)
-        |> List.filteri (fun i _ -> i >= seen.(v))
+        (* Trim the tail before the first repetition, and the
+           repetition. *)
+        List.rev path |> List.filteri (fun i _ -> i >= seen.(v))
       else begin
         seen.(v) <- step;
         let next =

@@ -1,6 +1,7 @@
-(* The application-file reader: whitespace rules, agreement with the
-   list-based reference reader (Appfile_ref), totality on byte-mutated
-   input, and parse (to_string app) = app on every generator family. *)
+(* The application-file reader: whitespace rules, agreement of [parse]
+   and [check] with the list-based reference (Appfile_ref), totality on
+   byte-mutated input, and parse (to_string app) = app on every
+   generator family. *)
 
 open Helpers
 
@@ -30,11 +31,7 @@ let outcome parse text =
 
 (* What [rtlb check] prints for a text, file name aside. *)
 let check_output text =
-  match Rtfmt.Appfile.parse_spec text with
-  | spec ->
-      List.map (Rtlb.Validate.to_string ~file:"f") (Rtfmt.Appfile.check spec)
-  | exception Rtfmt.Appfile.Parse_error (line, m) ->
-      [ Printf.sprintf "E100 %d %s" line m ]
+  List.map (Rtlb.Validate.to_string ~file:"f") (Rtfmt.Appfile.check text)
 
 let crlf text =
   String.split_on_char '\n' text |> String.concat "\r\n"
@@ -131,29 +128,33 @@ let arb_mutant ~blanks =
       let text = List.nth corpus (Random.State.int rand (List.length corpus)) in
       if Random.State.int rand 8 = 0 then text else mutate ~blanks rand text)
 
-let spec_outcome parse text =
-  match parse text with
-  | spec -> Ok spec
-  | exception Rtfmt.Appfile.Parse_error (line, m) -> Error (line, m)
-  | exception e -> Error (-1, Printexc.to_string e)
+(* [check] as a value to compare: its diagnostics, or the exception it
+   raised by name. *)
+let check_outcome check text =
+  match check text with
+  | diags -> Ok diags
+  | exception e -> Error (Printexc.to_string e)
 
-let same_spec a b =
-  match (a, b) with
-  | Ok (a : Rtfmt.Appfile.spec), Ok (b : Rtfmt.Appfile.spec) ->
-      a.Rtfmt.Appfile.spec_tasks = b.Rtfmt.Appfile.spec_tasks
-      && a.Rtfmt.Appfile.spec_edges = b.Rtfmt.Appfile.spec_edges
-      && a.Rtfmt.Appfile.spec_system = b.Rtfmt.Appfile.spec_system
-      && Rtfmt.Appfile.check a = Rtfmt.Appfile.check b
-  | Error e, Error e' -> e = e'
-  | _ -> false
+let same_check text =
+  check_outcome Rtfmt.Appfile.check text = check_outcome Appfile_ref.check text
 
 let differential =
   qtest ~count:600 "reader agrees with the list-based reference"
     (arb_mutant ~blanks:false) (fun text ->
       outcome Rtfmt.Appfile.parse text = outcome Appfile_ref.parse text
-      && same_spec
-           (spec_outcome Rtfmt.Appfile.parse_spec text)
-           (spec_outcome Appfile_ref.parse_spec text))
+      && (same_check text
+         || QCheck.Test.fail_reportf "check differs:\n%s\nvs the reference:\n%s"
+              (String.concat "\n" (check_output text))
+              (String.concat "\n"
+                 (List.map (Rtlb.Validate.to_string ~file:"f")
+                    (Appfile_ref.check text)))))
+
+let corpus_checks_agree () =
+  List.iteri
+    (fun k text ->
+      check_bool (Printf.sprintf "corpus file %d: check = the reference" k)
+        true (same_check text))
+    (Lazy.force corpus)
 
 (* Duplicate edges are found by Dag's sorted rows, and the first one in
    file order only once something fails: it must still outrank a later
@@ -194,11 +195,8 @@ let total =
       | _ -> true
       | exception Rtfmt.Appfile.Parse_error _ -> true)
       &&
-      match Rtfmt.Appfile.parse_spec text with
-      | spec ->
-          ignore (Rtfmt.Appfile.check spec);
-          true
-      | exception Rtfmt.Appfile.Parse_error _ -> true)
+      (ignore (Rtfmt.Appfile.check text : Rtlb.Validate.diag list);
+       true))
 
 (* ---------------- round trips ---------------- *)
 
@@ -307,6 +305,8 @@ let suite =
         Alcotest.test_case "error precedence with duplicate edges" `Quick
           error_precedence;
         differential;
+        Alcotest.test_case "check agrees with the reference on the corpus"
+          `Quick corpus_checks_agree;
         total;
         families_roundtrip;
         writer_matches_reference;

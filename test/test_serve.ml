@@ -798,6 +798,76 @@ let priority_orders_queue () =
       check_bool "high-priority work ran before the cold analysis" true
         (!order = [ "cold-low"; "explicit-high"; "check-auto-high" ]))
 
+(* The check op answers what `rtlb check` prints: on every file of the
+   golden invalid corpus its diagnostics, rendered with the file's name,
+   are the lines of the file's .expected, and [errors] counts their E
+   lines. *)
+let check_op_matches_golden () =
+  let dir = repo_path "test/golden/invalid" in
+  let read f = In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all in
+  let str = function Json.Str s -> s | _ -> Alcotest.fail "not a string" in
+  let line_of line file (d : Json.t) =
+    let code = str (Json.member "code" d) in
+    Rtlb.Validate.to_string ~file
+      {
+        Rtlb.Validate.d_code = code;
+        d_severity =
+          (match str (Json.member "severity" d) with
+          | "error" -> Rtlb.Validate.Error
+          | _ -> Rtlb.Validate.Warning);
+        d_subject = str (Json.member "subject" d);
+        d_message = str (Json.member "message" d);
+        d_line = line;
+      }
+  in
+  let apps =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".app")
+    |> List.sort compare
+  in
+  check_bool "corpus found" true (apps <> []);
+  with_server (fun t ->
+      List.iter
+        (fun file ->
+          let expected =
+            read (Filename.chop_suffix file ".app" ^ ".expected")
+            |> String.split_on_char '\n'
+            |> List.filter (fun l -> l <> "")
+          in
+          let reply =
+            request t
+              (frame [ ("op", Json.Str "check"); ("app", Json.Str (read file)) ])
+          in
+          check_bool (file ^ ": ok") true (is_ok reply);
+          let result = Json.member "result" reply in
+          let diags =
+            match Json.member "diags" result with
+            | Json.List ds -> ds
+            | _ -> Alcotest.fail "diags is not a list"
+          in
+          let lines =
+            List.map
+              (fun d ->
+                let line =
+                  match Json.member "line" d with
+                  | Json.Int l -> Some l
+                  | _ -> None
+                in
+                line_of line file d)
+              diags
+          in
+          Alcotest.(check (list string)) (file ^ ": diagnostics") expected lines;
+          (* "FILE[:LINE]: CODE subject: message" *)
+          let is_error l =
+            match String.index_opt l ' ' with
+            | Some i -> i + 1 < String.length l && l.[i + 1] = 'E'
+            | None -> false
+          in
+          let e_lines = List.length (List.filter is_error expected) in
+          check_bool (file ^ ": errors")
+            true (Json.member "errors" result = Json.Int e_lines))
+        apps)
+
 (* ------------------------------------------------------------------ *)
 (* Transports: Unix socket and TCP served simultaneously               *)
 (* ------------------------------------------------------------------ *)
@@ -1962,6 +2032,8 @@ let suite =
         coalesce_identity;
         Alcotest.test_case "priority: warm/cheap never stuck behind cold"
           `Quick priority_orders_queue;
+        Alcotest.test_case "check op: the golden invalid corpus" `Quick
+          check_op_matches_golden;
         Alcotest.test_case "transports: Unix socket and TCP simultaneously"
           `Quick tcp_and_unix;
         Alcotest.test_case "chaos: tenantflood directive parses and fires"

@@ -1,9 +1,10 @@
 (* Tests for the validation & diagnostics subsystem: stable codes with
    source lines from crafted app files, the exhaustive (not fail-fast)
-   contract, the corruption properties (every Workload.Mutate corruption
-   is caught, every generated instance passes the spec phase), the
-   satellite line-number fixes in the strict Appfile parser, and the
-   appfile round-trip including systems. *)
+   contract, cycle reports that name a real cycle in linear time, the
+   corruption properties (every corruption of a rendered file is caught,
+   every rendered generated instance passes the declaration checks), the
+   line-number fixes in the strict Appfile parser, and the appfile
+   round-trip including systems. *)
 
 open Helpers
 
@@ -16,7 +17,7 @@ let find_code c ds =
   | None ->
       Alcotest.failf "no %s among [%s]" c (String.concat "; " (codes ds))
 
-let check_src src = Rtfmt.Appfile.check (Rtfmt.Appfile.parse_spec src)
+let check_src = Rtfmt.Appfile.check
 
 (* ------------------------------------------------------------------ *)
 (* One crafted file per code, with the line number asserted             *)
@@ -122,7 +123,7 @@ let overflow_refused () =
   check_bool "demand past max_int: check_range refuses" true
     (Result.is_error (Rtlb.App.check_range app));
   check_bool "demand past max_int: E104" true
-    (has_code "E104" (Rtlb.Validate.check ~system app));
+    (has_code "E104" (Rtlb.Validate.check_windows ~system app));
   (match Rtlb.Analysis.run system app with
   | a ->
       Alcotest.failf "Analysis.run answered lb %d"
@@ -206,6 +207,110 @@ let exhaustive_not_fail_fast () =
     (fun c -> check_bool ("found " ^ c) true (has_code c ds))
     [ "E104"; "E105"; "E102"; "E103"; "E101" ]
 
+(* A task declared before a cycle it only hangs below: the walk once
+   started there and reported "z -> z", with no line. *)
+let below_cycle =
+  "task z compute=1 deadline=10 proc=P\n\
+   task x compute=1 deadline=10 proc=P\n\
+   task y compute=1 deadline=10 proc=P\n\
+   edge x y 0\n\
+   edge y x 0\n\
+   edge y z 0\n"
+
+let cycle_below_is_real () =
+  (match Rtfmt.Appfile.parse below_cycle with
+  | _ -> Alcotest.fail "parse accepted a cycle"
+  | exception Rtfmt.Appfile.Parse_error (line, m) ->
+      check_int "parse: line" 4 line;
+      check_string "parse: the cycle" "precedence cycle: x -> y -> x" m);
+  let d = find_code "E101" (check_src below_cycle) in
+  Alcotest.(check (option int)) "check: line" (Some 4) d.Rtlb.Validate.d_line;
+  check_string "check: the cycle" "precedence cycle: x -> y -> x"
+    d.Rtlb.Validate.d_message;
+  (* a cycle the walk meets first is named once around, not closed
+     twice *)
+  match
+    Rtfmt.Appfile.parse
+      "task a compute=1 deadline=9 proc=P\n\
+       task b compute=1 deadline=9 proc=P\n\
+       edge a b 0\n\
+       edge b a 0\n"
+  with
+  | _ -> Alcotest.fail "parse accepted a cycle"
+  | exception Rtfmt.Appfile.Parse_error (line, m) ->
+      check_int "2-cycle: line" 3 line;
+      check_string "2-cycle" "precedence cycle: a -> b -> a" m
+
+(* A ring of 40,000 tasks: marking the cycle's edges took a list search
+   per edge in both the parse and the check, 4x the time per doubling. *)
+let long_cycle_linear () =
+  let n = 40_000 in
+  let b = Buffer.create (n * 64) in
+  for i = 0 to n - 1 do
+    Printf.bprintf b "task t%d compute=1 deadline=9 proc=P\n" i
+  done;
+  for i = 0 to n - 1 do
+    Printf.bprintf b "edge t%d t%d 0\n" i ((i + 1) mod n)
+  done;
+  let text = Buffer.contents b in
+  let expected =
+    "precedence cycle: "
+    ^ String.concat " -> " (List.init (n + 1) (fun i -> Printf.sprintf "t%d" (i mod n)))
+  in
+  let within what f =
+    let start = Sys.time () in
+    let result = f () in
+    let took = Sys.time () -. start in
+    if took > 2.0 then Alcotest.failf "%s took %.2f s of CPU" what took;
+    result
+  in
+  (match within "parse" (fun () -> Rtfmt.Appfile.parse text) with
+  | _ -> Alcotest.fail "parse accepted a ring"
+  | exception Rtfmt.Appfile.Parse_error (line, m) ->
+      check_int "parse: line of the first edge" (n + 1) line;
+      check_bool "parse: the ring" true (String.equal expected m));
+  let d = find_code "E101" (within "check" (fun () -> check_src text)) in
+  Alcotest.(check (option int))
+    "check: line of the first edge" (Some (n + 1)) d.Rtlb.Validate.d_line;
+  check_bool "check: the ring" true (String.equal expected d.Rtlb.Validate.d_message)
+
+(* Window-phase lines for names that contain '@': a one-shot task is
+   found by its index, a periodic job "t@k" at the line of t, its name
+   cut at its last '@'.  Cutting at the first '@' gave a@1 the line of
+   a, or none, and the jobs of x@y the line of x. *)
+let at_sign_lines () =
+  let lines_of code ds =
+    List.filter_map
+      (fun (d : Rtlb.Validate.diag) ->
+        if d.Rtlb.Validate.d_code = code then
+          Some (d.Rtlb.Validate.d_subject, d.Rtlb.Validate.d_line)
+        else None)
+      ds
+  in
+  Alcotest.(check (list (pair string (option int))))
+    "one-shot a@1 beside a"
+    [ ("task a", Some 1); ("task a@1", Some 2) ]
+    (lines_of "E102"
+       (check_src
+          "task a compute=5 deadline=20 proc=P\n\
+           task a@1 compute=5 deadline=9 proc=P\n\
+           edge a a@1 0\n"));
+  Alcotest.(check (list (pair string (option int))))
+    "one-shot a@1 alone"
+    [ ("task b", Some 1); ("task a@1", Some 2) ]
+    (lines_of "E102"
+       (check_src
+          "task b compute=5 deadline=20 proc=P\n\
+           task a@1 compute=5 deadline=9 proc=P\n\
+           edge b a@1 0\n"));
+  Alcotest.(check (list (pair string (option int))))
+    "periodic x@y beside x"
+    [ ("task x@y@0", Some 2) ]
+    (lines_of "W203"
+       (check_src
+          "task x period=10 compute=1 deadline=5 proc=P\n\
+           task x@y period=10 compute=2 deadline=2 proc=P\n"))
+
 let to_string_format () =
   let d =
     {
@@ -267,20 +372,11 @@ let parse_cycle_is_parse_error () =
 (* Properties over generated instances                                  *)
 (* ------------------------------------------------------------------ *)
 
-let spec_phase_accepts_valid =
-  qtest "constructed apps never trip the spec phase"
-    (arb_instance ()) (fun i ->
-      let tasks, edges = Rtlb.Validate.spec_of_app i.app in
-      let ds =
-        Rtlb.Validate.check_spec ~system:(Some (shared_of i)) ~tasks ~edges
-      in
-      not (Rtlb.Validate.has_errors ds))
-
 let check_agrees_with_feasibility =
   qtest "has_errors(check) = window infeasibility on valid apps"
     (arb_instance ()) (fun i ->
       let system = shared_of i in
-      let ds = Rtlb.Validate.check ~system i.app in
+      let ds = check_src (Rtfmt.Appfile.to_string ~system i.app) in
       let infeasible =
         Result.is_error
           (Rtlb.Windows.feasible i.app
@@ -288,19 +384,118 @@ let check_agrees_with_feasibility =
       in
       Rtlb.Validate.has_errors ds = infeasible)
 
+(* Edits of a valid instance's rendered file that leave the valid
+   instances, each in a way the check must catch with an E*: *)
+type corruption =
+  | Reverse_edge  (* an edge closed into a 2-cycle (E101) *)
+  | Shrink_window  (* a deadline below release + compute (E102) *)
+  | Dangling_edge  (* an edge to an undeclared task (E103) *)
+  | Negative_message  (* a message size of -1 (E104) *)
+  | Negative_compute  (* a compute of -1 (E104) *)
+  | Duplicate_task  (* the first task declared again (E105) *)
+
+let corruptions =
+  [
+    Reverse_edge;
+    Shrink_window;
+    Dangling_edge;
+    Negative_message;
+    Negative_compute;
+    Duplicate_task;
+  ]
+
+let corruption_name = function
+  | Reverse_edge -> "reverse-edge"
+  | Shrink_window -> "shrink-window"
+  | Dangling_edge -> "dangling-edge"
+  | Negative_message -> "negative-message"
+  | Negative_compute -> "negative-compute"
+  | Duplicate_task -> "duplicate-task"
+
+let words line = String.split_on_char ' ' line
+
+(* The value of [key=] on a declaration line. *)
+let field key line =
+  let prefix = key ^ "=" in
+  List.find_map
+    (fun w ->
+      if String.starts_with ~prefix w then
+        int_of_string_opt
+          (String.sub w (String.length prefix)
+             (String.length w - String.length prefix))
+      else None)
+    (words line)
+
+let set_field key value line =
+  let prefix = key ^ "=" in
+  words line
+  |> List.map (fun w ->
+         if String.starts_with ~prefix w then prefix ^ string_of_int value else w)
+  |> String.concat " "
+
+(* [text] with a corruption applied; [None] when it lacks the needed
+   declaration (no edge to reverse, no task with work to squeeze). *)
+let corrupt text c =
+  let lines = String.split_on_char '\n' text in
+  let first kind =
+    List.find_opt (String.starts_with ~prefix:(kind ^ " ")) lines
+  in
+  let edit_first p f =
+    match List.find_opt p lines with
+    | None -> None
+    | Some target ->
+        let hit = ref false in
+        Some
+          (List.map
+             (fun l ->
+               if (not !hit) && l == target then begin
+                 hit := true;
+                 f l
+               end
+               else l)
+             lines
+          |> String.concat "\n")
+  in
+  let append line = Some (text ^ line ^ "\n") in
+  match c with
+  | Reverse_edge -> (
+      match Option.map words (first "edge") with
+      | Some [ _; src; dst; _ ] -> append (Printf.sprintf "edge %s %s 0" dst src)
+      | _ -> None)
+  | Shrink_window ->
+      edit_first
+        (fun l ->
+          String.starts_with ~prefix:"task " l
+          && Option.value (field "compute" l) ~default:0 > 0)
+        (fun l ->
+          let get k = Option.get (field k l) in
+          set_field "deadline" (get "release" + get "compute" - 1) l)
+  | Dangling_edge -> (
+      match Option.map words (first "task") with
+      | Some (_ :: name :: _) -> append ("edge " ^ name ^ " __undeclared__ 0")
+      | _ -> None)
+  | Negative_message ->
+      edit_first (String.starts_with ~prefix:"edge ") (fun l ->
+          match words l with
+          | [ e; src; dst; _ ] -> String.concat " " [ e; src; dst; "-1" ]
+          | _ -> l)
+  | Negative_compute ->
+      edit_first (String.starts_with ~prefix:"task ") (set_field "compute" (-1))
+  | Duplicate_task -> Option.bind (first "task") append
+
 let corruptions_always_caught =
   qtest "every corruption yields at least one E* diagnostic"
     (arb_instance ()) (fun i ->
+      let text = Rtfmt.Appfile.to_string ~system:(shared_of i) i.app in
       List.for_all
         (fun c ->
-          match Workload.Mutate.corrupt i.app c with
+          match corrupt text c with
           | None -> true (* instance lacks the structure; nothing to check *)
-          | Some (tasks, edges) ->
-              let ds = Rtlb.Validate.check_spec ~system:None ~tasks ~edges in
-              Rtlb.Validate.has_errors ds
-              || QCheck.Test.fail_reportf "corruption %s went undetected"
-                   (Workload.Mutate.corruption_name c))
-        Workload.Mutate.corruptions)
+          | Some text ->
+              Rtlb.Validate.has_errors (check_src text)
+              || QCheck.Test.fail_reportf "corruption %s went undetected:\n%s"
+                   (corruption_name c) text)
+        corruptions)
 
 (* ------------------------------------------------------------------ *)
 (* Appfile round-trip, including systems                                *)
@@ -335,15 +530,20 @@ let roundtrip_spec_is_clean =
   qtest "rendered valid apps pass the full check"
     (arb_instance ()) (fun i ->
       let src = Rtfmt.Appfile.to_string ~system:(shared_of i) i.app in
-      let ds = Rtfmt.Appfile.check (Rtfmt.Appfile.parse_spec src) in
-      (* E102 may legitimately fire (generated instances can be window-
-         infeasible); everything else would be a validator bug. *)
+      (* The window phase's E102 may legitimately fire (generated
+         instances can be window-infeasible); any other error, the
+         declared-window E102 included, would be a validator bug. *)
       List.for_all
         (fun (d : Rtlb.Validate.diag) ->
           match d.Rtlb.Validate.d_severity with
           | Rtlb.Validate.Warning -> true
-          | Rtlb.Validate.Error -> d.Rtlb.Validate.d_code = "E102")
-        ds)
+          | Rtlb.Validate.Error ->
+              d.Rtlb.Validate.d_code = "E102"
+              && String.starts_with ~prefix:"EST/LCT window"
+                   d.Rtlb.Validate.d_message
+              || QCheck.Test.fail_reportf "%s on\n%s"
+                   (Rtlb.Validate.to_string d) src)
+        (check_src src))
 
 (* ------------------------------------------------------------------ *)
 (* The window phase against the record windows                          *)
@@ -384,7 +584,7 @@ let record_check_windows ~line_of ~system app =
                     d_severity = severity;
                     d_subject = "task " ^ task.Rtlb.Task.name;
                     d_message = message;
-                    d_line = line_of task.Rtlb.Task.name;
+                    d_line = line_of i;
                   }
                   :: !acc
               in
@@ -407,10 +607,10 @@ let record_check_windows ~line_of ~system app =
               compare (key a) (key b))
             (List.rev !acc))
 
-(* Lines for some names only, several names to a line, so that the
+(* Lines for some tasks only, several tasks to a line, so that the
    sort's stability and the unlocated tail are exercised. *)
-let some_lines name =
-  let h = Hashtbl.hash name in
+let some_lines i =
+  let h = Hashtbl.hash (i * 7919) in
   if h mod 3 = 0 then None else Some (h mod 5)
 
 let windows_match_record_engine =
@@ -457,12 +657,17 @@ let suite =
           code_warnings_clean_exit;
         Alcotest.test_case "validation is exhaustive, not fail-fast" `Quick
           exhaustive_not_fail_fast;
+        Alcotest.test_case "a cycle report names a real cycle" `Quick
+          cycle_below_is_real;
+        Alcotest.test_case "cycle reports take linear time" `Quick
+          long_cycle_linear;
+        Alcotest.test_case "window-phase lines for names with '@'" `Quick
+          at_sign_lines;
         Alcotest.test_case "diagnostic line format" `Quick to_string_format;
         Alcotest.test_case "strict parse errors carry source lines" `Quick
           parse_located_errors;
         Alcotest.test_case "cycles are Parse_error, not Dag.Cycle" `Quick
           parse_cycle_is_parse_error;
-        spec_phase_accepts_valid;
         check_agrees_with_feasibility;
         corruptions_always_caught;
         roundtrip_with_shared;
